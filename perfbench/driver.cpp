@@ -16,7 +16,6 @@
 /// result line.
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -26,10 +25,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "lbmem/gen/event_trace.hpp"
 #include "lbmem/gen/suites.hpp"
+#include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/load_balancer.hpp"
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
@@ -59,7 +60,7 @@ void require(bool ok, const std::string& what) {
 constexpr int kProcessors = 8;
 constexpr int kHotTasks = 64;           // serve-local: tasks receiving events
 constexpr double kLocalMeanGap = 8.0;   // serve-local: Poisson mean, ticks
-constexpr double kChurnMeanGap = 32.0;  // serve-churn: Poisson mean, ticks
+constexpr double kChurnMeanGap = 128.0;  // serve-churn: Poisson mean, ticks
 
 struct Size {
   int tasks = 0;
@@ -139,10 +140,10 @@ EventTrace hot_wcet_trace(const TaskGraph& graph, int events, Rng& rng) {
 }
 
 /// Arrival/removal-dominated traffic from the library's trace generator,
-/// with a few WCET re-estimates; \p fail closes it with one processor
-/// failure. A fixed last position keeps the evacuation in every run without
-/// letting it reshape the events after it (a randomly drawn failure either
-/// happens or not in a seed's trace, and moves everything behind it).
+/// with a few WCET re-estimates; \p fail opens it with one processor
+/// failure. At the start every processor's evacuation succeeds on these
+/// instances; later in the trace the arrivals have filled the survivors
+/// and the evacuation is rejected, which would leave the failure unrepaired.
 EventTrace churn_trace(const TaskGraph& graph, int events, bool fail,
                        Rng& rng) {
   EventTraceParams params;
@@ -157,10 +158,10 @@ EventTrace churn_trace(const TaskGraph& graph, int events, bool fail,
   EventTrace trace = random_event_trace(graph, Architecture(kProcessors),
                                         params, rng.next_u64());
   if (fail) {
-    const Time last = trace.empty() ? 0 : trace.back().at;
-    trace.push_back(Event{last + static_cast<Time>(kChurnMeanGap),
-                          ProcessorFailure{static_cast<ProcId>(
-                              rng.uniform(0, kProcessors - 1))}});
+    const Time first = trace.empty() ? 0 : trace.front().at;
+    trace.insert(trace.begin(),
+                 Event{first, ProcessorFailure{static_cast<ProcId>(
+                                  rng.uniform(0, kProcessors - 1))}});
   }
   return trace;
 }
@@ -189,35 +190,6 @@ double tail_percentile(std::int64_t count) {
   std::fprintf(stderr, "perfbench: latency tail is p%g of %lld samples\n",
                chosen, static_cast<long long>(count));
   return chosen;
-}
-
-/// Nearest-rank percentile of a LatencyHistogram, interpolated linearly
-/// inside the log bucket that holds the ranked sample. percentile() on the
-/// histogram reports the bucket's upper edge, which moves in 3% steps; the
-/// interpolation keeps small shifts visible.
-double interpolated_percentile(const obs::LatencyHistogram& hist, double pct) {
-  if (hist.count() == 0) return 0.0;
-  const auto rank = static_cast<std::int64_t>(
-      std::ceil(pct / 100.0 * static_cast<double>(hist.count())));
-  std::int64_t before = 0;
-  for (const auto& [upper, count] : hist.buckets()) {
-    if (before + count >= rank) {
-      std::int64_t lower = upper;
-      if (upper >= 64) {
-        const int shift = std::bit_width(static_cast<std::uint64_t>(upper)) - 6;
-        lower = (upper >> shift) << shift;
-      }
-      const double within = (static_cast<double>(rank - before) - 0.5) /
-                            static_cast<double>(count);
-      const double value =
-          static_cast<double>(lower) +
-          within * static_cast<double>(upper + 1 - lower);
-      return std::clamp(value, static_cast<double>(hist.min()),
-                        static_cast<double>(hist.max()));
-    }
-    before += count;
-  }
-  return static_cast<double>(hist.max());
 }
 
 /// High-water resident set of this process image, from /proc (getrusage's
@@ -297,15 +269,27 @@ struct Result {
 
 // ---- correctness checks -------------------------------------------------------
 
-void check_schedule(const Schedule& sched,
-                    const std::vector<std::uint8_t>& failed_procs) {
+/// The final state of an engine that served \p trace: a valid schedule,
+/// every injected processor failure applied (a rejected evacuation leaves
+/// the processor alive, so the failure went unrepaired), and nothing on a
+/// failed processor.
+void check_final_state(const Rebalancer& engine, const EventTrace& trace) {
+  const Schedule& sched = engine.schedule();
   const ValidationReport report = validate(sched);
   if (!report.ok()) {
     throw GateFailure("final schedule fails validate(): " +
                       report.violations.front().detail);
   }
-  for (ProcId p = 0; p < static_cast<ProcId>(failed_procs.size()); ++p) {
-    require(!failed_procs[static_cast<std::size_t>(p)] ||
+  const std::vector<std::uint8_t>& failed = engine.failed_procs();
+  for (const Event& event : trace) {
+    if (event.kind() != EventKind::ProcessorFailure) continue;
+    const ProcId p = std::get<ProcessorFailure>(event.payload).proc;
+    require(failed[static_cast<std::size_t>(p)] != 0,
+            "the failure of processor " + std::to_string(p) +
+                " was rejected and never repaired");
+  }
+  for (ProcId p = 0; p < static_cast<ProcId>(failed.size()); ++p) {
+    require(!failed[static_cast<std::size_t>(p)] ||
                 sched.instances_on(p).empty(),
             "failed processor " + std::to_string(p) + " still hosts work");
   }
@@ -412,7 +396,7 @@ ServeRep serve_rep(const ServeSystem& sys, obs::Registry& registry) {
     rep.wall_s += wall.seconds();
 
     Stopwatch validate_watch;
-    check_schedule(engine.schedule(), engine.failed_procs());
+    check_final_state(engine, trace);
     rep.validate_ms += validate_watch.seconds() * 1e3;
     require(r.shed_overflow == 0 && r.shed_tasks.empty() &&
                 engine.shed_tasks().empty(),
@@ -440,6 +424,7 @@ ServeRep serve_rep(const ServeSystem& sys, obs::Registry& registry) {
     det["max_memory_sum"] += engine.schedule().max_memory();
     det["alive_tasks_sum"] += std::ssize(engine.graph().tasks());
     det["alive_procs_sum"] += engine.alive_processor_count();
+    det["failed_procs"] += kProcessors - engine.alive_processor_count();
   }
   const obs::Snapshot snap = registry.snapshot();
   rep.det["migrated_instances"] =
@@ -467,7 +452,7 @@ std::vector<std::string> replay_outcomes(const ServeSystem& sys) {
       outcomes.push_back(to_string(event.kind()) + " " + verdict + " " +
                          (out.graph_rebuilt ? "1" : "0"));
     }
-    check_schedule(engine.schedule(), engine.failed_procs());
+    check_final_state(engine, lane.trace);
     require(engine.shed_tasks().empty(), "replay shed tasks");
   }
   return outcomes;
@@ -569,7 +554,7 @@ Result run_serve(const std::string& workload, const Size& size,
     sys.emplace(setup_serve(workload, size, seed));
     setup_times.push_back(sys->setup_s());
   }
-  result.checks = {"trace_roundtrip", "validate", "failed_procs_empty",
+  result.checks = {"trace_roundtrip", "validate", "failures_repaired",
                    "nothing_shed", "events_accounted"};
 
   if (!traced) {
@@ -585,9 +570,10 @@ Result run_serve(const std::string& workload, const Size& size,
               "a repetition changed the deterministic figures");
       const obs::LatencyHistogram& delay = rep.queue_delay_us;
       rate.push_back(ratio(static_cast<double>(rep.drained), rep.wall_s));
-      p50.push_back(interpolated_percentile(delay, 50) / 1e3);
+      p50.push_back(static_cast<double>(delay.percentile(50)) / 1e3);
       tail.push_back(
-          interpolated_percentile(delay, tail_percentile(rep.drained)) / 1e3);
+          static_cast<double>(delay.percentile(tail_percentile(rep.drained))) /
+          1e3);
       result.attempted += rep.events_in;
     } while (elapsed.seconds() < seconds);
     result.checks.push_back("reps_identical");
@@ -626,6 +612,16 @@ Result run_serve(const std::string& workload, const Size& size,
         ratio(sys->parse_s * 1e6, static_cast<double>(sys->events())),
         "us");
   m.add("lb.initial_balance_ms", sys->balance_s * 1e3 / size.lanes, "ms");
+  // The lb.build_blocks span fires only in a full LoadBalancer::balance,
+  // never inside serve() (the engine's scoped rebalance builds blocks
+  // around its dirty tasks), so the block decomposition every full balance
+  // starts with is timed here, on each balanced schedule.
+  Stopwatch blocks_watch;
+  for (const ServeSystem::Lane& lane : sys->lanes) {
+    const BlockDecomposition blocks = build_blocks(*lane.balanced);
+    require(!blocks.blocks.empty(), "build_blocks() found no block");
+  }
+  m.add("lb.build_blocks_ms", blocks_watch.seconds() * 1e3 / size.lanes, "ms");
   add_registry_layers(m, registry.snapshot(), static_cast<double>(rep->drained),
                       static_cast<double>(rep->events_in));
   add_stream_layers(m, *rep);

@@ -18,9 +18,10 @@ must repeat exactly on every later run of the same sources.
 
 Exit codes: 0 result printed; 2 usage; 3 a correctness check failed;
 4 the build, the driver or the analysis failed. A failed run prints no
-result line. `failed` is always 0 in a printed result: a shed event or an
-invalid final schedule fails the run instead; a rejected event is a
-correct answer, counted in the per-layer `online.reject_ratio`.
+result line. `failed` is always 0 in a printed result: a shed event, an
+unrepaired processor failure or an invalid final schedule fails the run
+instead; any other rejected event is a correct answer that leaves the
+state untouched, counted in the per-layer `online.reject_ratio`.
 """
 
 import argparse

@@ -20,7 +20,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 7
-GATE = {"trace_roundtrip", "validate", "failed_procs_empty", "nothing_shed",
+GATE = {"trace_roundtrip", "validate", "failures_repaired", "nothing_shed",
         "events_accounted", "reps_identical", "spans_complete",
         "deterministic_across_runs"}
 
@@ -86,6 +86,8 @@ class SmallWorkloads(unittest.TestCase):
         self.assertGreater(layer("serve-local", "stream.coalesced_ratio"), 0)
         self.assertGreater(layer("serve-churn", "online.reject_ratio"), 0)
         self.assertGreater(layer("serve-churn", "online.graph_rebuilt_ratio"), 0)
+        self.assertEqual(layer("serve-churn", "online.outcome.failure.applied"), 1)
+        self.assertEqual(layer("serve-churn", "online.outcome.failure.rejected"), 0)
         for workload in ("serve-local", "serve-churn"):
             self.assertEqual(layer(workload, "obs.spans_dropped"), 0)
             self.assertGreater(layer(workload, "obs.spans_recorded"), 0)
