@@ -1,9 +1,10 @@
 /// \file bench_degraded.cpp
-/// \brief Cost of the degraded-mode machinery (DESIGN.md F27/F28):
+/// \brief Cost of the degraded-mode machinery (DESIGN.md F27/F28/F30):
 /// correlated-burst noise derivation on top of the perturbed executor,
 /// the concurrent-failure robustness harness with the repair ladder on,
-/// the full shed-rung escalation on a capacity-starved system, and the
-/// miss-rate selector's pick/observe fold. The executor benchmarks share
+/// the full four-rung walk to the shed rung on a capacity-starved system,
+/// and the miss-rate selector's pick/observe fold behind
+/// `compare --adaptive`. The executor benchmarks share
 /// bench_robustness's balanced N=400 / M=6 workload so the numbers
 /// compare the burst machinery, not different schedules.
 /// Recorded into BENCH_degraded.json by tools/bench_record.sh.
@@ -98,7 +99,7 @@ void BM_ConcurrentFailureRecovery(benchmark::State& state) {
   rob.replications = 1;
   rob.perturb = noisy_spec();
   rob.perturb.failures = {{0, h / 2}, {1, h + h / 2}};
-  rob.repair.degraded.enabled = true;
+  rob.repair.degraded = true;
   int recovered = 0;
   for (auto _ : state) {
     const RobustnessReport report = run_robustness(sched, rob);
@@ -126,7 +127,7 @@ void BM_DegradedShedLadder(benchmark::State& state) {
   }
   RebalancerOptions opts;
   opts.balance.enforce_memory_capacity = true;
-  opts.degraded.enabled = true;
+  opts.degraded = true;
   std::size_t shed = 0;
   for (auto _ : state) {
     state.PauseTiming();

@@ -125,7 +125,7 @@ void serve_loop(benchmark::State& state, bool coalesce) {
     queue_delay_us.merge(report.queue_delay_us);
     batch_repair_us.merge(report.batch_repair_us);
     wall_seconds += report.wall_seconds;
-    drained += report.applied + report.rejected + report.deferred;
+    drained += report.applied + report.rejected;
     coalesced += report.coalesced;
     shed += report.shed_overflow;
     if (report.final_violations > 0) ++violations;

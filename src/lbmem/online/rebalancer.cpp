@@ -17,6 +17,11 @@ namespace lbmem {
 
 namespace {
 
+/// Degraded-mode ladder bounds (DESIGN.md F28): widened-scope retries
+/// (rung 1) and the most tasks the shed rung (rung 3) may drop per event.
+constexpr int kMaxRetries = 2;
+constexpr int kMaxShed = 4;
+
 /// Task id by name, or -1 (events identify tasks by name; DESIGN.md F10).
 TaskId maybe_find(const TaskGraph& graph, const std::string& name) {
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
@@ -204,17 +209,11 @@ namespace {
 /// consumers whose data-readiness a re-placement broke (consumers are
 /// always later in the order, so one pass suffices). Returns an empty
 /// string on success, else the reason the repair is infeasible.
-///
-/// \p stale, when non-null, is a frozen per-processor memory view
-/// (DESIGN.md F29) consulted *only* by the final placement tie-break —
-/// capacity projections and the occupancy timelines stay live, so
-/// staleness can cost balance quality but never feasibility.
 std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
                    std::vector<std::uint8_t>& dirty,
                    const std::vector<ProcId>& preferred,
                    const std::vector<std::uint8_t>& failed,
-                   std::vector<TaskId>& repaired,
-                   const std::vector<Mem>* stale = nullptr) {
+                   std::vector<TaskId>& repaired) {
   const TaskGraph& graph = work.graph();
   const auto detach = [&](TaskId t) {
     const InstanceIdx n = graph.instance_count(t);
@@ -277,9 +276,6 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
         const bool best_pref = (best_proc == pref);
         if (cand_pref != best_pref) {
           better = cand_pref;
-        } else if (stale != nullptr) {
-          better = (*stale)[static_cast<std::size_t>(p)] <
-                   (*stale)[static_cast<std::size_t>(best_proc)];
         } else {
           better = work.memory_on(p) < work.memory_on(best_proc);
         }
@@ -465,52 +461,6 @@ EventOutcome Rebalancer::fail_processor(ProcId proc, Time at) {
   return apply(Event{at, ProcessorFailure{proc}});
 }
 
-const std::vector<Mem>* Rebalancer::stale_memory() const {
-  return (options_.staleness_events > 0 && !stale_memory_.empty())
-             ? &stale_memory_
-             : nullptr;
-}
-
-EventOutcome Rebalancer::apply(const Event& event) {
-  // Stale-load tick (DESIGN.md F29): the frozen per-processor memory view
-  // is refreshed every staleness_events calls, before this event (and any
-  // expired backoff retries below) consult it.
-  if (options_.staleness_events > 0) {
-    if (staleness_tick_ == 0) {
-      const int m = sched_->architecture().processor_count();
-      stale_memory_.assign(static_cast<std::size_t>(m), 0);
-      for (ProcId p = 0; p < m; ++p) {
-        stale_memory_[static_cast<std::size_t>(p)] = sched_->memory_on(p);
-      }
-    }
-    staleness_tick_ = (staleness_tick_ + 1) % options_.staleness_events;
-  }
-
-  EventOutcome out = apply_one(event, /*allow_defer=*/true);
-
-  // Age the backoff queue by one event and re-attempt every entry whose
-  // countdown expired — oldest first, full ladder, no second deferral.
-  // An event parked by *this* call joins the queue afterwards, so it
-  // waits its full backoff.
-  if (!pending_.empty()) {
-    std::vector<PendingRetry> waiting;
-    waiting.reserve(pending_.size());
-    for (PendingRetry& p : pending_) {
-      if (--p.countdown > 0) {
-        waiting.push_back(std::move(p));
-        continue;
-      }
-      out.resolved_pending.push_back(
-          apply_one(p.event, /*allow_defer=*/false));
-    }
-    pending_ = std::move(waiting);
-  }
-  if (out.deferred) {
-    pending_.push_back(PendingRetry{event, options_.degraded.backoff_events});
-  }
-  return out;
-}
-
 namespace {
 
 // Span names must be static literals (the tracer stores the pointer).
@@ -533,8 +483,6 @@ void fold_event(obs::Registry& reg, const EventOutcome& out) {
       reg.counter("online.events_applied", obs::MetricClass::Deterministic);
   const auto rejected =
       reg.counter("online.events_rejected", obs::MetricClass::Deterministic);
-  const auto deferred =
-      reg.counter("online.events_deferred", obs::MetricClass::Deterministic);
   const auto repaired =
       reg.counter("online.repaired_tasks", obs::MetricClass::Deterministic);
   const auto migrated = reg.counter("online.migrated_instances",
@@ -551,8 +499,6 @@ void fold_event(obs::Registry& reg, const EventOutcome& out) {
                                      obs::MetricClass::Deterministic);
   const auto rec_replace = reg.counter("online.degraded.recovered_replace",
                                        obs::MetricClass::Deterministic);
-  const auto rec_resolve = reg.counter("online.degraded.recovered_resolve",
-                                       obs::MetricClass::Deterministic);
   const auto rec_shed = reg.counter("online.degraded.recovered_shed",
                                     obs::MetricClass::Deterministic);
   const auto shed = reg.counter("online.degraded.shed_tasks",
@@ -560,8 +506,7 @@ void fold_event(obs::Registry& reg, const EventOutcome& out) {
   const auto mode =
       reg.gauge("online.degraded_mode", obs::MetricClass::Deterministic);
   reg.add(applied, out.applied ? 1 : 0);
-  reg.add(rejected, (!out.applied && !out.deferred) ? 1 : 0);
-  reg.add(deferred, out.deferred ? 1 : 0);
+  reg.add(rejected, out.applied ? 0 : 1);
   reg.add(retries, out.degraded_retries);
   if (out.applied) {
     reg.add(repaired, out.repaired_tasks);
@@ -569,8 +514,7 @@ void fold_event(obs::Registry& reg, const EventOutcome& out) {
     reg.record(dirty, out.dirty_blocks);
     reg.add(rec_retry, out.degraded_rung == 1 ? 1 : 0);
     reg.add(rec_replace, out.degraded_rung == 2 ? 1 : 0);
-    reg.add(rec_resolve, out.degraded_rung == 3 ? 1 : 0);
-    reg.add(rec_shed, out.degraded_rung == 4 ? 1 : 0);
+    reg.add(rec_shed, out.degraded_rung == 3 ? 1 : 0);
     reg.add(shed, static_cast<std::int64_t>(out.shed.size()));
   }
   reg.raise(mode, out.degraded_rung);
@@ -579,7 +523,7 @@ void fold_event(obs::Registry& reg, const EventOutcome& out) {
 
 }  // namespace
 
-EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
+EventOutcome Rebalancer::apply(const Event& event) {
   obs::ScopedSpan event_span(event_span_name(event.kind()), "online");
   Stopwatch watch;
   EventOutcome out;
@@ -611,51 +555,43 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
 
   std::string reject;
   std::unique_ptr<TaskGraph> new_graph;   // null = graph kept
-  std::unique_ptr<TaskGraph> shed_graph;  // rung 4 shrank the graph
+  std::unique_ptr<TaskGraph> shed_graph;  // rung 3 shrank the graph
   std::optional<Patched> patched;
-  const std::vector<Mem>* stale = stale_memory();
 
   // The repair ladder. Rung 0 is the plain dirty-set repair; without
   // degraded mode a failure escalates once to a full re-place and then
   // rejects (the historic F11/F13 behavior). With degraded mode the
-  // failure either defers for backoff or climbs: widened-scope retries,
-  // the constructive full re-place, a Solver-backed full resolve of the
-  // running system, and finally load shedding (DESIGN.md F28). Every rung
+  // failure climbs: widened-scope retries, the constructive full
+  // re-place, and finally load shedding (DESIGN.md F28). Every rung
   // builds its candidate from pristine pre-event state via make_base /
   // full_replace_candidate, so a failed rung leaks nothing into the next
   // — and a rejected event leaks nothing at all (F14).
+  const auto try_repair = [&](Patched& c) {
+    return repair(c.sched, c.occ, c.dirty, c.preferred, failed_, c.repaired);
+  };
   const auto run_ladder = [&](const std::function<Patched()>& make_base,
-                              const TaskGraph& graph,
-                              bool same_graph) -> std::string {
+                              const TaskGraph& graph) -> std::string {
     LBMEM_TRACE_SPAN("online.repair");
     Patched candidate = make_base();
     const std::vector<std::uint8_t> base_dirty = candidate.dirty;
     const bool base_full = candidate.full_replace;
-    std::string err =
-        repair(candidate.sched, candidate.occ, candidate.dirty,
-               candidate.preferred, failed_, candidate.repaired, stale);
+    std::string err = try_repair(candidate);
     if (err.empty()) {
       patched.emplace(std::move(candidate));
       return {};
     }
-    const DegradedOptions& deg = options_.degraded;
-    if (deg.enabled && allow_defer && deg.backoff_events > 0) {
-      out.deferred = true;  // parked by apply(); re-attempted ladder-first
-      return err;
-    }
+    const bool degraded = options_.degraded;
     if (!base_full) {
       // Rung 1 (degraded only): re-attempt with the dirty set widened by
       // one dependency ring per retry.
-      if (deg.enabled) {
+      if (degraded) {
         std::vector<std::uint8_t> dirty = base_dirty;
-        for (int r = 0; r < deg.max_retries; ++r) {
+        for (int r = 0; r < kMaxRetries; ++r) {
           if (!widen_by_ring(graph, dirty)) break;  // fixpoint: no new scope
           Patched retry = make_base();
           retry.dirty = dirty;
           ++out.degraded_retries;
-          if (repair(retry.sched, retry.occ, retry.dirty, retry.preferred,
-                     failed_, retry.repaired, stale)
-                  .empty()) {
+          if (try_repair(retry).empty()) {
             out.degraded_rung = 1;
             patched.emplace(std::move(retry));
             return {};
@@ -664,65 +600,26 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
       }
       // Rung 2 / the historic escalation: re-place every task.
       Patched full = full_replace_candidate(graph, pre());
-      if (repair(full.sched, full.occ, full.dirty, full.preferred, failed_,
-                 full.repaired, stale)
-              .empty()) {
+      if (try_repair(full).empty()) {
         full.seeds = full.repaired;
-        if (deg.enabled) out.degraded_rung = 2;
+        if (degraded) out.degraded_rung = 2;
         patched.emplace(std::move(full));
         return {};
       }
     }
-    if (!deg.enabled) return err;  // historic behavior: reject
-    // Rung 3: full resolve of the running system by a configured solver.
-    // Same-graph events only — the Problem aliases the engine's graph. An
-    // outcome that re-populates a failed processor is discarded (the
-    // full_resolver invariant carries over).
-    const Solver* resolver =
-        deg.resolver ? deg.resolver.get() : options_.full_resolver.get();
-    if (same_graph && resolver != nullptr) {
-      const Problem problem = Problem::adopt(pre());
-      Outcome outcome = resolver->solve(problem);
-      if (outcome.feasible()) {
-        bool on_failed = false;
-        for (ProcId p = 0; p < sched_->architecture().processor_count();
-             ++p) {
-          if (failed_[static_cast<std::size_t>(p)] &&
-              (outcome.schedule->busy_on(p) > 0 ||
-               outcome.schedule->memory_on(p) > 0)) {
-            on_failed = true;
-            break;
-          }
-        }
-        if (!on_failed) {
-          Patched resolved{std::move(*outcome.schedule)};
-          resolved.full_replace = true;
-          resolved.occ = build_occupancy(resolved.sched);
-          resolved.dirty.assign(graph.task_count(), 0);
-          resolved.preferred = instance0_procs(resolved.sched);
-          out.degraded_rung = 3;
-          patched.emplace(std::move(resolved));
-          return {};
-        }
-        out.resolver_discarded = true;
-      }
-    }
-    // Rung 4: shed the lowest-priority tasks (longest period first) until
-    // a full re-place of the survivors fits, bounded by max_shed.
+    if (!degraded) return err;  // historic behavior: reject
+    // Rung 3: shed the lowest-priority tasks (longest period first) until
+    // a full re-place of the survivors fits, bounded by kMaxShed.
     const std::vector<TaskId> order = shed_order(graph);
     const int cap =
-        std::min(deg.max_shed, static_cast<int>(graph.task_count()) - 1);
+        std::min(kMaxShed, static_cast<int>(graph.task_count()) - 1);
     for (int s = 1; s <= cap; ++s) {
       const std::vector<TaskId> victims(order.begin(), order.begin() + s);
       auto shrunk = drop_tasks(graph, victims);
       Patched cand = full_replace_candidate(*shrunk, pre());
-      if (!repair(cand.sched, cand.occ, cand.dirty, cand.preferred, failed_,
-                  cand.repaired, stale)
-               .empty()) {
-        continue;
-      }
+      if (!try_repair(cand).empty()) continue;
       cand.seeds = cand.repaired;
-      out.degraded_rung = 4;
+      out.degraded_rung = 3;
       for (const TaskId v : victims) out.shed.push_back(graph.task(v).name);
       shed_graph = std::move(shrunk);
       patched.emplace(std::move(cand));
@@ -769,7 +666,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         add_consumers(*graph_, t, candidate.seeds);
         return candidate;
       };
-      reject = run_ladder(make_base, *graph_, /*same_graph=*/true);
+      reject = run_ladder(make_base, *graph_);
       if (!reject.empty()) break;  // ~Rollback restores the old WCET
       undo.dismiss();
       break;
@@ -802,7 +699,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         candidate.preferred = instance0_procs(pre());
         return candidate;
       };
-      reject = run_ladder(make_base, *graph_, /*same_graph=*/true);
+      reject = run_ladder(make_base, *graph_);
       if (!reject.empty()) break;  // ~Rollback un-fails the processor
       undo.dismiss();
       break;
@@ -855,7 +752,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
           candidate.seeds.push_back(nid);
           return candidate;
         };
-        reject = run_ladder(make_base, *rebuilt, /*same_graph=*/false);
+        reject = run_ladder(make_base, *rebuilt);
         if (reject.empty()) new_graph = std::move(rebuilt);
       } catch (const ModelError& e) {
         reject = e.what();
@@ -929,7 +826,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
         }
         return candidate;
       };
-      reject = run_ladder(make_base, *rebuilt, /*same_graph=*/false);
+      reject = run_ladder(make_base, *rebuilt);
       if (reject.empty()) new_graph = std::move(rebuilt);
       break;
     }
@@ -962,10 +859,7 @@ EventOutcome Rebalancer::apply_one(const Event& event, bool allow_defer) {
   std::unique_ptr<TaskGraph> retired;
   if (new_graph) retired = std::move(graph_);
   commit(std::move(*patched), std::move(new_graph));
-
-  // A rung-3 recovery *is* a full resolve — running the balance stage on
-  // top would second-guess the solver the caller configured.
-  if (out.degraded_rung != 3) run_balance_stage(seeds, out);
+  run_balance_stage(seeds, out);
 
   out.migrated_instances = count_migrations(pre(), *sched_);
   finish();

@@ -25,14 +25,13 @@
 /// untouched (including un-marking a failed processor, DESIGN.md F14) and
 /// the outcome reports the reason.
 ///
-/// With DegradedOptions::enabled the engine instead escalates through the
-/// degraded-mode repair ladder (DESIGN.md F28) before giving up: widened-
-/// scope retries (optionally after a backoff of K events), a constructive
-/// re-place of every task, a Solver-backed full resolve, and finally
-/// explicit load shedding — dropping the lowest-priority tasks into a
-/// reported `shed` set instead of failing hard. Each rung preserves the
-/// F14 contract: a rung that does not produce a valid schedule leaves the
-/// system exactly as before.
+/// With RebalancerOptions::degraded the engine instead escalates through
+/// the degraded-mode repair ladder (DESIGN.md F28) before giving up:
+/// widened-scope retries, a constructive re-place of every task, and
+/// finally explicit load shedding — dropping the lowest-priority tasks
+/// into a reported `shed` set instead of failing hard. Each rung preserves
+/// the F14 contract: a rung that does not produce a valid schedule leaves
+/// the system exactly as before.
 
 #include <memory>
 #include <optional>
@@ -46,30 +45,6 @@
 namespace lbmem {
 
 class Solver;  // api/solver.hpp
-
-/// Degraded-mode repair ladder configuration (DESIGN.md F28). Disabled by
-/// default, in which case a rejected dirty-set repair escalates once to a
-/// full re-place (the historic F11 behavior) and then rejects.
-struct DegradedOptions {
-  /// Run the ladder when the dirty-set repair (and the historic full
-  /// re-place escalation) would otherwise reject the event.
-  bool enabled = false;
-  /// Rung 1 bound: widened-scope repair retries. Each retry grows the
-  /// dirty set by one dependency ring (producers and consumers of every
-  /// dirty task); retries stop early once widening reaches a fixpoint.
-  int max_retries = 2;
-  /// Retry backoff: when > 0, a repair whose first attempt is rejected is
-  /// *parked* instead of escalated — the event defers (state untouched,
-  /// EventOutcome::deferred) and is re-attempted, ladder and all, after
-  /// this many subsequent apply() calls. 0 runs the ladder inline.
-  int backoff_events = 0;
-  /// Rung 4 bound: the most tasks the shed rung may drop for one event.
-  int max_shed = 4;
-  /// Rung 3 solver (full resolve of the running system). Falls back to
-  /// RebalancerOptions::full_resolver when null; the rung is skipped when
-  /// neither is set or when the event rebuilt the task graph.
-  std::shared_ptr<const Solver> resolver;
-};
 
 /// Online-engine configuration.
 struct RebalancerOptions {
@@ -106,16 +81,11 @@ struct RebalancerOptions {
   /// BalanceOptions::metrics unless `balance.metrics` was already set.
   /// The registry must outlive the engine.
   obs::Registry* metrics = nullptr;
-  /// Degraded-mode repair ladder (DESIGN.md F28).
-  DegradedOptions degraded;
-  /// Stale-load decisions (DESIGN.md F29): when > 0, the per-processor
-  /// memory aggregate the repair's placement tie-break consults is frozen
-  /// at event entry and only refreshed every K apply() calls — the
-  /// stale-information failure mode of distributed load balancers.
-  /// Staleness degrades placement *quality* only: capacity projections
-  /// and occupancy timelines stay live, so feasibility is never decided
-  /// on stale data. 0 consults the live aggregates.
-  int staleness_events = 0;
+  /// Degraded-mode repair ladder (DESIGN.md F28): run it when the dirty-
+  /// set repair (and the historic full re-place escalation) would
+  /// otherwise reject the event. Off by default, in which case a rejected
+  /// dirty-set repair escalates once to a full re-place and then rejects.
+  bool degraded = false;
 };
 
 /// What one event did to the system.
@@ -147,24 +117,15 @@ struct EventOutcome {
   /// Degraded-mode ladder (DESIGN.md F28): the rung that produced the
   /// committed schedule. 0 = the plain dirty-set repair (or the historic
   /// full re-place escalation) sufficed; 1 = widened-scope retry;
-  /// 2 = constructive re-place of every task; 3 = Solver-backed full
-  /// resolve; 4 = load shedding.
+  /// 2 = constructive re-place of every task; 3 = load shedding.
   int degraded_rung = 0;
   /// Widened-scope retry attempts consumed (rung 1), whether or not one
   /// of them succeeded.
   int degraded_retries = 0;
-  /// The event was parked for backoff (DegradedOptions::backoff_events):
-  /// the system is untouched (like a reject — applied stays false,
-  /// reject_reason carries the first attempt's failure) and the event
-  /// will be re-attempted after the backoff expires.
-  bool deferred = false;
   /// Tasks dropped by the shed rung (names, in shed order). The tasks are
   /// gone from the running graph; Rebalancer::shed_tasks() accumulates
   /// them across events.
   std::vector<std::string> shed;
-  /// Outcomes of previously deferred events whose backoff expired during
-  /// this apply() (re-attempted ladder-first, oldest first).
-  std::vector<EventOutcome> resolved_pending;
   /// Post-event system state.
   Time makespan = 0;
   Mem max_memory = 0;
@@ -206,42 +167,23 @@ class Rebalancer {
 
   /// Tasks dropped by the shed rung so far (names, in shed order).
   const std::vector<std::string>& shed_tasks() const { return shed_; }
-  /// Swap the rung-3 resolver between events — the adaptive harness's
-  /// miss-rate-driven selection hook (DESIGN.md F30).
-  void set_degraded_resolver(std::shared_ptr<const Solver> resolver) {
-    options_.degraded.resolver = std::move(resolver);
-  }
   /// Arm or disarm the degraded-mode repair ladder between events — the
   /// stream service's overload-escalation hook (DESIGN.md F33): under
   /// backlog pressure a hard reject is worse than a shed, so the service
   /// flips the ladder on past its high-water mark and restores the
   /// configured state once the backlog drains.
-  void set_degraded_enabled(bool enabled) {
-    options_.degraded.enabled = enabled;
-  }
-  bool degraded_enabled() const { return options_.degraded.enabled; }
-  /// Events currently parked for retry backoff.
-  int pending_retries() const { return static_cast<int>(pending_.size()); }
+  void set_degraded_enabled(bool enabled) { options_.degraded = enabled; }
+  bool degraded_enabled() const { return options_.degraded; }
 
  private:
   struct Patched;  // candidate post-patch state (rebalancer.cpp)
 
-  /// An event parked by the backoff rung, re-attempted when its countdown
-  /// of apply() calls reaches zero.
-  struct PendingRetry {
-    Event event;
-    int countdown = 0;
-  };
-
   static Patched full_replace_candidate(const TaskGraph& graph,
                                         const Schedule& pre);
-  EventOutcome apply_one(const Event& event, bool allow_defer);
   void commit(Patched&& candidate, std::unique_ptr<TaskGraph> new_graph);
   void run_balance_stage(const std::vector<TaskId>& seeds,
                          EventOutcome& out);
   void run_full_resolver(EventOutcome& out);
-  /// The frozen per-processor memory view (F29), or nullptr for live.
-  const std::vector<Mem>* stale_memory() const;
 
   RebalancerOptions options_;
   std::unique_ptr<TaskGraph> graph_;
@@ -251,12 +193,6 @@ class Rebalancer {
   std::vector<ProcTimeline> occ_;
   /// Shed-rung victims accumulated across events (DESIGN.md F28).
   std::vector<std::string> shed_;
-  /// Backoff queue, oldest first.
-  std::vector<PendingRetry> pending_;
-  /// Stale-load snapshot (F29): per-processor memory, refreshed every
-  /// staleness_events apply() calls.
-  std::vector<Mem> stale_memory_;
-  int staleness_tick_ = 0;
 };
 
 }  // namespace lbmem

@@ -11,8 +11,7 @@ OnlineRunner::OnlineRunner(ReplayOptions options)
 
 namespace {
 
-/// Fold one outcome (and, recursively, the deferred re-attempts it
-/// resolved) into the trajectory aggregates.
+/// Fold one outcome into the trajectory aggregates.
 void fold_outcome(OnlineReport& report, const EventOutcome& outcome) {
   if (outcome.applied) {
     ++report.applied;
@@ -24,12 +23,9 @@ void fold_outcome(OnlineReport& report, const EventOutcome& outcome) {
     switch (outcome.degraded_rung) {
       case 1: ++report.recovered_retry; break;
       case 2: ++report.recovered_replace; break;
-      case 3: ++report.recovered_resolve; break;
-      case 4: ++report.recovered_shed; break;
+      case 3: ++report.recovered_shed; break;
       default: break;
     }
-  } else if (outcome.deferred) {
-    ++report.deferred;
   } else {
     ++report.rejected;
   }
@@ -45,9 +41,6 @@ void fold_outcome(OnlineReport& report, const EventOutcome& outcome) {
   report.total_wall_seconds += outcome.wall_seconds;
   report.max_wall_seconds =
       std::max(report.max_wall_seconds, outcome.wall_seconds);
-  for (const EventOutcome& resolved : outcome.resolved_pending) {
-    fold_outcome(report, resolved);
-  }
 }
 
 }  // namespace
@@ -80,9 +73,7 @@ OnlineReport OnlineRunner::replay(Rebalancer& system,
 
     fold_outcome(report, outcome);
 
-    // A deferred event is not a rejection — the ladder still owns it.
-    const bool stop =
-        options_.stop_on_reject && !outcome.applied && !outcome.deferred;
+    const bool stop = options_.stop_on_reject && !outcome.applied;
     report.events.push_back(std::move(outcome));
     report.violations.push_back(violations);
     if (stop) break;

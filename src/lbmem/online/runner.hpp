@@ -31,10 +31,6 @@ struct OnlineReport {
 
   int applied = 0;
   int rejected = 0;
-  /// Events parked by the degraded backoff rung (neither applied nor
-  /// rejected at their own tick; their re-attempt outcomes ride along in
-  /// EventOutcome::resolved_pending and are aggregated here too).
-  int deferred = 0;
   int total_violations = 0;
   int total_migrations = 0;
   int total_repaired = 0;
@@ -48,7 +44,6 @@ struct OnlineReport {
   int total_retries = 0;
   int recovered_retry = 0;
   int recovered_replace = 0;
-  int recovered_resolve = 0;
   int recovered_shed = 0;
   int degraded_mode = 0;
   std::vector<std::string> shed;

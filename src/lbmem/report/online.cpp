@@ -37,15 +37,14 @@ std::string event_target(const Event& event) {
 
 namespace {
 
-/// Table outcome label. The degraded-mode states ("deferred", "retried",
-/// "resolved", "shed") only occur with the ladder on, so historic replays
-/// keep their historic labels.
+/// Table outcome label. The degraded-mode states ("retried", "shed")
+/// only occur with the ladder on, so historic replays keep their historic
+/// labels.
 std::string outcome_label(const EventOutcome& outcome) {
-  if (!outcome.applied) return outcome.deferred ? "deferred" : "rejected";
+  if (!outcome.applied) return "rejected";
   switch (outcome.degraded_rung) {
     case 1: return "retried";
-    case 3: return "resolved";
-    case 4: return "shed";
+    case 3: return "shed";
     default: break;
   }
   if (outcome.full_replace) return "replaced";
@@ -79,19 +78,13 @@ std::string summarize_online(const OnlineReport& report,
     const int violations =
         i < report.violations.size() ? report.violations[i] : -1;
     add_event_row(table, std::to_string(i + 1), outcome, violations);
-    // Backoff re-attempts resolved at this tick ride under their trigger,
-    // marked with an "r" suffix ("7r" = resolved while applying event 7).
-    for (const EventOutcome& resolved : outcome.resolved_pending) {
-      add_event_row(table, std::to_string(i + 1) + "r", resolved, -1);
-    }
   }
 
   std::ostringstream out;
   out << table.to_string() << "\n"
       << "events: " << report.events.size() << " (" << report.applied
-      << " applied, " << report.rejected << " rejected";
-  if (report.deferred > 0) out << ", " << report.deferred << " deferred";
-  out << "), violations: " << report.total_violations << "\n"
+      << " applied, " << report.rejected
+      << " rejected), violations: " << report.total_violations << "\n"
       << "migrations: " << report.total_migrations << " instances, repairs: "
       << report.total_repaired << " tasks, balance moves: "
       << report.total_balance_moves << " (Gtotal " << report.total_balance_gain
@@ -104,13 +97,11 @@ std::string summarize_online(const OnlineReport& report,
   }
   // Degraded-mode ladder summary — printed only when a rung past the
   // plain repair was ever needed (DESIGN.md F28).
-  if (report.degraded_mode > 0 || report.total_retries > 0 ||
-      report.deferred > 0) {
+  if (report.degraded_mode > 0 || report.total_retries > 0) {
     out << "degraded ladder: deepest rung " << report.degraded_mode
         << ", retries " << report.total_retries << ", recoveries [retry "
         << report.recovered_retry << ", replace " << report.recovered_replace
-        << ", resolve " << report.recovered_resolve << ", shed "
-        << report.recovered_shed << "]\n";
+        << ", shed " << report.recovered_shed << "]\n";
     if (!report.shed.empty()) {
       out << "shed tasks:";
       for (const std::string& name : report.shed) out << " " << name;
@@ -132,13 +123,12 @@ std::string summarize_online(const OnlineReport& report,
 
 namespace {
 
-/// One event object. Degraded-mode fields (deferred flag, ladder rung,
-/// retry count, shed set, resolved re-attempts) are emitted only when
-/// they carry information, so pre-ladder replay JSON is byte-identical.
+/// One event object. Degraded-mode fields (ladder rung, retry count, shed
+/// set) are emitted only when they carry information, so pre-ladder replay
+/// JSON is byte-identical.
 void event_to_json(std::ostringstream& out, const EventOutcome& outcome,
-                   int violations, bool include_timing,
-                   const std::string& indent) {
-  out << indent << "{\"at\": " << outcome.event.at << ", \"kind\": \""
+                   int violations, bool include_timing) {
+  out << "    {\"at\": " << outcome.event.at << ", \"kind\": \""
       << to_string(outcome.event.kind()) << "\", \"target\": \""
       << json_escape(event_target(outcome.event)) << "\", \"applied\": "
       << (outcome.applied ? "true" : "false");
@@ -146,7 +136,6 @@ void event_to_json(std::ostringstream& out, const EventOutcome& outcome,
     out << ", \"reject_reason\": \"" << json_escape(outcome.reject_reason)
         << "\"";
   }
-  if (outcome.deferred) out << ", \"deferred\": true";
   out << ", \"graph_rebuilt\": " << (outcome.graph_rebuilt ? "true" : "false")
       << ", \"full_replace\": " << (outcome.full_replace ? "true" : "false")
       << ", \"repaired_tasks\": " << outcome.repaired_tasks
@@ -176,16 +165,6 @@ void event_to_json(std::ostringstream& out, const EventOutcome& outcome,
   if (include_timing) {
     out << ", \"wall_seconds\": " << outcome.wall_seconds;
   }
-  if (!outcome.resolved_pending.empty()) {
-    out << ", \"resolved_pending\": [\n";
-    for (std::size_t r = 0; r < outcome.resolved_pending.size(); ++r) {
-      event_to_json(out, outcome.resolved_pending[r], -1, include_timing,
-                    indent + "  ");
-      if (r + 1 < outcome.resolved_pending.size()) out << ",";
-      out << "\n";
-    }
-    out << indent << "]";
-  }
   out << "}";
 }
 
@@ -198,27 +177,24 @@ std::string online_report_to_json(const OnlineReport& report,
   for (std::size_t i = 0; i < report.events.size(); ++i) {
     event_to_json(out, report.events[i],
                   i < report.violations.size() ? report.violations[i] : -1,
-                  include_timing, "    ");
+                  include_timing);
     if (i + 1 < report.events.size()) out << ",";
     out << "\n";
   }
   out << "  ],\n  \"summary\": {\"applied\": " << report.applied
-      << ", \"rejected\": " << report.rejected;
-  if (report.deferred > 0) out << ", \"deferred\": " << report.deferred;
-  out << ", \"total_violations\": " << report.total_violations
+      << ", \"rejected\": " << report.rejected
+      << ", \"total_violations\": " << report.total_violations
       << ", \"total_migrations\": " << report.total_migrations
       << ", \"total_repaired\": " << report.total_repaired
       << ", \"total_balance_moves\": " << report.total_balance_moves
       << ", \"total_balance_gain\": " << report.total_balance_gain
       << ", \"total_resolver_discards\": " << report.total_resolver_discards;
   // Per-rung ladder counts (DESIGN.md F28), only once the ladder acted.
-  if (report.degraded_mode > 0 || report.total_retries > 0 ||
-      report.deferred > 0) {
+  if (report.degraded_mode > 0 || report.total_retries > 0) {
     out << ", \"degraded_mode\": " << report.degraded_mode
         << ", \"total_retries\": " << report.total_retries
         << ", \"recovered_retry\": " << report.recovered_retry
         << ", \"recovered_replace\": " << report.recovered_replace
-        << ", \"recovered_resolve\": " << report.recovered_resolve
         << ", \"recovered_shed\": " << report.recovered_shed
         << ", \"shed\": [";
     for (std::size_t s = 0; s < report.shed.size(); ++s) {

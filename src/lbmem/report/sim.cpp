@@ -130,11 +130,10 @@ std::string summarize_robustness(const RobustnessReport& report,
     if (fo.repaired) {
       out << "recovered, latency " << fo.recovery_latency << " ticks ("
           << fo.detail << ")";
-      // Degraded-mode ladder annotations (DESIGN.md F28/F30) — printed
-      // only when a rung past the plain repair produced the table, so
-      // historic single-failure output is unchanged.
+      // Degraded-mode ladder annotations (DESIGN.md F28) — printed only
+      // when a rung past the plain repair produced the table, so historic
+      // single-failure output is unchanged.
       if (fo.degraded_rung > 0) out << ", rung " << fo.degraded_rung;
-      if (!fo.resolver.empty()) out << ", resolver " << fo.resolver;
       if (!fo.shed.empty()) {
         out << ", shed";
         for (const std::string& name : fo.shed) out << " " << name;
@@ -195,9 +194,6 @@ std::string robustness_report_to_json(const RobustnessReport& report,
           << ", \"recovered\": " << (fo.repaired ? "true" : "false")
           << ", \"recovery_latency\": " << fo.recovery_latency
           << ", \"degraded_rung\": " << fo.degraded_rung;
-      if (!fo.resolver.empty()) {
-        out << ", \"resolver\": \"" << json_escape(fo.resolver) << "\"";
-      }
       if (!fo.shed.empty()) {
         out << ", \"shed\": [";
         for (std::size_t s = 0; s < fo.shed.size(); ++s) {

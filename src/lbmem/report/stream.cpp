@@ -26,9 +26,7 @@ std::string summarize_stream(const StreamReport& report,
   out << "traffic: " << report.events_in << " events in, " << report.admitted
       << " admitted, " << report.shed_overflow << " shed on overflow\n"
       << "drained: " << report.applied << " applied, " << report.rejected
-      << " rejected";
-  if (report.deferred > 0) out << ", " << report.deferred << " deferred";
-  out << " over " << report.batches << " batches in " << report.cycles
+      << " rejected over " << report.batches << " batches in " << report.cycles
       << " cycles (horizon " << report.horizon << " ticks)\n"
       << "coalescing: " << report.coalesced << " events dropped [lww "
       << report.coalesce_detail.last_write_wins << ", folded "
@@ -70,9 +68,8 @@ std::string stream_report_to_json(const StreamReport& report,
       << ", \"admitted\": " << report.admitted
       << ", \"shed_overflow\": " << report.shed_overflow
       << ", \"applied\": " << report.applied
-      << ", \"rejected\": " << report.rejected;
-  if (report.deferred > 0) out << ", \"deferred\": " << report.deferred;
-  out << ", \"batches\": " << report.batches
+      << ", \"rejected\": " << report.rejected
+      << ", \"batches\": " << report.batches
       << ", \"cycles\": " << report.cycles
       << ", \"horizon\": " << report.horizon
       << ", \"escalations\": " << report.escalations

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 
-#include "lbmem/api/solver.hpp"
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
 #include "lbmem/util/check.hpp"
@@ -176,16 +175,6 @@ RobustnessReport run_robustness(const Schedule& schedule,
     system.emplace(Rebalancer::adopt(graph, schedule, options.repair));
   }
 
-  // Adaptive mode (DESIGN.md F30): miss-rate-driven rung-3 selection.
-  const bool adaptive = !options.adaptive_resolvers.empty();
-  std::vector<std::string> candidate_names;
-  candidate_names.reserve(options.adaptive_resolvers.size());
-  for (const auto& solver : options.adaptive_resolvers) {
-    LBMEM_REQUIRE(solver != nullptr, "adaptive candidate must be non-null");
-    candidate_names.push_back(solver->name());
-  }
-  MissRateSelector selector(std::move(candidate_names));
-
   // Tables the phases execute. Snapshots keep repaired tables alive after
   // later repairs mutate the engine; `active` is the table in force.
   std::vector<std::unique_ptr<TaskGraph>> snap_graphs;
@@ -205,10 +194,8 @@ RobustnessReport run_robustness(const Schedule& schedule,
   std::vector<Accum> acc(static_cast<std::size_t>(options.replications));
 
   // Phase-major sweep: simulate each phase for every replication, then
-  // decide the repairs at its closing boundary. The adaptive pool only
-  // ever contains phases that already ran — "observed so far" is literal.
+  // decide the repairs at its closing boundary.
   std::size_t fault_idx = 0;
-  int governing = -1;  // selector index whose resolved table is in force
   int seg_start = 0;
   for (const int cut : cuts) {
     if (cut > seg_start) {
@@ -221,7 +208,6 @@ RobustnessReport run_robustness(const Schedule& schedule,
       for (std::size_t i = fault_idx; i < faults.size(); ++i) {
         live.push_back(faults[i]);
       }
-      double pooled = 0.0;
       for (int r = 0; r < options.replications; ++r) {
         LBMEM_TRACE_SPAN("robustness.replication");
         PerturbSpec spec = base.replication(r);
@@ -234,16 +220,8 @@ RobustnessReport run_robustness(const Schedule& schedule,
           if (seg_start == 0) a.before = m.miss_rate();
           if (seg_start > 0) a.after = m.miss_rate();  // final phase wins
         }
-        pooled += m.miss_rate();
         a.metrics = a.any ? merge_windows(a.metrics, m, h, reps) : m;
         a.any = true;
-      }
-      // Credit the phase to the candidate whose resolved table governed
-      // it — and only to it (solver-fair, F24: candidates never pool
-      // each other's phases).
-      if (governing >= 0) {
-        selector.observe(governing,
-                         pooled / static_cast<double>(options.replications));
       }
     }
 
@@ -255,13 +233,6 @@ RobustnessReport run_robustness(const Schedule& schedule,
       FailureOutcome fo;
       fo.proc = f.proc;
       fo.at = f.at;
-      int pick = -1;
-      if (adaptive) {
-        pick = selector.pick();
-        fo.resolver = selector.name(pick);
-        system->set_degraded_resolver(options.adaptive_resolvers
-                                          [static_cast<std::size_t>(pick)]);
-      }
       const EventOutcome out = system->fail_processor(f.proc, f.at);
       fo.repaired = out.applied;
       fo.degraded_rung = out.degraded_rung;
@@ -273,11 +244,9 @@ RobustnessReport run_robustness(const Schedule& schedule,
             std::to_string(out.migrated_instances) + " instances migrated";
         active = snapshot_table(system->graph(), system->schedule(),
                                 snap_graphs, snap_scheds);
-        governing = (out.degraded_rung == 3) ? pick : -1;
       } else {
         dead.push_back(ProcessorFault{f.proc, 0});
         fo.detail = out.reject_reason;
-        governing = -1;
       }
       report.failures.push_back(std::move(fo));
     }

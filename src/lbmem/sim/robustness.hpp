@@ -25,20 +25,13 @@
 /// (each window re-derives its producers); the boundary hyper-period is
 /// where the miss-rate-before figure already charges the damage.
 ///
-/// The harness is *phase-major*: each phase is simulated for every
-/// replication before the next repair is decided. That ordering is what
-/// lets the adaptive mode (DESIGN.md F30) pick the rung-3 resolver with
-/// the best pooled perturbed miss rate observed so far — the pool is real
-/// history, not a separate calibration pass.
-///
 /// Determinism: replication seeds are derived by value
 /// (PerturbSpec::replication), draws and burst-chain states are keyed by
 /// absolute window coordinates (stitched phases see exactly what an
-/// unsplit run sees), repairs run once per report, and the selector is a
-/// pure fold of the phase history — so the report is bit-identical
-/// however replications are ordered or distributed over threads.
+/// unsplit run sees), and repairs run once per report — so the report is
+/// bit-identical however replications are ordered or distributed over
+/// threads.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,16 +50,6 @@ struct RobustnessOptions {
   int replications = 3;
   /// Online-engine configuration for the failure repair.
   RebalancerOptions repair;
-  /// Miss-rate-driven solver selection (DESIGN.md F30): rung-3 resolver
-  /// candidates. When non-empty, each failure repair first installs the
-  /// candidate with the best pooled perturbed miss rate observed so far
-  /// (unobserved candidates explored first in registration order; ties to
-  /// the earlier candidate) via Rebalancer::set_degraded_resolver. Only
-  /// phases governed by a candidate's own resolved table feed its pool —
-  /// the selection is solver-fair (F24): candidates never score each
-  /// other's noise. Requires repair.degraded.enabled for the rung to be
-  /// reachable.
-  std::vector<std::shared_ptr<const Solver>> adaptive_resolvers;
 };
 
 /// Deterministic miss-rate-driven candidate selection (DESIGN.md F30).
@@ -119,9 +102,6 @@ struct FailureOutcome {
   Time recovery_latency = 0;
   /// Degraded-mode rung that produced the accepted table (0 = plain).
   int degraded_rung = 0;
-  /// Adaptive mode only: name of the rung-3 candidate installed for this
-  /// repair (empty outside adaptive mode).
-  std::string resolver;
   /// Tasks dropped by the shed rung for this repair.
   std::vector<std::string> shed;
   /// Repair summary, or the Rebalancer's rejection reason.

@@ -43,23 +43,6 @@ struct StreamMetrics {
       batch_repair_us;
 };
 
-/// Fold one engine outcome (and the deferred re-attempts it resolved) into
-/// the report's traffic counters — same recursion as OnlineRunner.
-void fold_outcome(StreamReport& report, const EventOutcome& outcome) {
-  if (outcome.applied) {
-    ++report.applied;
-  } else if (outcome.deferred) {
-    ++report.deferred;
-  } else {
-    ++report.rejected;
-  }
-  report.shed_tasks.insert(report.shed_tasks.end(), outcome.shed.begin(),
-                           outcome.shed.end());
-  for (const EventOutcome& resolved : outcome.resolved_pending) {
-    fold_outcome(report, resolved);
-  }
-}
-
 void accumulate(CoalesceStats& total, const CoalesceStats& pass) {
   // `in`/`out` describe one pass over a queue that persists across passes;
   // summing them would double-count survivors. Only the drop rules — which
@@ -208,7 +191,11 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
       const double repair_us = repair.micros();
       batch_us += repair_us;
       ++drained;
-      fold_outcome(report, outcome);
+      if (outcome.applied) {
+        ++report.applied;
+      } else {
+        ++report.rejected;
+      }
 
       const std::int64_t delay_us =
           static_cast<std::int64_t>(wall.micros() - front.admit_wall_us);
@@ -272,8 +259,7 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
   if (degraded_armed) system.set_degraded_enabled(degraded_configured);
 
   report.wall_seconds = wall.seconds();
-  const std::int64_t drained_total =
-      report.applied + report.rejected + report.deferred;
+  const std::int64_t drained_total = report.applied + report.rejected;
   report.events_per_second =
       report.wall_seconds > 0.0
           ? static_cast<double>(drained_total) / report.wall_seconds

@@ -30,10 +30,10 @@
 ///     through the last queued failure regardless of budget, because a
 ///     failed processor must never keep hosting work across a cycle.
 ///  4. **Overload escalation** — when the backlog crosses
-///     `overload_backlog`, the service arms the PR 9 degraded-mode repair
-///     ladder on the engine (widened retries → re-place → resolve →
-///     shed) and restores the engine's configured setting once the
-///     backlog falls to half the mark (hysteresis, DESIGN.md F33).
+///     `overload_backlog`, the service arms the degraded-mode repair
+///     ladder on the engine (widened retries → re-place → shed) and
+///     restores the engine's configured setting once the backlog falls
+///     to half the mark (hysteresis, DESIGN.md F33).
 ///
 /// Queueing delay and repair latency are reported *separately*: tail
 /// responsiveness is dominated by time spent waiting, which a
@@ -103,7 +103,7 @@ struct StreamReport {
   std::int64_t cycles = 0;          ///< admission windows processed
   std::int64_t applied = 0;         ///< events the engine accepted
   std::int64_t rejected = 0;        ///< events the engine rejected
-  std::int64_t deferred = 0;        ///< parked by the backoff rung
+  std::int64_t deferred = 0;        ///< always 0; perfbench still reads it
   std::int64_t escalations = 0;     ///< overload -> ladder armed flips
   std::int64_t budget_exhausted = 0;  ///< cycles cut short by the budget
   /// Deterministic latency/size distributions.
@@ -113,7 +113,7 @@ struct StreamReport {
   obs::LatencyHistogram queue_delay_us;   ///< admission -> repair complete
   obs::LatencyHistogram batch_repair_us;  ///< repair time per batch
   double wall_seconds = 0.0;
-  /// Drained events (applied + rejected + deferred) per wall second.
+  /// Drained events (applied + rejected) per wall second.
   double events_per_second = 0.0;
   // Final system state.
   Time horizon = 0;  ///< virtual tick of the last processed window

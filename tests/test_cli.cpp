@@ -565,6 +565,17 @@ TEST(CliReplay, OutputIsDeterministic) {
   EXPECT_EQ(first.output, second.output);
 }
 
+TEST(CliReplay, DegradedLadderWithResolverRunsToCompletion) {
+  // Event 14 of this trace is a WcetChange that no ladder rung absorbs.
+  // It must reject cleanly: the pre-event placements overlap under the
+  // new WCET, so no rung may hand them to the resolver as a schedule.
+  const RunResult r = run_cli(
+      "replay --tasks=60 --procs=4 --events=30 --event-seed=1 --seed=1 "
+      "--degraded --resolver=heuristic-lex --timing=off");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("violations: 0"), std::string::npos) << r.output;
+}
+
 TEST(CliSimulate, UnrepairedFailureExitsWithTwo) {
   // The degraded-operation contract: exit 2 whenever at least one
   // injected failure could not be repaired, so CI notices silent
@@ -584,7 +595,7 @@ TEST(CliSimulate, DegradedLadderRescuesTheStarvedFailure) {
       "simulate --perturb --fail-proc=2 --capacity=100 "
       "--tasks=8 --procs=2 --seed=7 --degraded");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("rung 4"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("rung 3"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("shed"), std::string::npos) << r.output;
 }
 

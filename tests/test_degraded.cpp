@@ -1,11 +1,10 @@
 /// Tests for the degraded-mode repair ladder (DESIGN.md F28), concurrent
-/// failure streams, retry backoff, and the miss-rate-driven selector
-/// (DESIGN.md F30): rung escalation order, per-rung rollback (F14), load
-/// shedding determinism, and the harness-level multi-failure recovery.
+/// failure streams, and the miss-rate-driven selector (DESIGN.md F30):
+/// rung escalation order, per-rung rollback (F14), load shedding
+/// determinism, and the harness-level multi-failure recovery.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,7 @@ FatPair fat_pair() {
 RebalancerOptions degraded_options() {
   RebalancerOptions opts;
   opts.balance.enforce_memory_capacity = true;
-  opts.degraded.enabled = true;
+  opts.degraded = true;
   return opts;
 }
 
@@ -118,7 +117,7 @@ TEST(Degraded, SelectorPoolsObservationsAndBreaksTiesEarlier) {
 }
 
 TEST(DegradedLadder, ShedRungRecoversCapacityStarvedFailure) {
-  // The whole ladder fails until rung 4: the survivor cannot host both
+  // The whole ladder fails until rung 3: the survivor cannot host both
   // fat tasks, so the lowest-priority one is explicitly dropped and the
   // event applies instead of rejecting.
   const FatPair f = fat_pair();
@@ -126,7 +125,7 @@ TEST(DegradedLadder, ShedRungRecoversCapacityStarvedFailure) {
       Rebalancer::adopt(f.graph, f.make_schedule(), degraded_options());
   const EventOutcome out = system.fail_processor(1, 2);
   EXPECT_TRUE(out.applied);
-  EXPECT_EQ(out.degraded_rung, 4);
+  EXPECT_EQ(out.degraded_rung, 3);
   ASSERT_EQ(out.shed.size(), 1u);
   EXPECT_EQ(out.shed[0], "t1");  // period/memory tie -> name order
   EXPECT_EQ(system.shed_tasks(), out.shed);
@@ -153,21 +152,45 @@ TEST(DegradedLadder, ShedSetIsDeterministic) {
 }
 
 TEST(DegradedLadder, ExhaustedLadderRollsBackCompletely) {
-  // max_shed = 0 removes the last rung, so the whole ladder fails — and
-  // per DESIGN.md F14 the reject must leave no trace: schedule, graph,
-  // failed-processor set all exactly as before.
-  const FatPair f = fat_pair();
-  RebalancerOptions opts = degraded_options();
-  opts.degraded.max_shed = 0;
-  Rebalancer system = Rebalancer::adopt(f.graph, f.make_schedule(), opts);
+  // b fills a whole processor (period = WCET = 4), so only an empty one
+  // can take it over: when P1 dies, all five period-8 tasks on P2 would
+  // have to go — one more than the shed rung's cap of four. The whole
+  // ladder fails, and per DESIGN.md F14 the reject must leave no trace:
+  // schedule, graph, failed-processor set all exactly as before.
+  TaskGraph g;
+  const TaskId a = g.add_task("a", 4, 4, 1);
+  const TaskId b = g.add_task("b", 4, 4, 1);
+  std::vector<TaskId> light;
+  for (const char* name : {"c", "d", "e", "f", "g"}) {
+    light.push_back(g.add_task(name, 8, 1, 1));
+  }
+  g.freeze();
+  Schedule s(g, Architecture(3), CommModel::flat(1));
+  s.set_first_start(a, 0);
+  s.assign_all(a, 0);
+  s.set_first_start(b, 0);
+  s.assign_all(b, 1);
+  for (std::size_t i = 0; i < light.size(); ++i) {
+    s.set_first_start(light[i], static_cast<Time>(i));
+    s.assign_all(light[i], 2);
+  }
+
+  Rebalancer system = Rebalancer::adopt(g, s, degraded_options());
   const EventOutcome out = system.fail_processor(1, 2);
   EXPECT_FALSE(out.applied);
   EXPECT_FALSE(out.reject_reason.empty());
   EXPECT_EQ(out.degraded_rung, 0);
-  EXPECT_EQ(system.graph().task_count(), 2);
-  EXPECT_EQ(system.schedule().proc(TaskInstance{f.t2, 0}), 1);
-  EXPECT_EQ(system.alive_processor_count(), 2);
+  EXPECT_TRUE(out.shed.empty());
+  EXPECT_EQ(system.graph().task_count(), 7);
+  EXPECT_EQ(system.alive_processor_count(), 3);
   EXPECT_TRUE(system.shed_tasks().empty());
+  for (TaskId t = 0; t < static_cast<TaskId>(g.task_count()); ++t) {
+    EXPECT_EQ(system.schedule().first_start(t), s.first_start(t));
+    for (InstanceIdx k = 0; k < g.instance_count(t); ++k) {
+      EXPECT_EQ(system.schedule().proc(TaskInstance{t, k}),
+                s.proc(TaskInstance{t, k}));
+    }
+  }
 }
 
 TEST(DegradedLadder, BackToBackFailuresKeepEveryRollbackContract) {
@@ -192,14 +215,14 @@ TEST(DegradedLadder, BackToBackFailuresKeepEveryRollbackContract) {
   Rebalancer system = Rebalancer::adopt(g, s, degraded_options());
   const EventOutcome first = system.fail_processor(1, 2);
   EXPECT_TRUE(first.applied);
-  EXPECT_EQ(first.degraded_rung, 4);
+  EXPECT_EQ(first.degraded_rung, 3);
   ASSERT_EQ(first.shed.size(), 1u);
   EXPECT_EQ(first.shed[0], "t1");
   EXPECT_EQ(system.graph().task_count(), 2);
 
   const EventOutcome second = system.fail_processor(2, 2);
   EXPECT_TRUE(second.applied);
-  EXPECT_EQ(second.degraded_rung, 4);
+  EXPECT_EQ(second.degraded_rung, 3);
   ASSERT_EQ(second.shed.size(), 1u);
   EXPECT_EQ(second.shed[0], "t2");
   // Accumulated across events, in shed order.
@@ -209,120 +232,6 @@ TEST(DegradedLadder, BackToBackFailuresKeepEveryRollbackContract) {
   EXPECT_EQ(system.graph().task(0).name, "t3");
   EXPECT_EQ(system.alive_processor_count(), 1);
   EXPECT_LE(system.schedule().memory_on(0), 100);
-}
-
-TEST(DegradedLadder, BackoffParksTheEventAndRetriesLater) {
-  // backoff_events = 1: the infeasible repair defers instead of running
-  // the ladder inline — the system is untouched while the event is
-  // parked — and the re-attempt (ladder and all) resolves during the
-  // next apply(), surfacing in its resolved_pending.
-  const FatPair f = fat_pair();
-  RebalancerOptions opts = degraded_options();
-  opts.degraded.backoff_events = 1;
-  Rebalancer system = Rebalancer::adopt(f.graph, f.make_schedule(), opts);
-
-  const EventOutcome parked = system.fail_processor(1, 2);
-  EXPECT_TRUE(parked.deferred);
-  EXPECT_FALSE(parked.applied);
-  EXPECT_FALSE(parked.reject_reason.empty());
-  EXPECT_EQ(system.pending_retries(), 1);
-  // Parked means untouched: the processor is not even marked failed yet.
-  EXPECT_EQ(system.alive_processor_count(), 2);
-  EXPECT_EQ(system.schedule().proc(TaskInstance{f.t2, 0}), 1);
-
-  // Any subsequent event ages the queue; this benign change applies and
-  // carries the expired re-attempt's outcome.
-  const EventOutcome next = system.apply(
-      Event{3, WcetChange{"t2", 2}});
-  EXPECT_TRUE(next.applied);
-  ASSERT_EQ(next.resolved_pending.size(), 1u);
-  const EventOutcome& retried = next.resolved_pending[0];
-  EXPECT_TRUE(retried.applied);
-  EXPECT_EQ(retried.degraded_rung, 4);
-  ASSERT_EQ(retried.shed.size(), 1u);
-  EXPECT_EQ(retried.shed[0], "t1");
-  EXPECT_EQ(system.pending_retries(), 0);
-  EXPECT_EQ(system.alive_processor_count(), 1);
-  EXPECT_EQ(system.graph().task_count(), 1);
-}
-
-/// Hand-built exact packing for the rung-3 scenario below: the greedy
-/// whole-task repair (earliest start, then preference, then memory)
-/// cannot find it, but it exists — the kind of gap a real solver closes.
-class ExactPackingSolver : public Solver {
- public:
-  const std::string& name() const override {
-    static const std::string n = "exact-packing-stub";
-    return n;
-  }
-  SolverCaps capabilities() const override { return {}; }
-  Outcome solve(const Problem& problem) const override {
-    const TaskGraph& g = problem.graph();
-    Schedule sched(g, problem.architecture(), problem.comm());
-    struct Slot {
-      const char* task;
-      ProcId proc;
-      Time start;
-    };
-    for (const Slot& slot :
-         {Slot{"a", 0, 0}, Slot{"c", 0, 1}, Slot{"b", 1, 0}, Slot{"d", 1, 1},
-          Slot{"e", 1, 2}, Slot{"f", 1, 3}}) {
-      const TaskId t = g.find(slot.task);
-      sched.set_first_start(t, slot.start);
-      sched.assign_all(t, slot.proc);
-    }
-    SolveStats stats;
-    detail::fill_before(stats, problem.initial_schedule());
-    return detail::finish_outcome(problem, std::move(stats), std::move(sched),
-                                  "hand-built exact packing");
-  }
-};
-
-TEST(DegradedLadder, ResolveRungCommitsTheConfiguredSolver) {
-  // Memory bin-packing where the greedy rungs all fail: after P3 dies,
-  // {60,40,40,30,15,15} must pack into two 100-capacity bins. Greedy
-  // (earliest start, memory tie-break) strands the last 15 on both
-  // processors at 105/110, but the exact packing {60,40} / {40,30,15,15}
-  // exists — rung 3 adopts it from the configured solver.
-  TaskGraph g;
-  const TaskId a = g.add_task("a", 4, 1, 60);
-  const TaskId b = g.add_task("b", 4, 1, 40);
-  const TaskId c = g.add_task("c", 4, 1, 40);
-  const TaskId d = g.add_task("d", 4, 1, 30);
-  const TaskId e = g.add_task("e", 4, 1, 15);
-  const TaskId fr = g.add_task("f", 4, 1, 15);
-  g.freeze();
-  Schedule s(g, Architecture(3, /*memory_capacity=*/100), CommModel::flat(1));
-  s.set_first_start(a, 0);
-  s.assign_all(a, 0);
-  s.set_first_start(d, 1);
-  s.assign_all(d, 0);
-  s.set_first_start(b, 0);
-  s.assign_all(b, 1);
-  s.set_first_start(c, 1);
-  s.assign_all(c, 1);
-  s.set_first_start(e, 0);
-  s.assign_all(e, 2);
-  s.set_first_start(fr, 1);
-  s.assign_all(fr, 2);
-
-  RebalancerOptions opts = degraded_options();
-  opts.degraded.resolver = std::make_shared<ExactPackingSolver>();
-  Rebalancer system = Rebalancer::adopt(g, s, opts);
-  const EventOutcome out = system.fail_processor(2, 1);
-  EXPECT_TRUE(out.applied);
-  EXPECT_EQ(out.degraded_rung, 3);
-  EXPECT_TRUE(out.shed.empty());
-  EXPECT_EQ(system.graph().task_count(), 6);
-  EXPECT_EQ(system.schedule().memory_on(0), 100);
-  EXPECT_EQ(system.schedule().memory_on(1), 100);
-  EXPECT_EQ(system.schedule().memory_on(2), 0);
-  // Without the resolver the same event must shed instead.
-  Rebalancer bare = Rebalancer::adopt(g, s, degraded_options());
-  const EventOutcome fallback = bare.fail_processor(2, 1);
-  EXPECT_TRUE(fallback.applied);
-  EXPECT_EQ(fallback.degraded_rung, 4);
-  EXPECT_FALSE(fallback.shed.empty());
 }
 
 TEST(DegradedLadder, HarnessRecoversConcurrentFailuresThroughTheLadder) {
@@ -335,7 +244,7 @@ TEST(DegradedLadder, HarnessRecoversConcurrentFailuresThroughTheLadder) {
   rob.sim.hyperperiods = 4;
   rob.replications = 2;
   rob.perturb.failures = {{0, 3}, {1, 9}};
-  rob.repair.degraded.enabled = true;
+  rob.repair.degraded = true;
   const RobustnessReport report = run_robustness(*outcome.schedule, rob);
   EXPECT_TRUE(report.failure_injected);
   EXPECT_TRUE(report.recovered);
@@ -389,22 +298,6 @@ TEST(DegradedLadder, UnrepairedFailureLeavesRecoveredFalse) {
   EXPECT_FALSE(report.failures[0].repaired);
   EXPECT_EQ(report.failures[0].recovery_latency, 0);
   EXPECT_FALSE(report.failures[0].detail.empty());
-}
-
-TEST(DegradedLadder, StalenessPreservesFeasibilityDecisions) {
-  // F29: frozen memory aggregates may only change placement *quality* —
-  // the degraded run with staleness must still recover every failure.
-  const Outcome outcome = solved_workload();
-  RobustnessOptions rob;
-  rob.sim.hyperperiods = 4;
-  rob.replications = 1;
-  rob.perturb.failures = {{0, 3}};
-  rob.repair.degraded.enabled = true;
-  rob.repair.staleness_events = 3;
-  const RobustnessReport report = run_robustness(*outcome.schedule, rob);
-  EXPECT_TRUE(report.recovered);
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_TRUE(report.failures[0].repaired);
 }
 
 }  // namespace

@@ -177,13 +177,9 @@ constexpr FlagSpec kFlags[] = {
      kSimulate},
     {"degraded", "on|off",
      "degraded-mode repair ladder (bare --degraded = on): widened retries, "
-     "full re-place, solver resolve, load shedding instead of hard reject; "
-     "serve arms it automatically past --overload even when off",
+     "full re-place, load shedding instead of hard reject; serve arms it "
+     "automatically past --overload even when off",
      kSimulate | kReplay | kServe},
-    {"staleness", "K",
-     "freeze the repair path's per-processor load view for K events "
-     "(stale-information mode; 0 = live)",
-     kReplay},
     {"adaptive", "on|off",
      "miss-rate-driven solver selection (bare --adaptive = on): adds the "
      "virtual 'adaptive' row that per instance mirrors the candidate with "
@@ -377,8 +373,6 @@ struct CliOptions {
   std::string emit_trace;  ///< --emit-trace=FILE|- (write trace, exit)
   /// --degraded: escalate rejected repairs through the ladder (F28).
   bool degraded = false;
-  /// --staleness=K: frozen load view for the repair path (F29).
-  int staleness = 0;
   /// --adaptive: miss-rate-driven compare row (F30).
   bool adaptive = false;
   /// --trace=on (default) records the full per-block decision trace, which
@@ -527,9 +521,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         if (value == "on") options.degraded = true;
         else if (value == "off") options.degraded = false;
         else usage("unknown degraded mode: " + value);
-      } else if (key == "staleness") {
-        options.staleness = std::stoi(value);
-        if (options.staleness < 0) usage("--staleness takes events >= 0");
       } else if (key == "adaptive") {
         if (value == "on") options.adaptive = true;
         else if (value == "off") options.adaptive = false;
@@ -1034,7 +1025,7 @@ int cmd_simulate(const CliOptions& options) {
   rob.repair.balance.policy = options.policy;
   rob.repair.balance.enforce_memory_capacity =
       options.capacity != kUnlimitedMemory;
-  rob.repair.degraded.enabled = options.degraded;
+  rob.repair.degraded = options.degraded;
   rob.repair.metrics = obs.registry();
   const RobustnessReport report = run_robustness(solved, rob);
   std::cout << summarize_robustness(report, rob);
@@ -1087,8 +1078,7 @@ int cmd_replay(const CliOptions& options) {
   online_options.balance.migration_penalty = options.migration_penalty;
   online_options.incremental = options.incremental;
   online_options.metrics = obs.registry();
-  online_options.degraded.enabled = options.degraded;
-  online_options.staleness_events = options.staleness;
+  online_options.degraded = options.degraded;
   std::string mode = options.incremental ? "incremental" : "full";
   if (!options.resolver.empty()) {
     online_options.incremental = false;
@@ -1170,7 +1160,7 @@ int cmd_serve(const CliOptions& options) {
   online_options.balance.migration_penalty = options.migration_penalty;
   online_options.balance.threads = options.threads;
   online_options.metrics = obs.registry();
-  online_options.degraded.enabled = options.degraded;
+  online_options.degraded = options.degraded;
   Rebalancer system = Rebalancer::adopt(
       p.problem.graph(), *p.outcome.schedule, online_options);
 
