@@ -148,6 +148,29 @@ void TaskGraph::freeze() {
   frozen_ = true;
 }
 
+TaskGraph TaskGraph::without(std::span<const TaskId> drop,
+                             std::vector<TaskId>& remap) const {
+  require_frozen("without");
+  remap.assign(tasks_.size(), 0);
+  for (const TaskId t : drop) {
+    LBMEM_REQUIRE(t >= 0 && t < static_cast<TaskId>(tasks_.size()),
+                  "task id out of range");
+    remap[static_cast<std::size_t>(t)] = -1;
+  }
+  TaskGraph out;
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    if (remap[t] < 0) continue;
+    remap[t] = static_cast<TaskId>(out.tasks_.size());
+    out.tasks_.push_back(tasks_[t]);
+  }
+  for (const Dependence& d : deps_) {
+    const TaskId p = remap[static_cast<std::size_t>(d.producer)];
+    const TaskId c = remap[static_cast<std::size_t>(d.consumer)];
+    if (p >= 0 && c >= 0) out.deps_.push_back(Dependence{p, c, d.data_size});
+  }
+  return out;
+}
+
 TaskId TaskGraph::find(const std::string& name) const {
   for (TaskId t = 0; t < static_cast<TaskId>(tasks_.size()); ++t) {
     if (tasks_[static_cast<std::size_t>(t)].name == name) return t;

@@ -7,7 +7,8 @@
 /// immutable after freeze(): validation establishes the invariants every
 /// other module relies on (acyclicity, harmonic dependent periods,
 /// positive WCETs bounded by periods), computes the hyper-period and a
-/// topological order, and builds adjacency indexes.
+/// topological order, and builds adjacency indexes. Online edits copy the
+/// survivors into a new, unfrozen graph (without()).
 
 #include <span>
 #include <string>
@@ -54,6 +55,14 @@ class TaskGraph {
   /// incrementally-maintained busy aggregates; callers must invoke
   /// Schedule::refresh_aggregates() on them afterwards.
   void set_wcet(TaskId id, Time wcet);
+
+  /// This graph minus the tasks in \p drop and the dependences touching
+  /// them; survivors keep their order with ids compacted, and \p remap gets
+  /// old id -> new id (-1 if dropped). Requires a frozen source; the result
+  /// is unfrozen (open to add_task/add_dependence) and is not re-checked:
+  /// the survivors of a valid graph are valid.
+  TaskGraph without(std::span<const TaskId> drop,
+                    std::vector<TaskId>& remap) const;
 
   /// True once freeze() has completed successfully.
   bool frozen() const { return frozen_; }

@@ -10,8 +10,8 @@
 /// that applies events lives in rebalancer.hpp.
 ///
 /// Tasks are identified by *name* across events (DESIGN.md F10): task
-/// arrivals and removals rebuild the frozen TaskGraph, so dense TaskIds are
-/// not stable identities at the trace level.
+/// arrivals and removals copy the graph with ids compacted
+/// (TaskGraph::without), so dense TaskIds are not stable at the trace level.
 
 #include <string>
 #include <variant>

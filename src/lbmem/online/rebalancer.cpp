@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
+#include <numeric>
 #include <utility>
 
 #include "lbmem/api/solver.hpp"
@@ -57,37 +57,25 @@ std::vector<ProcId> instance0_procs(const Schedule& sched) {
   return preferred;
 }
 
-/// Surviving instances whose processor changed across the event, matched
-/// by task name (ids are not stable across graph rebuilds).
-int count_migrations(const Schedule& pre, const Schedule& post) {
-  const TaskGraph& og = pre.graph();
-  const TaskGraph& ng = post.graph();
-  if (&og == &ng) {
-    // No graph rebuild (the hot WcetChange/failure path): ids are the
-    // identity — skip the name index and its per-event string hashing.
-    int migrations = 0;
-    for (TaskId t = 0; t < static_cast<TaskId>(og.task_count()); ++t) {
-      const InstanceIdx n = og.instance_count(t);
-      for (InstanceIdx k = 0; k < n; ++k) {
-        const TaskInstance inst{t, k};
-        if (pre.proc(inst) != post.proc(inst)) ++migrations;
-      }
-    }
-    return migrations;
-  }
-  std::unordered_map<std::string, TaskId> new_ids;
-  for (TaskId t = 0; t < static_cast<TaskId>(ng.task_count()); ++t) {
-    new_ids.emplace(ng.task(t).name, t);
-  }
+/// Every task id in order: the id remap of an event that keeps the graph.
+std::vector<TaskId> task_ids(const TaskGraph& graph) {
+  std::vector<TaskId> ids(graph.task_count());
+  std::iota(ids.begin(), ids.end(), TaskId{0});
+  return ids;
+}
+
+/// Surviving instances whose processor changed across the event; \p remap
+/// maps \p pre's task ids to \p post's (-1: removed or shed).
+int count_migrations(const Schedule& pre, const Schedule& post,
+                     std::span<const TaskId> remap) {
   int migrations = 0;
-  for (TaskId t = 0; t < static_cast<TaskId>(og.task_count()); ++t) {
-    const auto it = new_ids.find(og.task(t).name);
-    if (it == new_ids.end()) continue;  // removed
-    const InstanceIdx n =
-        std::min(og.instance_count(t), ng.instance_count(it->second));
+  for (TaskId t = 0; t < static_cast<TaskId>(remap.size()); ++t) {
+    const TaskId nt = remap[static_cast<std::size_t>(t)];
+    if (nt < 0) continue;
+    const InstanceIdx n = std::min(pre.graph().instance_count(t),
+                                   post.graph().instance_count(nt));
     for (InstanceIdx k = 0; k < n; ++k) {
-      if (pre.proc(TaskInstance{t, k}) !=
-          post.proc(TaskInstance{it->second, k})) {
+      if (pre.proc(TaskInstance{t, k}) != post.proc(TaskInstance{nt, k})) {
         ++migrations;
       }
     }
@@ -126,11 +114,7 @@ bool widen_by_ring(const TaskGraph& graph, std::vector<std::uint8_t>& dirty) {
 /// lowest rate-monotonic priority), heaviest memory among equals, name as
 /// the deterministic last resort.
 std::vector<TaskId> shed_order(const TaskGraph& graph) {
-  std::vector<TaskId> order;
-  order.reserve(graph.task_count());
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    order.push_back(t);
-  }
+  std::vector<TaskId> order = task_ids(graph);
   std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
     const Task& ta = graph.task(a);
     const Task& tb = graph.task(b);
@@ -139,31 +123,6 @@ std::vector<TaskId> shed_order(const TaskGraph& graph) {
     return ta.name < tb.name;
   });
   return order;
-}
-
-/// \p graph minus the tasks in \p victims (and every dependence touching
-/// one) — the shed rung's shrunken system.
-std::unique_ptr<TaskGraph> drop_tasks(const TaskGraph& graph,
-                                      const std::vector<TaskId>& victims) {
-  std::vector<std::uint8_t> gone(graph.task_count(), 0);
-  for (const TaskId v : victims) gone[static_cast<std::size_t>(v)] = 1;
-  std::vector<TaskId> remap(graph.task_count(), -1);
-  auto shrunk = std::make_unique<TaskGraph>();
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (gone[static_cast<std::size_t>(t)]) continue;
-    remap[static_cast<std::size_t>(t)] = shrunk->add_task(graph.task(t));
-  }
-  for (const Dependence& dep : graph.dependences()) {
-    if (gone[static_cast<std::size_t>(dep.producer)] ||
-        gone[static_cast<std::size_t>(dep.consumer)]) {
-      continue;
-    }
-    shrunk->add_dependence(remap[static_cast<std::size_t>(dep.producer)],
-                           remap[static_cast<std::size_t>(dep.consumer)],
-                           dep.data_size);
-  }
-  shrunk->freeze();
-  return shrunk;
 }
 
 /// Scope guard undoing a durable engine mutation (set_wcet, failed_ flag)
@@ -314,9 +273,11 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
 
 /// Fresh candidate that re-places *every* task (hyper-period changes and
 /// the escalation path when a local repair is infeasible; DESIGN.md F13).
-/// Placement preferences come from the pre-event schedule, matched by name.
-Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
-                                                       const Schedule& pre) {
+/// Placement preferences come from the pre-event schedule through \p remap
+/// (\p pre's task id -> \p graph's).
+Rebalancer::Patched Rebalancer::full_replace_candidate(
+    const TaskGraph& graph, const Schedule& pre,
+    std::span<const TaskId> remap) {
   Rebalancer::Patched candidate{
       Schedule(graph, pre.architecture(), pre.comm())};
   candidate.full_replace = true;
@@ -325,18 +286,11 @@ Rebalancer::Patched Rebalancer::full_replace_candidate(const TaskGraph& graph,
       ProcTimeline(graph.hyperperiod()));
   candidate.dirty.assign(graph.task_count(), 1);
   candidate.preferred.assign(graph.task_count(), kNoProc);
-  // One name index instead of a per-task linear scan: a full replace at
-  // N tasks would otherwise cost O(N^2) string compares.
-  std::unordered_map<std::string, TaskId> old_ids;
-  for (TaskId t = 0; t < static_cast<TaskId>(pre.graph().task_count());
-       ++t) {
-    old_ids.emplace(pre.graph().task(t).name, t);
-  }
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    const auto it = old_ids.find(graph.task(t).name);
-    if (it != old_ids.end()) {
-      candidate.preferred[static_cast<std::size_t>(t)] =
-          pre.proc(TaskInstance{it->second, 0});
+  for (TaskId t = 0; t < static_cast<TaskId>(remap.size()); ++t) {
+    const TaskId nt = remap[static_cast<std::size_t>(t)];
+    if (nt >= 0) {
+      candidate.preferred[static_cast<std::size_t>(nt)] =
+          pre.proc(TaskInstance{t, 0});
     }
   }
   return candidate;
@@ -362,27 +316,13 @@ Rebalancer Rebalancer::adopt(const TaskGraph& graph, const Schedule& schedule,
   LBMEM_REQUIRE(&schedule.graph() == &graph,
                 "the schedule must reference the given graph");
   auto copy = std::make_unique<TaskGraph>(graph);
-  Schedule rebound(*copy, schedule.architecture(), schedule.comm());
-  for (TaskId t = 0; t < static_cast<TaskId>(copy->task_count()); ++t) {
-    rebound.set_first_start(t, schedule.first_start(t));
-    const InstanceIdx n = copy->instance_count(t);
-    for (InstanceIdx k = 0; k < n; ++k) {
-      rebound.assign(TaskInstance{t, k}, schedule.proc(TaskInstance{t, k}));
-    }
-  }
+  Schedule rebound = carry_over(schedule, *copy, task_ids(*copy));
   return Rebalancer(std::move(copy), std::move(rebound), std::move(options));
 }
 
 int Rebalancer::alive_processor_count() const {
   return static_cast<int>(failed_.size()) -
          static_cast<int>(std::count(failed_.begin(), failed_.end(), 1));
-}
-
-void Rebalancer::commit(Patched&& candidate,
-                        std::unique_ptr<TaskGraph> new_graph) {
-  if (new_graph) graph_ = std::move(new_graph);
-  sched_ = std::move(candidate.sched);
-  occ_ = std::move(candidate.occ);
 }
 
 void Rebalancer::run_full_resolver(EventOutcome& out) {
@@ -409,7 +349,8 @@ void Rebalancer::run_full_resolver(EventOutcome& out) {
   }
   out.balance_moves = outcome.stats.has_balance
                           ? outcome.stats.moves_off_home
-                          : count_migrations(*sched_, candidate);
+                          : count_migrations(*sched_, candidate,
+                                             task_ids(*graph_));
   out.balance_gain = sched_->makespan() - candidate.makespan();
   sched_ = std::move(*outcome.schedule);
   occ_ = build_occupancy(*sched_);
@@ -554,6 +495,9 @@ EventOutcome Rebalancer::apply(const Event& event) {
   };
 
   std::string reject;
+  // Pre-event task id -> post-event id (-1: removed or shed); the identity
+  // unless the event or the shed rung edits the graph.
+  std::vector<TaskId> remap = task_ids(*graph_);
   std::unique_ptr<TaskGraph> new_graph;   // null = graph kept
   std::unique_ptr<TaskGraph> shed_graph;  // rung 3 shrank the graph
   std::optional<Patched> patched;
@@ -599,7 +543,7 @@ EventOutcome Rebalancer::apply(const Event& event) {
         }
       }
       // Rung 2 / the historic escalation: re-place every task.
-      Patched full = full_replace_candidate(graph, pre());
+      Patched full = full_replace_candidate(graph, pre(), remap);
       if (try_repair(full).empty()) {
         full.seeds = full.repaired;
         if (degraded) out.degraded_rung = 2;
@@ -615,12 +559,20 @@ EventOutcome Rebalancer::apply(const Event& event) {
         std::min(kMaxShed, static_cast<int>(graph.task_count()) - 1);
     for (int s = 1; s <= cap; ++s) {
       const std::vector<TaskId> victims(order.begin(), order.begin() + s);
-      auto shrunk = drop_tasks(graph, victims);
-      Patched cand = full_replace_candidate(*shrunk, pre());
+      std::vector<TaskId> shed_remap;
+      auto shrunk =
+          std::make_unique<TaskGraph>(graph.without(victims, shed_remap));
+      shrunk->freeze();
+      std::vector<TaskId> composed = remap;
+      for (TaskId& id : composed) {
+        if (id >= 0) id = shed_remap[static_cast<std::size_t>(id)];
+      }
+      Patched cand = full_replace_candidate(*shrunk, pre(), composed);
       if (!try_repair(cand).empty()) continue;
       cand.seeds = cand.repaired;
       out.degraded_rung = 3;
       for (const TaskId v : victims) out.shed.push_back(graph.task(v).name);
+      remap = std::move(composed);
       shed_graph = std::move(shrunk);
       patched.emplace(std::move(cand));
       return {};
@@ -708,13 +660,9 @@ EventOutcome Rebalancer::apply(const Event& event) {
     case EventKind::TaskArrival: {
       const NewTaskSpec& spec = std::get<TaskArrival>(event.payload).spec;
       try {
-        auto rebuilt = std::make_unique<TaskGraph>();
-        for (const Task& task : graph_->tasks()) rebuilt->add_task(task);
+        auto rebuilt = std::make_unique<TaskGraph>(graph_->without({}, remap));
         const TaskId nid = rebuilt->add_task(
             Task{spec.name, spec.period, spec.wcet, spec.memory});
-        for (const Dependence& dep : graph_->dependences()) {
-          rebuilt->add_dependence(dep.producer, dep.consumer, dep.data_size);
-        }
         for (const NewTaskSpec::Producer& producer : spec.producers) {
           const TaskId pid = maybe_find(*rebuilt, producer.task);
           if (pid < 0) {
@@ -725,27 +673,19 @@ EventOutcome Rebalancer::apply(const Event& event) {
         }
         rebuilt->freeze();
 
-        // Existing ids are stable (tasks copied in id order, the new task
-        // appended last), so placements migrate index-for-index. If the
-        // hyper-period grew, the old pattern is replicated around the
-        // larger circle, which preserves validity (DESIGN.md F13).
-        const Time old_h = graph_->hyperperiod();
-        const Time new_h = rebuilt->hyperperiod();
+        // Existing ids are stable (the new task is appended last), so the
+        // occupancy owners still match when the hyper-period held.
+        const bool same_h = rebuilt->hyperperiod() == graph_->hyperperiod();
         const auto make_base = [&] {
-          Patched candidate{
-              Schedule(*rebuilt, pre().architecture(), pre().comm())};
-          for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count());
-               ++t) {
-            candidate.sched.set_first_start(t, pre().first_start(t));
-            const InstanceIdx n_old = graph_->instance_count(t);
-            const InstanceIdx n_new = rebuilt->instance_count(t);
-            for (InstanceIdx k = 0; k < n_new; ++k) {
-              candidate.sched.assign(TaskInstance{t, k},
-                                     pre().proc(TaskInstance{t, k % n_old}));
-            }
+          Patched candidate{carry_over(pre(), *rebuilt, remap)};
+          const Architecture& arch = candidate.sched.architecture();
+          if (!same_h && arch.has_memory_limit() &&
+              candidate.sched.max_memory() > arch.memory_capacity()) {
+            // A grown hyper-period multiplies every processor's resident
+            // memory; past the capacity, re-place every task (DESIGN.md F13).
+            return full_replace_candidate(*rebuilt, pre(), remap);
           }
-          candidate.occ =
-              (new_h == old_h) ? occ_ : build_occupancy(candidate.sched);
+          candidate.occ = same_h ? occ_ : build_occupancy(candidate.sched);
           candidate.dirty.assign(rebuilt->task_count(), 0);
           candidate.dirty[static_cast<std::size_t>(nid)] = 1;
           candidate.preferred = instance0_procs(candidate.sched);
@@ -771,58 +711,28 @@ EventOutcome Rebalancer::apply(const Event& event) {
         reject = "cannot remove the last task";
         break;
       }
-      auto rebuilt = std::make_unique<TaskGraph>();
-      const auto remap = [&](TaskId t) {
-        return t - (t > victim ? 1 : 0);
-      };
-      for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count());
-           ++t) {
-        if (t != victim) rebuilt->add_task(graph_->task(t));
-      }
-      for (const Dependence& dep : graph_->dependences()) {
-        if (dep.producer == victim || dep.consumer == victim) continue;
-        rebuilt->add_dependence(remap(dep.producer), remap(dep.consumer),
-                                dep.data_size);
-      }
+      auto rebuilt = std::make_unique<TaskGraph>(
+          graph_->without(std::span<const TaskId>(&victim, 1), remap));
       rebuilt->freeze();
-
-      const Time old_h = graph_->hyperperiod();
-      const Time new_h = rebuilt->hyperperiod();
       const auto make_base = [&] {
-        Patched candidate = [&] {
-          if (new_h != old_h) {
-            // The victim's period was load-bearing for the hyper-period;
-            // folding the old circle onto the smaller one is not validity-
-            // preserving, so every task is re-placed (DESIGN.md F13).
-            return full_replace_candidate(*rebuilt, pre());
-          }
-          Patched migrated{
-              Schedule(*rebuilt, pre().architecture(), pre().comm())};
-          for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count());
-               ++t) {
-            if (t == victim) continue;
-            const TaskId nt = remap(t);
-            migrated.sched.set_first_start(nt, pre().first_start(t));
-            const InstanceIdx n = graph_->instance_count(t);
-            for (InstanceIdx k = 0; k < n; ++k) {
-              migrated.sched.assign(TaskInstance{nt, k},
-                                    pre().proc(TaskInstance{t, k}));
-            }
-          }
-          // Ids shifted, so the occupancy owners must be rebuilt.
-          migrated.occ = build_occupancy(migrated.sched);
-          migrated.dirty.assign(rebuilt->task_count(), 0);
-          migrated.preferred = instance0_procs(migrated.sched);
-          return migrated;
-        }();
+        if (rebuilt->hyperperiod() != graph_->hyperperiod()) {
+          // The victim's period was load-bearing for the hyper-period;
+          // folding the old circle onto the smaller one is not validity-
+          // preserving, so every task is re-placed (DESIGN.md F13). Every
+          // task is then repaired and seeds the balance stage.
+          return full_replace_candidate(*rebuilt, pre(), remap);
+        }
+        Patched candidate{carry_over(pre(), *rebuilt, remap)};
+        // Ids shifted, so the occupancy owners must be rebuilt.
+        candidate.occ = build_occupancy(candidate.sched);
+        candidate.dirty.assign(rebuilt->task_count(), 0);
+        candidate.preferred = instance0_procs(candidate.sched);
         // Seed the balance around the hole the victim left.
         for (const Dependence& dep : graph_->dependences()) {
-          if (dep.producer == victim) {
-            candidate.seeds.push_back(remap(dep.consumer));
-          }
-          if (dep.consumer == victim) {
-            candidate.seeds.push_back(remap(dep.producer));
-          }
+          if (dep.producer != victim && dep.consumer != victim) continue;
+          const TaskId other =
+              dep.producer == victim ? dep.consumer : dep.producer;
+          candidate.seeds.push_back(remap[static_cast<std::size_t>(other)]);
         }
         return candidate;
       };
@@ -854,14 +764,14 @@ EventOutcome Rebalancer::apply(const Event& event) {
   seeds.insert(seeds.end(), patched->repaired.begin(),
                patched->repaired.end());
 
-  // Keep the pre-event graph alive until the migration diff below (the
-  // `pre` snapshot references it).
-  std::unique_ptr<TaskGraph> retired;
-  if (new_graph) retired = std::move(graph_);
-  commit(std::move(*patched), std::move(new_graph));
+  // Commit. The swap keeps the pre-event graph alive in new_graph until
+  // the migration diff below (the `pre` snapshot references it).
+  if (new_graph) graph_.swap(new_graph);
+  sched_ = std::move(patched->sched);
+  occ_ = std::move(patched->occ);
   run_balance_stage(seeds, out);
 
-  out.migrated_instances = count_migrations(pre(), *sched_);
+  out.migrated_instances = count_migrations(pre(), *sched_, remap);
   finish();
   return out;
 }

@@ -11,8 +11,8 @@
 ///     whole (earliest feasible strict-periodic start over the alive
 ///     processors, preferring their previous processor), in topological
 ///     order, cascading to consumers whose data-readiness the re-placement
-///     broke (DESIGN.md F11). Task arrivals/removals rebuild the frozen
-///     TaskGraph and migrate the surviving placements (DESIGN.md F10/F13).
+///     broke (DESIGN.md F11). Arrivals/removals edit the graph through
+///     TaskGraph::without and carry placements over (DESIGN.md F10/F13).
 ///  2. **Warm-start incremental balance** — only the blocks around the
 ///     dirtied tasks are re-decomposed (build_blocks_around) and re-run
 ///     through the paper's heuristic (LoadBalancer::rebalance), reusing
@@ -35,6 +35,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,7 +95,7 @@ struct EventOutcome {
   /// False: the event was infeasible; the state was rolled back untouched.
   bool applied = false;
   std::string reject_reason;
-  /// The event rebuilt the task graph (arrival/removal epoch).
+  /// The event replaced the task graph (arrival, removal or shed).
   bool graph_rebuilt = false;
   /// The hyper-period changed and every task was re-placed (DESIGN.md F13).
   bool full_replace = false;
@@ -179,8 +180,8 @@ class Rebalancer {
   struct Patched;  // candidate post-patch state (rebalancer.cpp)
 
   static Patched full_replace_candidate(const TaskGraph& graph,
-                                        const Schedule& pre);
-  void commit(Patched&& candidate, std::unique_ptr<TaskGraph> new_graph);
+                                        const Schedule& pre,
+                                        std::span<const TaskId> remap);
   void run_balance_stage(const std::vector<TaskId>& seeds,
                          EventOutcome& out);
   void run_full_resolver(EventOutcome& out);

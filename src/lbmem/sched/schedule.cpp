@@ -149,4 +149,26 @@ Mem Schedule::max_memory() const {
   return worst;
 }
 
+Schedule carry_over(const Schedule& from, const TaskGraph& to,
+                    std::span<const TaskId> remap) {
+  const TaskGraph& old = from.graph();
+  LBMEM_REQUIRE(from.complete(), "carry_over requires a complete schedule");
+  LBMEM_REQUIRE(remap.size() == old.task_count(),
+                "carry_over needs one remap entry per source task");
+  LBMEM_REQUIRE(to.hyperperiod() % old.hyperperiod() == 0,
+                "carry_over cannot fold onto a shorter hyper-period");
+  Schedule out(to, from.architecture(), from.comm());
+  for (TaskId t = 0; t < static_cast<TaskId>(remap.size()); ++t) {
+    const TaskId nt = remap[static_cast<std::size_t>(t)];
+    if (nt < 0) continue;
+    out.set_first_start(nt, from.first_start(t));
+    const InstanceIdx n_old = old.instance_count(t);
+    const InstanceIdx n_new = to.instance_count(nt);
+    for (InstanceIdx k = 0; k < n_new; ++k) {
+      out.assign(TaskInstance{nt, k}, from.proc(TaskInstance{t, k % n_old}));
+    }
+  }
+  return out;
+}
+
 }  // namespace lbmem

@@ -141,4 +141,12 @@ class Schedule {
   std::size_t unset_starts_ = 0;
 };
 
+/// \p from's placements carried onto \p to through \p remap (from's task id
+/// -> to's, -1 for none): first starts copy over and instance k takes the
+/// processor of old instance k mod n_old (DESIGN.md F13); unmapped tasks of
+/// \p to stay unplaced. Requires a complete \p from and to's hyper-period
+/// a multiple of from's.
+Schedule carry_over(const Schedule& from, const TaskGraph& to,
+                    std::span<const TaskId> remap);
+
 }  // namespace lbmem

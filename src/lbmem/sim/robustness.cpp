@@ -54,20 +54,14 @@ SimMetrics merge_windows(const SimMetrics& a, const SimMetrics& b, Time h,
 /// phase simulations can keep reading it after a later repair rebuilds or
 /// retires the engine's own graph (shed and epoch events do).
 const Schedule* snapshot_table(
-    const TaskGraph& graph, const Schedule& sched,
-    std::vector<std::unique_ptr<TaskGraph>>& graphs,
+    const Schedule& sched, std::vector<std::unique_ptr<TaskGraph>>& graphs,
     std::vector<std::unique_ptr<Schedule>>& scheds) {
-  auto g = std::make_unique<TaskGraph>(graph);
-  auto s = std::make_unique<Schedule>(*g, sched.architecture(), sched.comm());
-  for (TaskId t = 0; t < static_cast<TaskId>(g->task_count()); ++t) {
-    s->set_first_start(t, sched.first_start(t));
-    const InstanceIdx n = g->instance_count(t);
-    for (InstanceIdx k = 0; k < n; ++k) {
-      s->assign(TaskInstance{t, k}, sched.proc(TaskInstance{t, k}));
-    }
-  }
-  graphs.push_back(std::move(g));
-  scheds.push_back(std::move(s));
+  std::vector<TaskId> remap;
+  graphs.push_back(
+      std::make_unique<TaskGraph>(sched.graph().without({}, remap)));
+  graphs.back()->freeze();
+  scheds.push_back(
+      std::make_unique<Schedule>(carry_over(sched, *graphs.back(), remap)));
   return scheds.back().get();
 }
 
@@ -242,8 +236,7 @@ RobustnessReport run_robustness(const Schedule& schedule,
         fo.detail =
             "repaired " + std::to_string(out.repaired_tasks) + " tasks, " +
             std::to_string(out.migrated_instances) + " instances migrated";
-        active = snapshot_table(system->graph(), system->schedule(),
-                                snap_graphs, snap_scheds);
+        active = snapshot_table(system->schedule(), snap_graphs, snap_scheds);
       } else {
         dead.push_back(ProcessorFault{f.proc, 0});
         fo.detail = out.reject_reason;

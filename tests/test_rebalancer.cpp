@@ -1,15 +1,23 @@
 /// Unit tests for the online rebalancing engine (src/lbmem/online/) on the
 /// paper's worked example: every event kind, rollback semantics, the
-/// migration-penalty knob, and the subset/warm-start rebalance entry point.
+/// migration-penalty knob, and the subset/warm-start rebalance entry point;
+/// plus a seeded sweep pinning the engine's id remap to a by-name reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "lbmem/gen/event_trace.hpp"
 #include "lbmem/gen/paper_example.hpp"
+#include "lbmem/gen/random_graph.hpp"
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/load_balancer.hpp"
 #include "lbmem/online/rebalancer.hpp"
+#include "lbmem/sched/scheduler.hpp"
 #include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
@@ -214,6 +222,141 @@ TEST(Rebalancer, IncrementalAndFullModesBothStayValid) {
     EXPECT_TRUE(validate(inc.schedule()).ok()) << to_string(event);
     EXPECT_TRUE(validate(ref.schedule()).ok()) << to_string(event);
   }
+}
+
+using ProcsByName = std::map<std::string, std::vector<ProcId>>;
+
+/// Task name -> processor of each instance (the reference's pre-event
+/// snapshot).
+ProcsByName procs_by_name(const Schedule& s) {
+  ProcsByName procs;
+  const TaskGraph& g = s.graph();
+  for (TaskId t = 0; t < static_cast<TaskId>(g.task_count()); ++t) {
+    std::vector<ProcId>& row = procs[g.task(t).name];
+    for (InstanceIdx k = 0; k < g.instance_count(t); ++k) {
+      row.push_back(s.proc(TaskInstance{t, k}));
+    }
+  }
+  return procs;
+}
+
+/// The by-name definition of EventOutcome::migrated_instances, kept as the
+/// reference for the engine's id remap: instances of tasks alive on both
+/// sides (up to the shorter instance count) whose processor changed.
+int migrations_by_name(const ProcsByName& before, const Schedule& after) {
+  const TaskGraph& g = after.graph();
+  int migrations = 0;
+  for (TaskId t = 0; t < static_cast<TaskId>(g.task_count()); ++t) {
+    const auto it = before.find(g.task(t).name);
+    if (it == before.end()) continue;  // arrived with this event
+    const InstanceIdx n = std::min(
+        static_cast<InstanceIdx>(it->second.size()), g.instance_count(t));
+    for (InstanceIdx k = 0; k < n; ++k) {
+      if (it->second[static_cast<std::size_t>(k)] !=
+          after.proc(TaskInstance{t, k})) {
+        ++migrations;
+      }
+    }
+  }
+  return migrations;
+}
+
+std::vector<std::string> task_names(const TaskGraph& g) {
+  std::vector<std::string> names;
+  for (const Task& task : g.tasks()) names.push_back(task.name);
+  return names;
+}
+
+TEST(Rebalancer, IdRemapMatchesTheByNameReference) {
+  int shed_events = 0;
+  int grew = 0;
+  int shrank = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool tight : {false, true}) {
+      for (const bool degraded : {false, true}) {
+        const int procs = 2 + static_cast<int>(seed % 3);
+        RandomGraphParams params;
+        params.tasks = 20 + 20 * static_cast<int>(seed % 3);
+        params.intended_processors = procs;
+        auto graph =
+            std::make_unique<TaskGraph>(random_task_graph(params, seed));
+        const CommModel comm = CommModel::flat(2);
+        // Tight: the capacity is the initial schedule's own peak, so a
+        // failure cannot be absorbed whole and the ladder has to shed.
+        const Mem cap =
+            tight ? build_initial_schedule(*graph, Architecture(procs), comm)
+                        .max_memory()
+                  : kUnlimitedMemory;
+        const Architecture arch(procs, cap);
+        BalanceOptions balance;
+        balance.enforce_memory_capacity = tight;
+        BalanceResult balanced = LoadBalancer(balance).balance(
+            build_initial_schedule(*graph, arch, comm));
+
+        EventTraceParams trace_params;
+        trace_params.events = 24;
+        trace_params.failure_weight = 0.2;
+        trace_params.max_failures = procs - 1;
+        EventTrace trace =
+            random_event_trace(*graph, arch, trace_params, seed + 100);
+        // An arrival whose period doubles the largest one grows the
+        // hyper-period; removing it again shrinks it back.
+        Time longest = 0;
+        for (const Task& task : graph->tasks()) {
+          longest = std::max(longest, task.period);
+        }
+        NewTaskSpec slow;
+        slow.name = "slow";
+        slow.period = 2 * longest;
+        slow.wcet = 1;
+        slow.memory = 1;
+        slow.producers.push_back({graph->task(0).name, 1});
+        trace.insert(trace.begin() + 4,
+                     Event{trace[3].at, TaskArrival{slow}});
+        trace.insert(trace.begin() + 12,
+                     Event{trace[11].at, TaskRemoval{"slow"}});
+
+        RebalancerOptions options;
+        options.balance.enforce_memory_capacity = tight;
+        options.degraded = degraded;
+        Rebalancer system(std::move(graph), std::move(balanced.schedule),
+                          options);
+        for (const Event& event : trace) {
+          const ProcsByName before = procs_by_name(system.schedule());
+          std::vector<std::string> names = task_names(system.graph());
+          const Time h = system.graph().hyperperiod();
+          const EventOutcome out = system.apply(event);
+          if (!out.applied) continue;
+          const std::string where = "seed " + std::to_string(seed) +
+                                    (tight ? " tight" : "") +
+                                    (degraded ? " degraded " : " ") +
+                                    to_string(event);
+          EXPECT_EQ(out.migrated_instances,
+                    migrations_by_name(before, system.schedule()))
+              << where;
+          if (event.kind() == EventKind::TaskArrival) {
+            names.push_back(std::get<TaskArrival>(event.payload).spec.name);
+          }
+          std::vector<std::string> gone = out.shed;
+          if (event.kind() == EventKind::TaskRemoval) {
+            gone.push_back(std::get<TaskRemoval>(event.payload).task);
+          }
+          std::erase_if(names, [&](const std::string& name) {
+            return std::find(gone.begin(), gone.end(), name) != gone.end();
+          });
+          EXPECT_EQ(task_names(system.graph()), names) << where;
+          const ValidationReport report = validate(system.schedule());
+          EXPECT_TRUE(report.ok()) << where << "\n" << report.to_string();
+          shed_events += out.shed.empty() ? 0 : 1;
+          grew += system.graph().hyperperiod() > h ? 1 : 0;
+          shrank += system.graph().hyperperiod() < h ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(shed_events, 0);
+  EXPECT_GT(grew, 0);
+  EXPECT_GT(shrank, 0);
 }
 
 TEST(MigrationPenalty, HugePenaltyKeepsEveryBlockHome) {

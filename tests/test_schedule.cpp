@@ -135,5 +135,117 @@ TEST_F(ScheduleTest, CopyIsIndependent) {
   EXPECT_EQ(copy.first_start(graph_.find("b")), 4);
 }
 
+/// The paper schedule with a's instances spread over all three processors,
+/// so carrying it over can be told apart from a whole-task copy.
+Schedule spread_schedule(const TaskGraph& graph) {
+  Schedule s = paper_example_schedule(graph);
+  const TaskId a = graph.find("a");
+  s.assign(TaskInstance{a, 1}, 1);
+  s.assign(TaskInstance{a, 3}, 2);
+  return s;
+}
+
+TEST_F(ScheduleTest, CarryOverThroughTheIdentityCopiesEverything) {
+  const Schedule s = spread_schedule(graph_);
+  std::vector<TaskId> remap;
+  TaskGraph copy = graph_.without({}, remap);
+  copy.freeze();
+  const Schedule carried = carry_over(s, copy, remap);
+  EXPECT_EQ(&carried.graph(), &copy);
+  EXPECT_TRUE(carried.complete());
+  for (const TaskInstance inst : s.all_instances()) {
+    EXPECT_EQ(carried.proc(inst), s.proc(inst));
+    EXPECT_EQ(carried.start(inst), s.start(inst));
+  }
+  for (ProcId p = 0; p < 3; ++p) {
+    EXPECT_EQ(carried.memory_on(p), s.memory_on(p));
+    EXPECT_EQ(carried.busy_on(p), s.busy_on(p));
+  }
+}
+
+TEST_F(ScheduleTest, CarryOverSkipsADroppedTask) {
+  const Schedule s = spread_schedule(graph_);
+  const TaskId e = graph_.find("e");
+  std::vector<TaskId> remap;
+  TaskGraph shrunk = graph_.without(std::vector<TaskId>{e}, remap);
+  shrunk.freeze();
+  ASSERT_EQ(shrunk.hyperperiod(), graph_.hyperperiod());
+  const Schedule carried = carry_over(s, shrunk, remap);
+  EXPECT_TRUE(carried.complete());
+  for (TaskId t = 0; t < static_cast<TaskId>(graph_.task_count()); ++t) {
+    const TaskId nt = remap[static_cast<std::size_t>(t)];
+    if (nt < 0) continue;
+    EXPECT_EQ(carried.first_start(nt), s.first_start(t));
+    for (InstanceIdx k = 0; k < graph_.instance_count(t); ++k) {
+      EXPECT_EQ(carried.proc(TaskInstance{nt, k}), s.proc(TaskInstance{t, k}));
+    }
+  }
+  const ProcId e_proc = s.proc(TaskInstance{e, 0});
+  EXPECT_EQ(carried.memory_on(e_proc),
+            s.memory_on(e_proc) - graph_.task(e).memory);
+}
+
+TEST_F(ScheduleTest, CarryOverReplicatesAroundADoubledHyperperiod) {
+  const Schedule s = spread_schedule(graph_);
+  std::vector<TaskId> remap;
+  TaskGraph grown = graph_.without({}, remap);
+  const TaskId slow = grown.add_task("slow", 24, 1, 1);
+  grown.freeze();
+  ASSERT_EQ(grown.hyperperiod(), 2 * graph_.hyperperiod());
+  const Schedule carried = carry_over(s, grown, remap);
+  for (TaskId t = 0; t < static_cast<TaskId>(graph_.task_count()); ++t) {
+    const InstanceIdx n_old = graph_.instance_count(t);
+    ASSERT_EQ(grown.instance_count(t), 2 * n_old);
+    for (InstanceIdx k = 0; k < 2 * n_old; ++k) {
+      EXPECT_EQ(carried.proc(TaskInstance{t, k}),
+                s.proc(TaskInstance{t, k % n_old}))
+          << graph_.task(t).name << k;
+    }
+    EXPECT_EQ(carried.first_start(t), s.first_start(t));
+  }
+  for (ProcId p = 0; p < 3; ++p) {
+    EXPECT_EQ(carried.memory_on(p), 2 * s.memory_on(p));
+  }
+  EXPECT_EQ(carried.proc(TaskInstance{slow, 0}), kNoProc);
+  EXPECT_FALSE(carried.complete());
+}
+
+TEST_F(ScheduleTest, CarryOverLeavesANewTaskUnplaced) {
+  const Schedule s = spread_schedule(graph_);
+  std::vector<TaskId> remap;
+  TaskGraph grown = graph_.without({}, remap);
+  const TaskId f = grown.add_task("f", 6, 1, 5);
+  grown.add_dependence(grown.find("b"), f);
+  grown.freeze();
+  ASSERT_EQ(grown.hyperperiod(), graph_.hyperperiod());
+  const Schedule carried = carry_over(s, grown, remap);
+  EXPECT_FALSE(carried.complete());
+  EXPECT_THROW((void)carried.first_start(f), PreconditionError);
+  EXPECT_EQ(carried.proc(TaskInstance{f, 0}), kNoProc);
+  EXPECT_EQ(carried.proc(TaskInstance{f, 1}), kNoProc);
+  for (ProcId p = 0; p < 3; ++p) {
+    EXPECT_EQ(carried.memory_on(p), s.memory_on(p));
+  }
+}
+
+TEST_F(ScheduleTest, CarryOverPreconditions) {
+  const Schedule s = spread_schedule(graph_);
+  std::vector<TaskId> remap;
+  TaskGraph copy = graph_.without({}, remap);
+  copy.freeze();
+  // An incomplete source.
+  EXPECT_THROW(carry_over(empty_schedule(), copy, remap), PreconditionError);
+  // A remap that does not cover every source task.
+  const std::vector<TaskId> short_remap(remap.begin(), remap.end() - 1);
+  EXPECT_THROW(carry_over(s, copy, short_remap), PreconditionError);
+  // A hyper-period that is not a multiple of the source's (12 -> 6).
+  std::vector<TaskId> shrink_remap;
+  TaskGraph shrunk = graph_.without(
+      std::vector<TaskId>{graph_.find("d"), graph_.find("e")}, shrink_remap);
+  shrunk.freeze();
+  ASSERT_EQ(shrunk.hyperperiod(), 6);
+  EXPECT_THROW(carry_over(s, shrunk, shrink_remap), PreconditionError);
+}
+
 }  // namespace
 }  // namespace lbmem

@@ -172,5 +172,124 @@ TEST(TaskGraph, AdjacencySpans) {
   EXPECT_EQ(g.deps_in(a).size(), 0u);
 }
 
+TEST(TaskGraph, WithoutCompactsIdsInOrderAndDropsTouchingEdges) {
+  TaskGraph g;
+  const TaskId a = g.add_task("a", 4, 1, 1);
+  const TaskId b = g.add_task("b", 8, 1, 2);
+  const TaskId c = g.add_task("c", 8, 2, 3);
+  const TaskId d = g.add_task("d", 16, 1, 4);
+  g.add_dependence(a, b, 2);
+  g.add_dependence(b, d, 3);
+  g.add_dependence(a, c, 4);
+  g.add_dependence(c, d, 5);
+  g.freeze();
+
+  std::vector<TaskId> remap;
+  const std::vector<TaskId> drop{b};
+  const TaskGraph out = g.without(drop, remap);
+  EXPECT_EQ(remap, (std::vector<TaskId>{0, -1, 1, 2}));
+  ASSERT_EQ(out.task_count(), 3u);
+  EXPECT_EQ(out.task(0).name, "a");
+  EXPECT_EQ(out.task(1).name, "c");
+  EXPECT_EQ(out.task(2).name, "d");
+  EXPECT_EQ(out.task(1).wcet, 2);
+  EXPECT_EQ(out.task(2).memory, 4);
+  ASSERT_EQ(out.dependence_count(), 2u);  // a->b and b->d are gone
+  EXPECT_EQ(out.dependences()[0].producer, 0);
+  EXPECT_EQ(out.dependences()[0].consumer, 1);
+  EXPECT_EQ(out.dependences()[0].data_size, 4);
+  EXPECT_EQ(out.dependences()[1].producer, 1);
+  EXPECT_EQ(out.dependences()[1].consumer, 2);
+  EXPECT_EQ(out.dependences()[1].data_size, 5);
+  // The source is untouched.
+  EXPECT_EQ(g.task_count(), 4u);
+  EXPECT_EQ(g.dependence_count(), 4u);
+}
+
+TEST(TaskGraph, WithoutIsUnfrozenAndFreezesLikeAFromScratchBuild) {
+  // Periods 3/6/12/24, so dropping the period-24 task shrinks H.
+  TaskGraph g;
+  g.add_task("a", 3, 1, 1);
+  g.add_task("b", 6, 1, 1);
+  g.add_task("slow", 24, 2, 1);
+  g.add_task("c", 12, 1, 1);
+  g.add_task("d", 6, 1, 1);
+  g.add_dependence(0, 1);
+  g.add_dependence(2, 3);
+  g.add_dependence(1, 3);
+  g.add_dependence(0, 4);
+  g.add_dependence(4, 3);
+  g.freeze();
+  ASSERT_EQ(g.hyperperiod(), 24);
+
+  std::vector<TaskId> remap;
+  const std::vector<TaskId> drop{2};
+  TaskGraph edited = g.without(drop, remap);
+  EXPECT_FALSE(edited.frozen());
+  EXPECT_THROW(edited.hyperperiod(), PreconditionError);
+  // Still open to additions, which keep every check.
+  EXPECT_THROW(edited.add_task("a", 6, 1, 1), ModelError);  // duplicate
+  const TaskId e = edited.add_task("e", 12, 1, 1);
+  EXPECT_THROW(edited.add_dependence(1, 1), ModelError);    // self-loop
+  EXPECT_THROW(edited.add_dependence(0, 1), ModelError);    // duplicate
+  edited.add_dependence(remap[3], e);
+  edited.freeze();
+
+  TaskGraph scratch;
+  scratch.add_task("a", 3, 1, 1);
+  scratch.add_task("b", 6, 1, 1);
+  scratch.add_task("c", 12, 1, 1);
+  scratch.add_task("d", 6, 1, 1);
+  scratch.add_task("e", 12, 1, 1);
+  scratch.add_dependence(0, 1);
+  scratch.add_dependence(1, 2);
+  scratch.add_dependence(0, 3);
+  scratch.add_dependence(3, 2);
+  scratch.add_dependence(2, 4);
+  scratch.freeze();
+
+  EXPECT_EQ(edited.hyperperiod(), 12);
+  EXPECT_EQ(edited.hyperperiod(), scratch.hyperperiod());
+  EXPECT_EQ(edited.total_instances(), scratch.total_instances());
+  const auto order = edited.topological_order();
+  const auto expected = scratch.topological_order();
+  EXPECT_EQ(std::vector<TaskId>(order.begin(), order.end()),
+            std::vector<TaskId>(expected.begin(), expected.end()));
+  for (TaskId t = 0; t <= static_cast<TaskId>(scratch.task_count()); ++t) {
+    EXPECT_EQ(edited.instance_base(t), scratch.instance_base(t)) << t;
+  }
+  ASSERT_EQ(edited.dependence_count(), scratch.dependence_count());
+  for (std::size_t i = 0; i < scratch.dependence_count(); ++i) {
+    EXPECT_EQ(edited.dependences()[i].producer,
+              scratch.dependences()[i].producer);
+    EXPECT_EQ(edited.dependences()[i].consumer,
+              scratch.dependences()[i].consumer);
+  }
+}
+
+TEST(TaskGraph, WithoutNothingIsACopyWithTheIdentityRemap) {
+  const TaskGraph g = two_task_graph(2, 6);
+  std::vector<TaskId> remap{7, 7, 7};  // overwritten, not appended to
+  TaskGraph copy = g.without({}, remap);
+  EXPECT_EQ(remap, (std::vector<TaskId>{0, 1}));
+  copy.freeze();
+  EXPECT_EQ(copy.task_count(), 2u);
+  EXPECT_EQ(copy.dependence_count(), 1u);
+  EXPECT_EQ(copy.hyperperiod(), g.hyperperiod());
+}
+
+TEST(TaskGraph, WithoutPreconditions) {
+  const TaskGraph g = two_task_graph(2, 6);
+  std::vector<TaskId> remap;
+  const std::vector<TaskId> past_end{2};
+  const std::vector<TaskId> negative{-1};
+  EXPECT_THROW(g.without(past_end, remap), PreconditionError);
+  EXPECT_THROW(g.without(negative, remap), PreconditionError);
+
+  TaskGraph unfrozen;
+  unfrozen.add_task("a", 4, 1, 1);
+  EXPECT_THROW(unfrozen.without({}, remap), PreconditionError);
+}
+
 }  // namespace
 }  // namespace lbmem
