@@ -12,10 +12,16 @@ namespace lbmem {
 /// The block decomposition plus an instance -> block index.
 struct BlockDecomposition {
   std::vector<Block> blocks;
-  /// block_of[task][k] = BlockId of instance (task, k).
-  std::vector<std::vector<BlockId>> block_of;
+  /// One flat table over the graph's dense instance index:
+  /// block_of[graph->dense_index(inst)] is the BlockId of inst, or -1 for an
+  /// instance a partial decomposition (build_blocks_around) never reached.
+  std::vector<BlockId> block_of;
+  /// Graph the dense index refers to; like a Schedule's, it must outlive
+  /// the decomposition.
+  const TaskGraph* graph = nullptr;
 
-  /// Block holding \p inst.
+  /// Block holding \p inst. Throws PreconditionError for an instance out of
+  /// the graph's range or outside a partial decomposition.
   const Block& block_containing(TaskInstance inst) const;
 };
 

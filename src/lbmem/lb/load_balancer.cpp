@@ -199,7 +199,8 @@ class Attempt {
 
   /// Update the all-instances occupancy after a commit. Only instances
   /// whose placement actually changed are touched: a zero-gain stay-at-home
-  /// (the common case at scale) costs nothing.
+  /// (the common case at scale) costs nothing. Every re-added instance is
+  /// recorded in moved_ for the end-of-run validation.
   void update_all_occ(ProcId dest, ProcId home, Time gain) {
     if (opts_.overlap_rule != OverlapRule::AllInstances) return;
     if (gain <= 0 && dest == home) return;  // nothing moved
@@ -220,9 +221,15 @@ class Attempt {
       // Every committed placement should fit (evaluate() checked it), but
       // if one ever does not, drop the footprint rather than throw: the
       // schedule itself then carries the overlap, the end-of-run validation
-      // rejects it, and the gain-disabled retry takes over gracefully.
-      // The fits() probe doubles as add_unchecked's safety proof.
-      if (occ.fits(start, wcet)) occ.add_unchecked(start, wcet, inst);
+      // (then over the whole schedule) rejects it, and the gain-disabled
+      // retry takes over gracefully. The fits() probe doubles as
+      // add_unchecked's safety proof.
+      if (occ.fits(start, wcet)) {
+        occ.add_unchecked(start, wcet, inst);
+      } else {
+        footprint_dropped_ = true;
+      }
+      moved_.push_back(inst);
     }
   }
 
@@ -247,6 +254,8 @@ class Attempt {
   int procs_;
   std::vector<ProcTimeline> occupancy_;  // moved prefix only
   std::vector<ProcTimeline> all_occ_;    // every instance (AllInstances rule)
+  std::vector<TaskInstance> moved_;      // re-added to all_occ_, in order
+  bool footprint_dropped_ = false;       // all_occ_ lost a moved footprint
   std::vector<Mem> moved_mem_;
   std::vector<Time> last_moved_end_;
   std::vector<Time> first_moved_start_;
@@ -698,30 +707,40 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
     for (const QueueEntry& entry : order) {
       decide_block(entry.block, trace, stats, nullptr);
     }
-    return is_valid(sched_);
-  }
-
-  RequeueQueue queue;
-  for (const Block& b : dec_.blocks) {
-    queue.push(QueueEntry{b.start(sched_), b.id});
-  }
-
-  while (!queue.empty()) {
-    const QueueEntry entry = queue.top();
-    queue.pop();
-    if (processed_[static_cast<std::size_t>(entry.block)]) continue;
-    const Block& block = dec_.blocks[static_cast<std::size_t>(entry.block)];
-    if (block.start(sched_) != entry.start) {
-      continue;  // stale key; the shifted re-queue entry will handle it
+  } else {
+    RequeueQueue queue;
+    for (const Block& b : dec_.blocks) {
+      queue.push(QueueEntry{b.start(sched_), b.id});
     }
-    decide_block(entry.block, trace, stats, &queue);
+    while (!queue.empty()) {
+      const QueueEntry entry = queue.top();
+      queue.pop();
+      if (processed_[static_cast<std::size_t>(entry.block)]) continue;
+      const Block& block = dec_.blocks[static_cast<std::size_t>(entry.block)];
+      if (block.start(sched_) != entry.start) {
+        continue;  // stale key; the shifted re-queue entry will handle it
+      }
+      decide_block(entry.block, trace, stats, &queue);
+    }
   }
 
   // Verdict-only validation: the retry gate needs no diagnostics, and the
   // failing first attempt would otherwise pay for a full violation report
   // it immediately discards.
   LBMEM_TRACE_SPAN("lb.validate");
-  return is_valid(sched_);
+  if (opts_.overlap_rule == OverlapRule::MovedOnly || footprint_dropped_) {
+    return is_valid(sched_);
+  }
+  // The input is valid and all_occ_ mirrored it; every re-add passed fits()
+  // against that mirror, so no overlap exists anywhere and precedence can
+  // only have broken at a moved instance or a consumer of one (DESIGN.md
+  // F35).
+  const bool ok = is_valid_around(sched_, moved_);
+#if LBMEM_TIMELINE_VERIFY
+  LBMEM_REQUIRE(ok == is_valid(sched_),
+                "moved-set validation disagrees with is_valid");
+#endif
+  return ok;
 }
 
 /// Fold one run's BalanceStats into the registry (DESIGN.md F25): called
@@ -931,8 +950,7 @@ void Attempt::decide_block(BlockId id, std::vector<StepRecord>* trace,
       for (const TaskId t : block.tasks) {
         const InstanceIdx n = graph().instance_count(t);
         for (InstanceIdx k = 1; k < n; ++k) {
-          const BlockId other = dec_.block_of[static_cast<std::size_t>(t)]
-                                             [static_cast<std::size_t>(k)];
+          const BlockId other = dec_.block_of[dense(TaskInstance{t, k})];
           // Partial decompositions leave undiscovered instances at -1;
           // their blocks are out of scope and never popped, so there is
           // nothing to re-queue (the shifted footprints are already

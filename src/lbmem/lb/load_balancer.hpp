@@ -21,6 +21,9 @@
 ///     retry with gains disabled, and ultimately falls back to the input
 ///     schedule — so the returned schedule is always valid and the total
 ///     gain is never negative (Theorem 1's lower bound by construction).
+///     Under OverlapRule::AllInstances the validation re-checks only the
+///     moved instances and their consumers (DESIGN.md F35), which is exact
+///     only for a valid input.
 
 #include <cstdint>
 #include <vector>
@@ -119,6 +122,9 @@ struct RebalanceScope {
   const BlockDecomposition* blocks = nullptr;
   /// Warm per-processor all-instances occupancy mirroring the input
   /// schedule, copied instead of being rebuilt from scratch. Optional.
+  /// The mirror is load-bearing: the moved-set validation trusts it to
+  /// prove the result overlap-free (DESIGN.md F12, F35), so a stale piece
+  /// can let an invalid schedule through in optimized builds.
   const std::vector<ProcTimeline>* occupancy = nullptr;
   /// Return the final all-instances occupancy in BalanceResult::occupancy
   /// (empty on fallback) so the caller can keep its warm state in sync.
@@ -194,7 +200,12 @@ class LoadBalancer {
 
   /// Balance \p input (which must be complete and valid).
   /// The returned schedule is always valid; on unrecoverable conflicts it
-  /// equals the input (stats.fell_back).
+  /// equals the input (stats.fell_back). The validity of the input is
+  /// load-bearing in optimized builds: the end-of-attempt validation
+  /// re-checks only what moved (DESIGN.md F35), so an input that already
+  /// violates precedence or exclusivity elsewhere may be returned balanced
+  /// instead of rejected. Debug and sanitizer builds cross-check every
+  /// verdict against the whole-schedule is_valid.
   BalanceResult balance(const Schedule& input) const;
 
   /// Incremental warm-start balance: identical decision machinery, but only

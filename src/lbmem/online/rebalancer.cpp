@@ -46,6 +46,17 @@ std::vector<ProcTimeline> build_occupancy(const Schedule& sched) {
   return occ;
 }
 
+#if LBMEM_TIMELINE_VERIFY
+/// Does \p occ hold exactly the pieces of build_occupancy(\p sched)?
+bool mirrors(const std::vector<ProcTimeline>& occ, const Schedule& sched) {
+  const std::vector<ProcTimeline> fresh = build_occupancy(sched);
+  return std::equal(occ.begin(), occ.end(), fresh.begin(), fresh.end(),
+                    [](const ProcTimeline& a, const ProcTimeline& b) {
+                      return a.same_pieces(b);
+                    });
+}
+#endif
+
 /// Processor of each task's first instance (kNoProc when unassigned) —
 /// the repair's migration-avoiding placement preference.
 std::vector<ProcId> instance0_procs(const Schedule& sched) {
@@ -472,6 +483,12 @@ EventOutcome Rebalancer::apply(const Event& event) {
   // Shared epilogue: post-event system state + latency, filled once at
   // every exit (no-op, reject, success).
   const auto finish = [&] {
+#if LBMEM_TIMELINE_VERIFY
+    // The warm occupancy is load-bearing: the balancer's moved-set
+    // validation trusts it to mirror the schedule (DESIGN.md F12, F35).
+    LBMEM_REQUIRE(mirrors(occ_, *sched_),
+                  "occupancy diverged from the schedule");
+#endif
     out.makespan = sched_->makespan();
     out.max_memory = sched_->max_memory();
     out.alive_tasks = static_cast<int>(graph_->task_count());

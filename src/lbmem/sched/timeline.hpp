@@ -114,11 +114,18 @@ class ProcTimeline {
   /// non-empty bitmap and the piece counter consistent.
   bool check_index_integrity() const;
 
+  /// Same circle and exactly the same pieces (start, length, owner),
+  /// whatever order they were added in. For invariant checks.
+  bool same_pieces(const ProcTimeline& other) const {
+    return h_ == other.h_ && buckets_ == other.buckets_;
+  }
+
  private:
   struct Piece {
     Time start;  // in [0, H)
     Time len;    // start + len <= H (wrapping intervals are split)
     TaskInstance owner;
+    bool operator==(const Piece&) const = default;
   };
   struct OwnerPieces {
     Time first = -1;

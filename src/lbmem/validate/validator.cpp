@@ -193,6 +193,43 @@ bool is_valid(const Schedule& sched) {
   return true;
 }
 
+bool is_valid_around(const Schedule& sched,
+                     std::span<const TaskInstance> moved) {
+  // V1; a complete schedule has every start set, hence non-negative.
+  if (!sched.complete()) return false;
+  const Architecture& arch = sched.architecture();
+  if (arch.has_memory_limit()) {
+    for (ProcId p = 0; p < arch.processor_count(); ++p) {
+      if (sched.memory_on(p) > arch.memory_capacity()) return false;
+    }
+  }
+  // V4 reads an instance's own start and processor and its producers' end
+  // and processor, so it can only have changed at a moved instance or at a
+  // consumer of one; a dense seen-table checks each of those once.
+  const TaskGraph& graph = sched.graph();
+  std::vector<std::uint8_t> seen(graph.total_instances(), 0);
+  const auto precedence_ok = [&](TaskInstance inst) {
+    std::uint8_t& mark = seen[graph.dense_index(inst)];
+    if (mark != 0) return true;
+    mark = 1;
+    return sched.start(inst) >= sched.data_ready(inst, sched.proc(inst));
+  };
+  for (const TaskInstance inst : moved) {
+    if (!precedence_ok(inst)) return false;
+    for (const std::int32_t e : graph.deps_out(inst.task)) {
+      const TaskId consumer =
+          graph.dependences()[static_cast<std::size_t>(e)].consumer;
+      const ConsumedRange range = graph.consumer_range(e, inst.k);
+      for (InstanceIdx i = 0; i < range.count; ++i) {
+        if (!precedence_ok(TaskInstance{consumer, range.first + i})) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 void validate_or_throw(const Schedule& sched) {
   const ValidationReport report = validate(sched);
   if (!report.ok()) {

@@ -18,6 +18,7 @@
 ///  V5. memory capacity — per-processor resident memory within capacity
 ///      (only when the architecture declares a finite capacity).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,16 @@ ValidationReport validate(const Schedule& sched);
 /// on the hot path and only needs the verdict; tests assert agreement with
 /// validate() so the two can never drift silently.
 bool is_valid(const Schedule& sched);
+
+/// is_valid(sched) for a schedule that was valid until the instances in
+/// \p moved changed processor or start, given that the caller has proven
+/// their new footprints overlap nothing (DESIGN.md F35). Checks V1 and V5,
+/// and V4 at every moved instance and every consumer instance of one —
+/// each instance once; V3 is the caller's proof. Beyond one zeroed byte per
+/// instance, cost follows |moved| and its consumers plus O(M), not the size
+/// of the schedule. \p moved may hold duplicates.
+bool is_valid_around(const Schedule& sched,
+                     std::span<const TaskInstance> moved);
 
 /// Convenience: throw ScheduleError with the full report when invalid.
 void validate_or_throw(const Schedule& sched);

@@ -12,6 +12,10 @@
 /// on this workload; the bounds below fail loudly if that behaviour
 /// regresses.
 ///
+/// A second case pins build_blocks_around(): growing a decomposition from
+/// one seed task allocates a constant number of times, whatever the size
+/// of the graph around it.
+///
 /// Skipped under sanitizers: ASan and TSan interpose the allocator and
 /// this counting definition would fight their bookkeeping.
 
@@ -22,6 +26,7 @@
 #include <new>
 
 #include "lbmem/gen/suites.hpp"
+#include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/load_balancer.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -105,6 +110,48 @@ TEST(BalancerAllocations, EvaluationIsAllocationFree) {
   const BalanceResult result2 = balancer.balance(input);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - again, allocs);
   EXPECT_EQ(result2.stats.makespan_after, result.stats.makespan_after);
+#endif
+}
+
+#ifndef LBMEM_ALLOC_TEST_DISABLED
+/// Allocations of build_blocks_around() seeded by task 0 of a valid
+/// schedule of \p tasks independent tasks plus one tight edge 0 -> 1, so
+/// the seed's neighborhood is the same two-instance block at every size.
+std::size_t allocs_around_one_seed(int tasks) {
+  TaskGraph graph;
+  for (int i = 0; i < tasks; ++i) {
+    graph.add_task("t" + std::to_string(i), 1024, 1, 1);
+  }
+  graph.add_dependence(0, 1);
+  graph.freeze();
+  Schedule sched(graph, Architecture(8), CommModel::flat(2));
+  for (TaskId t = 0; t < tasks; ++t) {
+    sched.set_first_start(t, 2 * (t / 8));
+    sched.assign_all(t, t % 8);
+  }
+  sched.set_first_start(1, 1);  // right after task 0 on P0: tight
+  sched.assign_all(1, 0);
+
+  const TaskId seed = 0;
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const BlockDecomposition dec =
+      build_blocks_around(sched, std::span<const TaskId>(&seed, 1));
+  const std::size_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(dec.blocks.size(), 1u);
+  EXPECT_EQ(dec.blocks.front().members.size(), 2u);
+  return allocs;
+}
+#endif
+
+TEST(BlockBuilderAllocations, AroundOneSeedIsIndependentOfGraphSize) {
+#ifdef LBMEM_ALLOC_TEST_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  const std::size_t small = allocs_around_one_seed(1000);
+  const std::size_t large = allocs_around_one_seed(4000);
+  EXPECT_EQ(small, large);
+  EXPECT_LT(large, 32u) << "one allocation per task is back";
 #endif
 }
 

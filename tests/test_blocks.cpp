@@ -168,6 +168,22 @@ TEST(BlockBuilder, BlockOfIndexIsConsistent) {
   }
 }
 
+TEST(BlockBuilder, BlockContainingOutsideAPartialDecompositionThrows) {
+  // Slack 2 >= C 2 keeps u and v in separate blocks, so a decomposition
+  // grown from u alone never reaches v.
+  const Fixture f(/*comm_cost=*/2, /*gap=*/2);
+  const TaskId u = f.graph->find("u");
+  const TaskId v = f.graph->find("v");
+  const BlockDecomposition dec =
+      build_blocks_around(*f.sched, std::span<const TaskId>(&u, 1));
+  ASSERT_EQ(dec.blocks.size(), 1u);
+  EXPECT_EQ(dec.block_containing(TaskInstance{u, 0}).id, 0);
+  EXPECT_THROW((void)dec.block_containing(TaskInstance{v, 0}),
+               PreconditionError);
+  EXPECT_THROW((void)dec.block_containing(TaskInstance{u, 1}),
+               PreconditionError);
+}
+
 TEST(BlockBuilder, MembersShareProcessor) {
   const TaskGraph g = paper_example_graph();
   const Schedule s = paper_example_schedule(g);

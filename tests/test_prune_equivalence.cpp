@@ -9,6 +9,10 @@
 /// and decision stats are equal. The pruning counters are additionally
 /// checked against their structural invariant: every open destination of
 /// every block is either evaluated or skipped by the bound, never both.
+///
+/// The same discipline covers the validators the balancer's retry gate
+/// uses: is_valid() and the moved-set is_valid_around() must agree with
+/// the full validate() referee (DESIGN.md F35).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include "lbmem/gen/suites.hpp"
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/load_balancer.hpp"
+#include "lbmem/util/rng.hpp"
 #include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
@@ -166,6 +171,113 @@ TEST(PruneEquivalence, FastValidatorAgreesWithReferee) {
     EXPECT_FALSE(is_valid(bad));
     EXPECT_EQ(validate(bad).ok(), is_valid(bad));
   }
+}
+
+/// \p sched on the same processors with a finite memory capacity at
+/// \p factor_percent of its own peak, so the copy is valid and the cap binds.
+Schedule capped(const Schedule& sched, int factor_percent) {
+  const int procs = sched.architecture().processor_count();
+  Schedule out(sched.graph(),
+               Architecture(procs, sched.max_memory() * factor_percent / 100),
+               sched.comm());
+  for (TaskId t = 0; t < static_cast<TaskId>(sched.graph().task_count());
+       ++t) {
+    out.set_first_start(t, sched.first_start(t));
+  }
+  for (const TaskInstance inst : sched.all_instances()) {
+    out.assign(inst, sched.proc(inst));
+  }
+  return out;
+}
+
+/// validate() finds no violation other than an overlap — the verdict
+/// is_valid_around() owes, since its caller proves overlap freedom.
+bool valid_but_for_overlaps(const Schedule& sched) {
+  for (const Violation& v : validate(sched).violations) {
+    if (v.kind != Violation::Kind::Overlap) return false;
+  }
+  return true;
+}
+
+TEST(MovedSetValidation, AgreesWithRefereeUnderRandomMutations) {
+  // Valid inputs, then random whole-task processor moves and first-start
+  // shifts; moved holds every instance of a changed task.
+  int verdicts[2] = {0, 0};
+  for (const bool cap : {false, true}) {
+    for (const auto& instance : suite(40, 4, 8000)) {
+      const Schedule input =
+          cap ? capped(instance.schedule, 100) : instance.schedule;
+      ASSERT_TRUE(is_valid(input));
+      ASSERT_TRUE(is_valid_around(input, {}));
+      const TaskGraph& graph = input.graph();
+      const int procs = input.architecture().processor_count();
+      Rng rng(instance.seed);
+      for (int round = 0; round < 60; ++round) {
+        Schedule mutated = input;
+        std::vector<TaskInstance> moved;
+        const int changes = static_cast<int>(rng.uniform(1, 3));
+        for (int c = 0; c < changes; ++c) {
+          const auto t = static_cast<TaskId>(rng.uniform(
+              0, static_cast<std::int64_t>(graph.task_count()) - 1));
+          if (rng.chance(0.5)) {
+            mutated.assign_all(t,
+                               static_cast<ProcId>(rng.uniform(0, procs - 1)));
+          }
+          if (rng.chance(0.5)) {
+            const Time shifted = mutated.first_start(t) + rng.uniform(-6, 6);
+            mutated.set_first_start(t, std::max<Time>(shifted, 0));
+          }
+          for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
+            moved.push_back(TaskInstance{t, k});
+          }
+        }
+        const bool verdict = is_valid_around(mutated, moved);
+        ASSERT_EQ(verdict, valid_but_for_overlaps(mutated))
+            << "seed " << instance.seed << " round " << round;
+        ++verdicts[verdict ? 1 : 0];
+      }
+    }
+  }
+  // Both verdicts occur, so neither branch is vacuous.
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
+}
+
+TEST(MovedSetValidation, ScopedRebalanceSweepStaysValid) {
+  // rebalance() around each single seed task, on the generated schedule
+  // and on its balanced successor (the online engine's usual input),
+  // validates through the moved set. Every result must satisfy the
+  // referee, and the sweep must include first attempts the moved-set check
+  // rejected, so the gain-disabled retry runs.
+  int retried = 0;
+  int runs = 0;
+  for (const bool cap : {false, true}) {
+    for (const auto& instance : suite(40, 4, 9000)) {
+      const Schedule input =
+          cap ? capped(instance.schedule, 110) : instance.schedule;
+      ASSERT_TRUE(is_valid(input));
+      BalanceOptions options;
+      options.enforce_memory_capacity = cap;
+      const LoadBalancer balancer(options);
+      const BalanceResult balanced = balancer.balance(input);
+      for (const Schedule* base : {&input, &balanced.schedule}) {
+        for (TaskId seed = 0;
+             seed < static_cast<TaskId>(base->graph().task_count()); ++seed) {
+          const BlockDecomposition dec =
+              build_blocks_around(*base, std::span<const TaskId>(&seed, 1));
+          RebalanceScope scope;
+          scope.blocks = &dec;
+          const BalanceResult result = balancer.rebalance(*base, scope);
+          ASSERT_TRUE(validate(result.schedule).ok())
+              << "seed " << instance.seed << " task " << seed << "\n"
+              << validate(result.schedule).to_string();
+          if (result.stats.attempts_used == 2) ++retried;
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(retried, 0) << "over " << runs << " scoped rebalances";
 }
 
 }  // namespace

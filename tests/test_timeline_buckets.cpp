@@ -208,5 +208,36 @@ TEST(ProcTimelineBuckets, WrapHeavy) {
   EXPECT_TRUE(tl.fits(0, 100));
 }
 
+TEST(ProcTimelineBuckets, SamePiecesIgnoresInsertionHistory) {
+  // The engine's occupancy invariant compares a long-lived timeline with a
+  // fresh rebuild: equal piece sets must compare equal whatever the order
+  // of adds and removes, and any differing start, length or owner must not.
+  ProcTimeline built(100);
+  built.add(90, 20, TaskInstance{0, 0});  // wraps: two pieces
+  built.add(30, 5, TaskInstance{1, 0});
+  built.add(50, 5, TaskInstance{2, 0});
+  built.remove(TaskInstance{2, 0});
+
+  ProcTimeline fresh(100);
+  fresh.add(30, 5, TaskInstance{1, 0});
+  fresh.add(90, 20, TaskInstance{0, 0});
+  EXPECT_TRUE(built.same_pieces(fresh));
+  EXPECT_TRUE(fresh.same_pieces(built));
+
+  ProcTimeline moved(100);
+  moved.add(30, 5, TaskInstance{1, 0});
+  moved.add(91, 20, TaskInstance{0, 0});
+  EXPECT_FALSE(built.same_pieces(moved));
+
+  ProcTimeline other_owner(100);
+  other_owner.add(30, 5, TaskInstance{1, 1});
+  other_owner.add(90, 20, TaskInstance{0, 0});
+  EXPECT_FALSE(built.same_pieces(other_owner));
+
+  ProcTimeline other_circle(200);
+  EXPECT_FALSE(ProcTimeline(100).same_pieces(other_circle));
+  EXPECT_TRUE(ProcTimeline(100).same_pieces(ProcTimeline(100)));
+}
+
 }  // namespace
 }  // namespace lbmem
