@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <queue>
 
 #include "lbmem/model/hyperperiod.hpp"
@@ -12,15 +11,12 @@
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/math.hpp"
 #include "lbmem/util/stopwatch.hpp"
-#include "lbmem/util/thread_pool.hpp"
 #include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
 
 LoadBalancer::LoadBalancer(BalanceOptions options)
-    : options_(std::move(options)) {
-  LBMEM_REQUIRE(options_.max_attempts >= 1, "max_attempts must be >= 1");
-}
+    : options_(std::move(options)) {}
 
 namespace {
 
@@ -42,9 +38,8 @@ class Attempt {
  public:
   Attempt(const Schedule& input, const BalanceOptions& opts,
           Time max_gain_override, const BlockDecomposition& dec,
-          const std::vector<ProcTimeline>* warm_all_occ, ThreadPool* pool)
+          const std::vector<ProcTimeline>* warm_all_occ)
       : opts_(opts),
-        pool_(pool),
         max_gain_(max_gain_override),
         sched_(input),
         dec_(dec),
@@ -244,7 +239,6 @@ class Attempt {
   }
 
   const BalanceOptions& opts_;
-  ThreadPool* pool_;  // non-null => parallel candidate evaluation (F19)
   Time max_gain_;  // -1 = unlimited, otherwise a cap on per-block gains
   Schedule sched_;
   // Blocks depend only on the (shared) input schedule, so the
@@ -282,10 +276,6 @@ class Attempt {
   Time member_cap_ = 0;
   Time block_start_ = 0;
   std::vector<DestinationScore> bounds_;  // per-pop candidate bounds
-  // Pre-sized result slots of the parallel pipeline, parallel to bounds_
-  // (DESIGN.md F20): each worker writes exactly its own slot, the
-  // reduction reads them on this thread in processor order.
-  std::vector<DestinationScore> par_results_;
 };
 
 void Attempt::prepare_block(const Block& block) {
@@ -746,12 +736,10 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
 /// Fold one run's BalanceStats into the registry (DESIGN.md F25): called
 /// once at the end of run_attempts(), never from the hot loop. Every
 /// metric is registered unconditionally so the emitted name set is the
-/// same whatever the run did. The three prune counters and the wall-clock
-/// histogram are Timing class — the prune split depends on the scan
-/// schedule (see the BalanceStats comment), everything else is identical
-/// for every thread count.
+/// same whatever the run did. Only the wall-clock histogram is Timing
+/// class; every counter, the prune counters included, is a pure function
+/// of the input.
 void fold_stats(obs::Registry& reg, const BalanceStats& stats) {
-  using obs::MetricClass;
   reg.add(reg.counter("lb.balance_runs"), 1);
   reg.add(reg.counter("lb.fallbacks"), stats.fell_back ? 1 : 0);
   reg.add(reg.counter("lb.attempts_used"), stats.attempts_used);
@@ -762,13 +750,12 @@ void fold_stats(obs::Registry& reg, const BalanceStats& stats) {
   reg.add(reg.counter("lb.forced_stays"), stats.forced_stays);
   reg.add(reg.counter("lb.gain_total"), stats.gain_total);
   reg.record(reg.histogram("lb.gain_per_run"), stats.gain_total);
-  reg.add(reg.counter("lb.dest_evaluated", MetricClass::Timing),
-          stats.dest_evaluated);
-  reg.add(reg.counter("lb.dest_skipped_by_bound", MetricClass::Timing),
+  reg.add(reg.counter("lb.dest_evaluated"), stats.dest_evaluated);
+  reg.add(reg.counter("lb.dest_skipped_by_bound"),
           stats.dest_skipped_by_bound);
-  reg.add(reg.counter("lb.dest_cut_by_incumbent", MetricClass::Timing),
+  reg.add(reg.counter("lb.dest_cut_by_incumbent"),
           stats.dest_cut_by_incumbent);
-  reg.record(reg.histogram("lb.balance_wall_us", MetricClass::Timing),
+  reg.record(reg.histogram("lb.balance_wall_us", obs::MetricClass::Timing),
              static_cast<std::int64_t>(stats.wall_seconds * 1e6));
 }
 
@@ -841,92 +828,50 @@ void Attempt::decide_block(BlockId id, std::vector<StepRecord>* trace,
         have_best = true;
       }
     }
-    if (pool_ != nullptr) {
-      // Deterministic parallel pipeline (DESIGN.md F19). Every decision
-      // the scan schedule could influence is taken against *fixed* state:
-      // destinations are screened by their admissible bound and by a
-      // bound-vs-home test (never against each other), the survivors are
-      // evaluated concurrently — each against the same home incumbent, on
-      // scratch that is read-only for the duration (F20), into its own
-      // pre-sized slot — and the winner is reduced on this thread in
-      // processor order under the strict total order better_candidate.
-      // A candidate the home incumbent cuts cannot be the overall winner
-      // (the winner must beat the feasible home), so the selected
-      // destination and gain are bit-identical to the sequential scan;
-      // only the pruning counters differ (the sequential scan's improving
-      // incumbent prunes harder), and they are identical for every thread
-      // count >= 2 because nothing here depends on execution order.
-      bounds_.clear();
-      for (ProcId p = 0; p < procs_; ++p) {
-        if (p == block.home || closed(p)) continue;
-        DestinationScore bound = make_bound(block, p);
-        if (!bound.feasible ||
-            (have_best && !better_candidate(opts_.policy, bound, best))) {
-          ++stats.dest_skipped_by_bound;
-          continue;
-        }
-        bounds_.push_back(bound);
+    // Screen every destination with the admissible O(1) bound; keep
+    // only bounds that survive. The screen itself is exact (an
+    // infeasible bound proves the destination infeasible), so
+    // screened-out destinations count as skipped without being
+    // evaluated.
+    bounds_.clear();
+    std::size_t strongest = 0;
+    for (ProcId p = 0; p < procs_; ++p) {
+      if (p == block.home || closed(p)) continue;
+      DestinationScore bound = make_bound(block, p);
+      if (!bound.feasible) {
+        ++stats.dest_skipped_by_bound;
+        continue;
       }
-      par_results_.assign(bounds_.size(), DestinationScore{});
-      const DestinationScore* incumbent = home_feasible ? &home_score : nullptr;
-      pool_->parallel_for(bounds_.size(), [&](std::size_t i) {
-        par_results_[i] = evaluate(block, bounds_[i].proc, incumbent);
-      });
-      for (const DestinationScore& cand : par_results_) {
-        ++stats.dest_evaluated;
-        if (cand.cut_by_incumbent) ++stats.dest_cut_by_incumbent;
-        if (cand.feasible &&
-            (!have_best || better_candidate(opts_.policy, cand, best))) {
-          best = cand;
-          have_best = true;
-        }
+      if (!bounds_.empty() &&
+          better_candidate(opts_.policy, bound, bounds_[strongest])) {
+        strongest = bounds_.size();
       }
-    } else {
-      // Screen every destination with the admissible O(1) bound; keep
-      // only bounds that survive. The screen itself is exact (an
-      // infeasible bound proves the destination infeasible), so
-      // screened-out destinations count as skipped without being
-      // evaluated.
-      bounds_.clear();
-      std::size_t strongest = 0;
-      for (ProcId p = 0; p < procs_; ++p) {
-        if (p == block.home || closed(p)) continue;
-        DestinationScore bound = make_bound(block, p);
-        if (!bound.feasible) {
-          ++stats.dest_skipped_by_bound;
-          continue;
-        }
-        if (!bounds_.empty() &&
-            better_candidate(opts_.policy, bound, bounds_[strongest])) {
-          strongest = bounds_.size();
-        }
-        bounds_.push_back(bound);
+      bounds_.push_back(bound);
+    }
+    // Visit the strongest bound first: it is the likeliest winner, and
+    // evaluating it early gives the incumbent maximum pruning power
+    // over the single pass below. The selected maximum of the strict
+    // total order does not depend on visit order, so the remaining
+    // candidates can then be taken in processor order, each behind an
+    // exact bound-vs-incumbent test (a skipped candidate's exact score
+    // is dominated by its bound, which already failed to beat the
+    // incumbent).
+    for (std::size_t n = 0; n < bounds_.size(); ++n) {
+      const std::size_t i = (n == 0) ? strongest
+                            : (n <= strongest ? n - 1 : n);
+      const DestinationScore& bound = bounds_[i];
+      if (have_best && !better_candidate(opts_.policy, bound, best)) {
+        ++stats.dest_skipped_by_bound;
+        continue;
       }
-      // Visit the strongest bound first: it is the likeliest winner, and
-      // evaluating it early gives the incumbent maximum pruning power
-      // over the single pass below. The selected maximum of the strict
-      // total order does not depend on visit order, so the remaining
-      // candidates can then be taken in processor order, each behind an
-      // exact bound-vs-incumbent test (a skipped candidate's exact score
-      // is dominated by its bound, which already failed to beat the
-      // incumbent).
-      for (std::size_t n = 0; n < bounds_.size(); ++n) {
-        const std::size_t i = (n == 0) ? strongest
-                              : (n <= strongest ? n - 1 : n);
-        const DestinationScore& bound = bounds_[i];
-        if (have_best && !better_candidate(opts_.policy, bound, best)) {
-          ++stats.dest_skipped_by_bound;
-          continue;
-        }
-        const DestinationScore cand =
-            evaluate(block, bound.proc, have_best ? &best : nullptr);
-        ++stats.dest_evaluated;
-        if (cand.cut_by_incumbent) ++stats.dest_cut_by_incumbent;
-        if (cand.feasible &&
-            (!have_best || better_candidate(opts_.policy, cand, best))) {
-          best = cand;
-          have_best = true;
-        }
+      const DestinationScore cand =
+          evaluate(block, bound.proc, have_best ? &best : nullptr);
+      ++stats.dest_evaluated;
+      if (cand.cut_by_incumbent) ++stats.dest_cut_by_incumbent;
+      if (cand.feasible &&
+          (!have_best || better_candidate(opts_.policy, cand, best))) {
+        best = cand;
+        have_best = true;
       }
     }
   }
@@ -1030,22 +975,17 @@ BalanceResult LoadBalancer::run_attempts(
     warm_occupancy = &pristine;
   }
 
-  // One pool for every attempt (spawning threads per attempt would waste
-  // the warm workers). Trace-recording runs evaluate exhaustively on the
-  // calling thread and never consult the pool, so none is built for them.
-  std::unique_ptr<ThreadPool> pool;
-  if (!options_.record_trace && ThreadPool::resolve(options_.threads) > 1) {
-    pool = std::make_unique<ThreadPool>(options_.threads);
-  }
-
-  for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    // The first attempt honours options_.max_gain; later attempts disable
-    // gains entirely (pure memory spreading — every move is individually
-    // checked, no optimistic shift propagation remains).
+  // The first attempt honours options_.max_gain; the retry disables gains
+  // entirely (pure memory spreading — every move is individually checked,
+  // no optimistic shift propagation remains). A third attempt would start
+  // from the same input, decomposition and occupancy with gains still
+  // disabled, replaying the retry bit for bit, so a failed retry falls
+  // back.
+  constexpr int kAttempts = 2;
+  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
     const Time gain_override = (attempt == 1) ? options_.max_gain : 0;
     LBMEM_TRACE_SPAN("lb.attempt");
-    Attempt run(input, options_, gain_override, dec, warm_occupancy,
-                pool.get());
+    Attempt run(input, options_, gain_override, dec, warm_occupancy);
     BalanceStats stats = base;
     stats.attempts_used = attempt;
     std::vector<StepRecord> trace;
@@ -1073,7 +1013,7 @@ BalanceResult LoadBalancer::run_attempts(
   // Fall back: the input schedule is valid and Gtotal = 0, so Theorem 1's
   // lower bound holds unconditionally.
   BalanceStats stats = base;
-  stats.attempts_used = options_.max_attempts;
+  stats.attempts_used = kAttempts;
   stats.fell_back = true;
   stats.makespan_after = base.makespan_before;
   stats.gain_total = 0;

@@ -17,8 +17,8 @@
 ///     by strict periodicity also shifts their later instances (the paper's
 ///     step-3 start-time update);
 ///  5. validates the result; because the paper's gain propagation is
-///     optimistic (DESIGN.md F5), a failed validation triggers a bounded
-///     retry with gains disabled, and ultimately falls back to the input
+///     optimistic (DESIGN.md F5), a failed validation triggers one retry
+///     with gains disabled, and a failed retry falls back to the input
 ///     schedule — so the returned schedule is always valid and the total
 ///     gain is never negative (Theorem 1's lower bound by construction).
 ///     Under OverlapRule::AllInstances the validation re-checks only the
@@ -67,8 +67,6 @@ struct BalanceOptions {
   /// Cap on any single block's gain; -1 means unlimited. 0 disables
   /// start-time gains entirely (pure memory spreading).
   Time max_gain = -1;
-  /// Validation-failure retries before falling back to the input schedule.
-  int max_attempts = 3;
   /// Record a per-block decision trace (costs memory; used by tests and
   /// the example bench). A trace is the *full* decision record — one
   /// candidate entry per processor — so tracing runs evaluate every
@@ -94,20 +92,11 @@ struct BalanceOptions {
   /// rebalance() run folds its BalanceStats into this registry once at
   /// the end of the run — the candidate-evaluation hot loop records
   /// nothing, so the zero-allocation and determinism guarantees are
-  /// untouched. Deterministic figures land in the registry's
-  /// Deterministic class; the three scan-schedule-dependent prune
-  /// counters (see the BalanceStats comment) and the wall-clock
-  /// histogram land in Timing. The registry must outlive the balancer.
+  /// untouched. Every figure lands in the registry's Deterministic class
+  /// except the wall-clock histogram, which lands in Timing. The registry
+  /// must outlive the balancer.
   obs::Registry* metrics = nullptr;
-  /// Worker threads for destination-candidate evaluation (DESIGN.md F19).
-  /// 1 (the default) keeps the classic sequential bound-and-prune scan
-  /// byte-for-byte; 0 resolves to the hardware concurrency; >= 2 engages
-  /// the deterministic parallel pipeline — same schedules, gains and
-  /// moves as the sequential scan for every thread count, and the
-  /// pruning-observability counters identical for every thread count
-  /// >= 2 (they differ from the threads=1 scan, whose improving incumbent
-  /// prunes harder; see BalanceStats). Trace-recording runs evaluate
-  /// exhaustively and ignore this knob.
+  /// Unused: destinations are scanned on the calling thread (DESIGN.md F19).
   int threads = 1;
 };
 
@@ -170,13 +159,6 @@ struct BalanceStats {
   // one of the first two counters increments, so their sum equals
   // blocks * open processors. Trace-recording runs evaluate exhaustively
   // (the trace is the full decision record), leaving both prune counters 0.
-  // The invariant holds for every BalanceOptions::threads value, but the
-  // split between the three counters is a property of the scan schedule:
-  // the threads=1 scan prunes against an improving incumbent, the parallel
-  // pipeline (threads >= 2) against the fixed home incumbent (DESIGN.md
-  // F19) — so counters match across parallel thread counts, not between
-  // sequential and parallel runs. Everything else in this struct is
-  // identical for every thread count.
   std::int64_t dest_evaluated = 0;        ///< exact evaluations started
   std::int64_t dest_skipped_by_bound = 0; ///< skipped: bound cannot win
   std::int64_t dest_cut_by_incumbent = 0; ///< evaluations aborted mid-scan

@@ -2,19 +2,17 @@
 /// \file metrics.hpp
 /// \brief The metrics registry: named counters, high-watermark gauges and
 /// log-bucketed latency histograms, recorded through per-thread shards so
-/// the PR-6 pool paths (parallel destination scan, parallel scenario
-/// sweep) stay contention-free and merge-deterministic.
+/// the parallel scenario sweep stays contention-free and
+/// merge-deterministic.
 ///
 /// Determinism contract (DESIGN.md F25): every metric carries a class.
 ///  * `Deterministic` metrics depend only on the inputs (workload, seeds,
 ///    options) — identical for every thread count and execution schedule.
 ///    They are emitted under the top-level "metrics" key.
-///  * `Timing` metrics depend on the wall clock or on the scan schedule
-///    (e.g. the bound-and-prune counters, whose split between
-///    evaluated/skipped/cut is a property of the incumbent schedule — see
-///    BalanceStats). They are emitted under the top-level "timing" key,
-///    mirroring PR 5's `--timing=off` discipline: stripping that one
-///    subtree leaves a byte-deterministic artifact.
+///  * `Timing` metrics depend on the wall clock. They are emitted under
+///    the top-level "timing" key, mirroring the `--timing=off`
+///    discipline: stripping that one subtree leaves a byte-deterministic
+///    artifact.
 ///
 /// Shards: each recording thread owns a private shard (counters add,
 /// gauges max, histograms bucket-count add); snapshot() merges them with

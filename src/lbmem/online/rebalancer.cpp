@@ -369,7 +369,6 @@ void Rebalancer::run_full_resolver(EventOutcome& out) {
 
 void Rebalancer::run_balance_stage(const std::vector<TaskId>& seeds,
                                    EventOutcome& out) {
-  if (!options_.rebalance) return;
   LBMEM_TRACE_SPAN("online.balance_stage");
   if (!options_.incremental && options_.full_resolver) {
     run_full_resolver(out);

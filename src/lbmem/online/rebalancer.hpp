@@ -56,8 +56,6 @@ struct RebalancerOptions {
   /// a from-scratch full resolve after every patch (false; the baseline
   /// the bench compares against).
   bool incremental = true;
-  /// Skip the balance stage entirely (repair-only mode).
-  bool rebalance = true;
   /// Solver-backed full-resolve mode (DESIGN.md F18): when set and
   /// incremental == false, the balance stage hands the whole post-repair
   /// schedule to this facade solver (via Problem::adopt) instead of

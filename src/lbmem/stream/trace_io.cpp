@@ -1,6 +1,7 @@
 #include "lbmem/stream/trace_io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -143,6 +144,9 @@ EventTrace parse_trace(std::istream& in) {
       }
       const std::int64_t proc = parse_int(tokens[2], line_no, line);
       if (proc < 0) malformed(line_no, "negative processor id", line);
+      if (proc > std::numeric_limits<ProcId>::max()) {
+        malformed(line_no, "processor id out of range", line);
+      }
       event.payload = ProcessorFailure{static_cast<ProcId>(proc)};
     } else {
       malformed(line_no, "unknown event kind '" + kind + "'", line);

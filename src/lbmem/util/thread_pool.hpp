@@ -1,7 +1,7 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief Reusable work-queue thread pool behind the library's `threads`
-/// knobs (DESIGN.md F19/F20): `parallel_for(count, body)` runs body(i)
+/// \brief Reusable work-queue thread pool behind the scenario sweep's
+/// `threads` knob (DESIGN.md F20): `parallel_for(count, body)` runs body(i)
 /// for every i in [0, count) across the pool's workers plus the calling
 /// thread, and blocks until every index completed.
 ///

@@ -112,6 +112,9 @@ TEST(MemoryCapacity, EnforcementIsLoadBearingAndValidatorClean) {
       << "seed " << tight->seed << ": unconstrained balance stayed within "
       << tight->capacity << " — the case is not tight";
   EXPECT_EQ(loose.stats.gain_total, 0);
+  // The fallback comes after exactly two attempts: gains as configured,
+  // then gains disabled.
+  EXPECT_EQ(loose.stats.attempts_used, 2);
 
   // With enforcement the result is V5-clean and still a real balance.
   BalanceOptions enforce;

@@ -170,23 +170,16 @@ TEST(CliUsage, AlgoConflictsAreRejected) {
 }
 
 TEST(CliUsage, ThreadsConflictsAreRejected) {
-  // --threads applies to balance and compare only.
-  const RunResult sim = run_cli("simulate --threads=2");
-  EXPECT_EQ(sim.exit_code, 1);
-  EXPECT_NE(sim.output.find("flag --threads does not apply to 'simulate'"),
-            std::string::npos)
-      << sim.output;
-  // --algo runs use the solver's registered configuration, not the knob.
-  const RunResult algo = run_cli("balance --algo=ga --threads=2");
-  EXPECT_EQ(algo.exit_code, 1);
-  EXPECT_NE(algo.output.find("--threads configures"), std::string::npos)
-      << algo.output;
-  // Tracing is defined as the exhaustive sequential record.
-  const RunResult trace = run_cli("balance --threads=2 --trace=on");
-  EXPECT_EQ(trace.exit_code, 1);
-  EXPECT_NE(trace.output.find("--trace=on"), std::string::npos)
-      << trace.output;
-  const RunResult negative = run_cli("balance --threads=-1");
+  // --threads sizes compare's (instance x solver) sweep and nothing else.
+  for (const char* cmd : {"simulate", "balance", "serve"}) {
+    const RunResult r = run_cli(std::string(cmd) + " --threads=2");
+    EXPECT_EQ(r.exit_code, 1) << cmd;
+    EXPECT_NE(r.output.find("flag --threads does not apply to '" +
+                            std::string(cmd) + "'"),
+              std::string::npos)
+        << r.output;
+  }
+  const RunResult negative = run_cli("compare --threads=-1");
   EXPECT_EQ(negative.exit_code, 1);
 }
 
@@ -201,32 +194,6 @@ TEST(CliCompare, ThreadedSweepIsByteIdenticalToSequential) {
   EXPECT_EQ(sequential.exit_code, 0) << sequential.output;
   EXPECT_EQ(threaded.exit_code, 0) << threaded.output;
   EXPECT_EQ(sequential.output, threaded.output);
-}
-
-TEST(CliBalance, ThreadedScanMatchesSequentialSchedule) {
-  // balance --threads=N implies --trace=off; schedules and gains are
-  // bit-identical to the sequential pruned run, with only the pruning
-  // counter line allowed to differ (DESIGN.md F19).
-  const std::string workload = "--tasks=24 --procs=4 --seed=7 --trace=off";
-  const RunResult sequential = run_cli("balance " + workload);
-  const RunResult threaded =
-      run_cli("balance " + workload + " --threads=4");
-  EXPECT_EQ(sequential.exit_code, 0);
-  EXPECT_EQ(threaded.exit_code, 0);
-  auto strip_counters = [](const std::string& text) {
-    std::string kept;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t end = text.find('\n', pos);
-      if (end == std::string::npos) end = text.size() - 1;
-      const std::string line = text.substr(pos, end - pos + 1);
-      if (line.rfind("destinations: ", 0) != 0) kept += line;
-      pos = end + 1;
-    }
-    return kept;
-  };
-  EXPECT_EQ(strip_counters(sequential.output),
-            strip_counters(threaded.output));
 }
 
 TEST(CliBalance, UnknownSolverNameFailsCleanly) {

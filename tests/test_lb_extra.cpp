@@ -158,17 +158,6 @@ TEST(Robustness, ZeroMemoryTasksStillBalance) {
   EXPECT_GE(r.stats.gain_total, 0);
 }
 
-TEST(Robustness, ManyAttemptsOptionAccepted) {
-  const TaskGraph g = paper_example_graph();
-  const Schedule s = paper_example_schedule(g);
-  BalanceOptions options;
-  options.max_attempts = 10;
-  const BalanceResult r = LoadBalancer(options).balance(s);
-  EXPECT_EQ(r.schedule.makespan(), 14);
-  options.max_attempts = 0;
-  EXPECT_THROW(LoadBalancer{options}, PreconditionError);
-}
-
 TEST(BusIntegration, BalancedSuiteSchedulesAnalyzable) {
   SuiteSpec spec;
   spec.params.tasks = 25;

@@ -1,8 +1,7 @@
 /// Tests for the streaming event service (stream/service.hpp): the
 /// coalesced-batch ≡ surviving-events-one-by-one property, order
 /// preservation vs the replay harness, bounded-queue shedding, the
-/// failure-flush and min-progress drain rules, overload escalation, and
-/// determinism across balancer thread counts.
+/// failure-flush and min-progress drain rules, and overload escalation.
 
 #include <gtest/gtest.h>
 
@@ -128,26 +127,6 @@ TEST(StreamService, WithoutCoalescingMatchesReplayForAnyBatching) {
     EXPECT_EQ(schedule_to_json(served.system.schedule()),
               schedule_to_json(twin.system.schedule()))
         << "cycle_ticks " << cycle_ticks;
-  }
-}
-
-TEST(StreamService, DeterministicAcrossBalancerThreadCounts) {
-  std::string baseline;
-  for (const int threads : {1, 2, 4}) {
-    RebalancerOptions online;
-    online.balance.threads = threads;
-    World world = make_world(11, 110, 60, ArrivalModel::Bursty,
-                             std::move(online));
-    StreamOptions options;
-    options.cycle_ticks = 32;
-    options.batch_max = 8;
-    const StreamReport report =
-        StreamService(options).serve(world.system, world.trace);
-    const std::string rendered =
-        stream_report_to_json(report, /*include_timing=*/false) +
-        schedule_to_json(world.system.schedule());
-    if (baseline.empty()) baseline = rendered;
-    EXPECT_EQ(rendered, baseline) << "threads " << threads;
   }
 }
 

@@ -80,6 +80,7 @@ TEST(StreamTraceIo, RejectsMalformedInputWithLineNumbers) {
       {"3 wcet a 2\n1 wcet a 3\n", "line 2"},         // decreasing ticks
       {"-1 wcet a 2\n", "line 1"},                     // negative tick
       {"3 failure -2\n", "line 1"},                    // negative proc
+      {"0 failure 4294967297\n", "line 1"},            // proc beyond ProcId
       {"3 arrival dyn0 12 2 5 broken\n", "line 1"},    // producer sans ':'
       {"3 arrival dyn0 12 2\n", "line 1"},             // short arrival
   };
