@@ -6,9 +6,6 @@
 
 namespace lbmem {
 
-OnlineRunner::OnlineRunner(ReplayOptions options)
-    : options_(options) {}
-
 namespace {
 
 /// Fold one outcome into the trajectory aggregates.
@@ -45,6 +42,19 @@ void fold_outcome(OnlineReport& report, const EventOutcome& outcome) {
 
 }  // namespace
 
+int count_violations(const Rebalancer& system) {
+  int violations =
+      static_cast<int>(validate(system.schedule()).violations.size());
+  const auto& failed = system.failed_procs();
+  for (ProcId p = 0; p < static_cast<ProcId>(failed.size()); ++p) {
+    if (failed[static_cast<std::size_t>(p)] &&
+        !system.schedule().instances_on(p).empty()) {
+      ++violations;
+    }
+  }
+  return violations;
+}
+
 OnlineReport OnlineRunner::replay(Rebalancer& system,
                                   const EventTrace& trace) const {
   OnlineReport report;
@@ -54,29 +64,11 @@ OnlineReport OnlineRunner::replay(Rebalancer& system,
 
   for (const Event& event : trace) {
     EventOutcome outcome = system.apply(event);
-
-    int violations = -1;
-    if (options_.validate_each) {
-      violations =
-          static_cast<int>(validate(system.schedule()).violations.size());
-      // A failed processor must host nothing — a rule the validator cannot
-      // know about, so the runner enforces it.
-      const auto& failed = system.failed_procs();
-      for (ProcId p = 0; p < static_cast<ProcId>(failed.size()); ++p) {
-        if (failed[static_cast<std::size_t>(p)] &&
-            !system.schedule().instances_on(p).empty()) {
-          ++violations;
-        }
-      }
-      report.total_violations += violations;
-    }
-
+    const int violations = count_violations(system);
+    report.total_violations += violations;
     fold_outcome(report, outcome);
-
-    const bool stop = options_.stop_on_reject && !outcome.applied;
     report.events.push_back(std::move(outcome));
     report.violations.push_back(violations);
-    if (stop) break;
   }
 
   report.final_makespan = system.schedule().makespan();

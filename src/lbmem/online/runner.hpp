@@ -11,22 +11,11 @@
 
 namespace lbmem {
 
-/// Replay configuration.
-struct ReplayOptions {
-  /// Run validate/ (plus a failed-processor-is-empty check) after every
-  /// event and record the violation count. The acceptance bar for the
-  /// subsystem is zero violations after every applied event.
-  bool validate_each = true;
-  /// Abort the replay at the first rejected event (default: keep going —
-  /// a rejected event leaves the previous valid state in place).
-  bool stop_on_reject = false;
-};
-
 /// Replay results: the per-event outcomes plus trajectory aggregates.
 struct OnlineReport {
   std::vector<EventOutcome> events;
-  /// Validator violations after each event (parallel to `events`; always 0
-  /// for a correct engine; -1 when validation was disabled).
+  /// count_violations() after each event (parallel to `events`; always 0
+  /// for a correct engine).
   std::vector<int> violations;
 
   int applied = 0;
@@ -63,18 +52,19 @@ struct OnlineReport {
   obs::LatencyHistogram dirty_blocks;
 };
 
+/// Violations of \p system's current schedule: validate/'s findings plus
+/// one per failed processor that still hosts work, a rule the validator
+/// cannot know about. The acceptance bar for the online engine is zero
+/// after every event.
+int count_violations(const Rebalancer& system);
+
 /// Replays traces against a Rebalancer.
 class OnlineRunner {
  public:
-  explicit OnlineRunner(ReplayOptions options = {});
-
-  /// Apply every event of \p trace to \p system in order.
+  /// Apply every event of \p trace to \p system in order, counting
+  /// violations after each one; a rejected event leaves the previous valid
+  /// state in place and the replay goes on.
   OnlineReport replay(Rebalancer& system, const EventTrace& trace) const;
-
-  const ReplayOptions& options() const { return options_; }
-
- private:
-  ReplayOptions options_;
 };
 
 }  // namespace lbmem

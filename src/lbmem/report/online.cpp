@@ -63,8 +63,7 @@ void add_event_row(Table& table, const std::string& index,
                  std::to_string(outcome.balance_gain),
                  std::to_string(outcome.makespan),
                  std::to_string(outcome.max_memory),
-                 violations < 0 ? std::string("-")
-                                : std::to_string(violations)});
+                 std::to_string(violations)});
 }
 
 }  // namespace
@@ -74,10 +73,8 @@ std::string summarize_online(const OnlineReport& report,
   Table table({"#", "t", "event", "target", "outcome", "repaired", "blocks",
                "migr", "gain", "makespan", "maxmem", "viol"});
   for (std::size_t i = 0; i < report.events.size(); ++i) {
-    const EventOutcome& outcome = report.events[i];
-    const int violations =
-        i < report.violations.size() ? report.violations[i] : -1;
-    add_event_row(table, std::to_string(i + 1), outcome, violations);
+    add_event_row(table, std::to_string(i + 1), report.events[i],
+                  report.violations[i]);
   }
 
   std::ostringstream out;
@@ -175,8 +172,7 @@ std::string online_report_to_json(const OnlineReport& report,
   std::ostringstream out;
   out << "{\n  \"events\": [\n";
   for (std::size_t i = 0; i < report.events.size(); ++i) {
-    event_to_json(out, report.events[i],
-                  i < report.violations.size() ? report.violations[i] : -1,
+    event_to_json(out, report.events[i], report.violations[i],
                   include_timing);
     if (i + 1 < report.events.size()) out << ",";
     out << "\n";

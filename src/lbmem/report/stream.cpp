@@ -28,11 +28,7 @@ std::string summarize_stream(const StreamReport& report,
       << "drained: " << report.applied << " applied, " << report.rejected
       << " rejected over " << report.batches << " batches in " << report.cycles
       << " cycles (horizon " << report.horizon << " ticks)\n"
-      << "coalescing: " << report.coalesced << " events dropped [lww "
-      << report.coalesce_detail.last_write_wins << ", folded "
-      << report.coalesce_detail.folded << ", annihilated "
-      << report.coalesce_detail.annihilated << ", subsumed "
-      << report.coalesce_detail.subsumed << "]\n";
+      << "coalescing: " << report.coalesced << " events dropped\n";
   if (report.escalations > 0 || report.budget_exhausted > 0) {
     out << "pressure: " << report.escalations << " overload escalations, "
         << report.budget_exhausted << " budget-cut cycles\n";
@@ -74,11 +70,7 @@ std::string stream_report_to_json(const StreamReport& report,
       << ", \"horizon\": " << report.horizon
       << ", \"escalations\": " << report.escalations
       << ", \"budget_exhausted\": " << report.budget_exhausted << "},\n"
-      << "  \"coalescing\": {\"dropped\": " << report.coalesced
-      << ", \"last_write_wins\": " << report.coalesce_detail.last_write_wins
-      << ", \"folded\": " << report.coalesce_detail.folded
-      << ", \"annihilated\": " << report.coalesce_detail.annihilated
-      << ", \"subsumed\": " << report.coalesce_detail.subsumed << "},\n"
+      << "  \"coalescing\": {\"dropped\": " << report.coalesced << "},\n"
       << "  \"latency\": {\"batch_events\": "
       << histogram_to_json(report.batch_events)
       << ", \"queue_delay_cycles\": "
@@ -103,19 +95,18 @@ std::string stream_report_to_json(const StreamReport& report,
   return out.str();
 }
 
-std::string progress_line(const StreamProgress& progress,
-                          bool include_timing) {
+std::string progress_line(const StreamReport& so_far, int backlog,
+                          bool degraded_armed, bool include_timing) {
   std::ostringstream out;
-  out << "cycle " << progress.cycle << " t=" << progress.now
-      << " in=" << progress.events_in << " applied=" << progress.applied
-      << " rejected=" << progress.rejected
-      << " coalesced=" << progress.coalesced
-      << " shed=" << progress.shed_overflow
-      << " backlog=" << progress.backlog;
-  if (progress.degraded_armed) out << " degraded=armed";
+  out << "cycle " << so_far.cycles << " t=" << so_far.horizon
+      << " in=" << so_far.events_in << " applied=" << so_far.applied
+      << " rejected=" << so_far.rejected
+      << " coalesced=" << so_far.coalesced
+      << " shed=" << so_far.shed_overflow << " backlog=" << backlog;
+  if (degraded_armed) out << " degraded=armed";
   if (include_timing) {
-    out << " qdelay_p50=" << progress.queue_delay_p50_us
-        << "us qdelay_p99=" << progress.queue_delay_p99_us << "us";
+    out << " qdelay_p50=" << so_far.queue_delay_us.percentile(50.0)
+        << "us qdelay_p99=" << so_far.queue_delay_us.percentile(99.0) << "us";
   }
   return out.str();
 }

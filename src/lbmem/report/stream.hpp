@@ -8,7 +8,7 @@
 
 namespace lbmem {
 
-/// Traffic totals, coalescing breakdown, queueing/batching distributions
+/// Traffic totals, coalescing drops, queueing/batching distributions
 /// and final system state of one serve() run. Under \p include_timing the
 /// wall-clock lines (throughput, queue-delay and batch-repair percentiles)
 /// are added; with timing off the output is deterministic for a fixed
@@ -24,8 +24,10 @@ std::string stream_report_to_json(const StreamReport& report,
                                   bool include_timing = true);
 
 /// One periodic stats line for the serve loop ("cycle 1200 t=76800
-/// in=9800 ..."); deterministic fields only unless \p include_timing.
-std::string progress_line(const StreamProgress& progress,
-                          bool include_timing = true);
+/// in=9800 ...") from the running report plus the arguments of
+/// StreamService::ProgressFn; deterministic fields only unless
+/// \p include_timing.
+std::string progress_line(const StreamReport& so_far, int backlog,
+                          bool degraded_armed, bool include_timing = true);
 
 }  // namespace lbmem

@@ -1,118 +1,47 @@
 #include "lbmem/stream/coalescer.hpp"
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 namespace lbmem {
 
-namespace {
-
-/// Last surviving event for a task inside the current failure-free
-/// segment.
-struct TaskState {
-  EventKind kind = EventKind::WcetChange;
-  std::size_t index = 0;
-};
-
-}  // namespace
-
-std::vector<Event> coalesce_events(std::vector<Event> pending,
-                                   CoalesceStats* stats,
-                                   std::vector<std::size_t>* kept) {
-  CoalesceStats local;
-  local.in = static_cast<std::int64_t>(pending.size());
-
+std::vector<std::size_t> coalesce_events(const std::vector<Event>& pending) {
   std::vector<std::uint8_t> alive(pending.size(), 1);
-  // Per-segment tracking, cleared at every failure barrier.
-  std::unordered_map<std::string, TaskState> state;
-  // Producer name -> indices of queued arrivals that depend on it (used to
-  // veto annihilation that would orphan a queued admission).
-  std::unordered_map<std::string, std::vector<std::size_t>> refs;
+  // Task name -> index of its newest queued WcetChange in the current run.
+  std::unordered_map<std::string, std::size_t> latest;
 
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    Event& event = pending[i];
+    const Event& event = pending[i];
     switch (event.kind()) {
       case EventKind::WcetChange: {
-        const WcetChange& change = std::get<WcetChange>(event.payload);
-        auto it = state.find(change.task);
-        if (it != state.end() && it->second.kind == EventKind::TaskArrival) {
-          // Fold: the task is born with its newest WCET.
-          std::get<TaskArrival>(pending[it->second.index].payload)
-              .spec.wcet = change.wcet;
-          alive[i] = 0;
-          ++local.folded;
-          break;
-        }
-        if (it != state.end() && it->second.kind == EventKind::WcetChange) {
+        const std::string& task = std::get<WcetChange>(event.payload).task;
+        const auto [it, fresh] = latest.try_emplace(task, i);
+        if (!fresh) {
           // Last-write-wins: the stale estimate never runs a repair.
-          alive[it->second.index] = 0;
-          ++local.last_write_wins;
+          alive[it->second] = 0;
+          it->second = i;
         }
-        state[change.task] = TaskState{EventKind::WcetChange, i};
         break;
       }
-      case EventKind::TaskArrival: {
-        const NewTaskSpec& spec = std::get<TaskArrival>(event.payload).spec;
-        for (const NewTaskSpec::Producer& producer : spec.producers) {
-          refs[producer.task].push_back(i);
-        }
-        state[spec.name] = TaskState{EventKind::TaskArrival, i};
+      case EventKind::TaskArrival:
+        latest.erase(std::get<TaskArrival>(event.payload).spec.name);
         break;
-      }
-      case EventKind::TaskRemoval: {
-        const std::string& task =
-            std::get<TaskRemoval>(event.payload).task;
-        auto it = state.find(task);
-        if (it != state.end() && it->second.kind == EventKind::TaskArrival) {
-          // Annihilate the queued arrival against this removal — unless a
-          // surviving admission between them names the task as producer,
-          // in which case both must still run in order.
-          bool referenced = false;
-          auto ref_it = refs.find(task);
-          if (ref_it != refs.end()) {
-            for (const std::size_t ref : ref_it->second) {
-              if (ref > it->second.index && alive[ref]) {
-                referenced = true;
-                break;
-              }
-            }
-          }
-          if (!referenced) {
-            alive[it->second.index] = 0;
-            alive[i] = 0;
-            local.annihilated += 2;
-            state.erase(it);
-            break;
-          }
-        } else if (it != state.end() &&
-                   it->second.kind == EventKind::WcetChange) {
-          // Subsume: the task leaves anyway; its queued re-estimate is
-          // dead weight.
-          alive[it->second.index] = 0;
-          ++local.subsumed;
-        }
-        state[task] = TaskState{EventKind::TaskRemoval, i};
+      case EventKind::TaskRemoval:
+        latest.erase(std::get<TaskRemoval>(event.payload).task);
         break;
-      }
       case EventKind::ProcessorFailure:
-        // Barrier: failures are never coalesced and never crossed.
-        state.clear();
-        refs.clear();
+        // Barrier: no estimate supersedes one across a failure.
+        latest.clear();
         break;
     }
   }
 
-  std::vector<Event> survivors;
+  std::vector<std::size_t> survivors;
   survivors.reserve(pending.size());
-  if (kept != nullptr) kept->clear();
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!alive[i]) continue;
-    survivors.push_back(std::move(pending[i]));
-    if (kept != nullptr) kept->push_back(i);
+    if (alive[i]) survivors.push_back(i);
   }
-  local.out = static_cast<std::int64_t>(survivors.size());
-  if (stats != nullptr) *stats = local;
   return survivors;
 }
 

@@ -2,66 +2,39 @@
 /// \file coalescer.hpp
 /// \brief Deterministic event coalescing for the streaming service.
 ///
-/// Under sustained traffic many pending events are redundant by the time
-/// the repair queue drains them: a task whose WCET was re-estimated five
-/// times only needs its *last* estimate applied, and a task that arrived
-/// and was removed while queued never needs to exist at all. The coalescer
-/// collapses a pending batch to the surviving events (DESIGN.md F31):
+/// Under sustained traffic a task's WCET may be re-estimated several times
+/// while the repair queue is busy; only the newest estimate needs a repair.
+/// The coalescer keeps one rule (DESIGN.md F31):
 ///
-///  * **Last-write-wins** — of N WcetChanges to the same task only the
-///    last survives, at its own position in the batch.
-///  * **Fold** — a WcetChange on a task whose TaskArrival is still queued
-///    folds into the arrival's spec (the task is born with its newest
-///    WCET) and the change event disappears.
-///  * **Annihilation** — a TaskArrival whose matching TaskRemoval is also
-///    queued cancels against it: both disappear (the folded WcetChanges
-///    with them) *unless* a surviving event between them references the
-///    task (a later arrival naming it as producer) — then both stay, in
-///    order, so the dependent admission still sees its producer alive.
-///  * **Subsumption** — a TaskRemoval of a pre-existing task drops any
-///    queued WcetChange on it (the task leaves anyway).
-///  * **Failure barrier** — ProcessorFailure events are never coalesced
-///    and never crossed: they split the batch into independent segments,
-///    so coalescing can never reorder work relative to a failure.
+///  * **Last-write-wins** — a WcetChange is dropped when a later
+///    WcetChange to the same task follows it in the batch. The newest
+///    estimate survives at its own position.
+///  * **Failure barrier** — a ProcessorFailure is never dropped and never
+///    crossed: estimates queued before it are not superseded by estimates
+///    queued after it, so coalescing never reorders work around a failure.
+///  * **Task-name boundary** — an arrival or removal of a task name ends
+///    that name's run of estimates: an estimate queued before a removal is
+///    not superseded by one queued after the name's re-arrival. Arrivals,
+///    removals and failures themselves always survive.
 ///
-/// Coalescing is semantics-preserving with respect to the *surviving*
-/// sequence: applying the coalesced batch one event at a time produces a
-/// schedule identical to applying those surviving events one at a time
-/// (trivially — they are the same sequence; the property test pins the
-/// service's drain to that contract). It intentionally does NOT promise
-/// the same final schedule as applying the original uncoalesced sequence:
-/// every apply() runs a history-dependent repair, so dropping a redundant
-/// intermediate event can change which equally-valid schedule the system
-/// settles in. The point of coalescing is to not pay for that redundant
-/// intermediate repair at all.
+/// The result is the survivors' original indices, ascending; the batch
+/// itself is left untouched, so a survivor is exactly the event that was
+/// queued. Applying the survivors one at a time is therefore the whole
+/// contract (the service's property test pins its drain to it). Coalescing
+/// does NOT promise the final schedule of the uncoalesced sequence: every
+/// apply() runs a history-dependent repair, so skipping a stale estimate
+/// can change which equally-valid schedule the system settles in. The
+/// point is to not pay for that stale repair at all.
 
+#include <cstddef>
 #include <vector>
 
 #include "lbmem/online/event.hpp"
 
 namespace lbmem {
 
-/// What one coalescing pass did (counts of *dropped* events by rule;
-/// `in - out` = total dropped).
-struct CoalesceStats {
-  std::int64_t in = 0;
-  std::int64_t out = 0;
-  std::int64_t last_write_wins = 0;  ///< stale WcetChanges dropped
-  std::int64_t folded = 0;           ///< WcetChanges folded into arrivals
-  std::int64_t annihilated = 0;      ///< arrival/removal pairs cancelled
-  std::int64_t subsumed = 0;         ///< WcetChanges dropped by a removal
-
-  std::int64_t dropped() const { return in - out; }
-};
-
-/// Coalesce \p pending into its surviving subsequence (original order
-/// preserved; deterministic — a pure function of the batch). \p stats, when
-/// non-null, receives the per-rule drop counts. \p kept, when non-null, is
-/// filled with the original index of each survivor (ascending) — the
-/// streaming service uses it to carry per-event admission metadata
-/// (enqueue time, admission cycle) across a coalescing pass.
-std::vector<Event> coalesce_events(std::vector<Event> pending,
-                                   CoalesceStats* stats = nullptr,
-                                   std::vector<std::size_t>* kept = nullptr);
+/// Original indices (ascending) of the events of \p pending that survive
+/// last-write-wins. A pure function of the batch.
+std::vector<std::size_t> coalesce_events(const std::vector<Event>& pending);
 
 }  // namespace lbmem

@@ -1,19 +1,21 @@
 #include "lbmem/stream/service.hpp"
 
-#include <algorithm>
+#include <limits>
+#include <string>
 #include <utility>
 
+#include "lbmem/online/runner.hpp"
+#include "lbmem/stream/coalescer.hpp"
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/stopwatch.hpp"
-#include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
 
 namespace {
 
 /// A queued event plus its admission metadata (for the queueing-delay
-/// histograms). Carried through coalescing via coalesce_events' `kept`
-/// index map.
+/// histograms). Carried through coalescing by compacting the queue onto
+/// coalesce_events' survivor indices.
 struct Pending {
   Event event;
   double admit_wall_us = 0.0;
@@ -43,16 +45,6 @@ struct StreamMetrics {
       batch_repair_us;
 };
 
-void accumulate(CoalesceStats& total, const CoalesceStats& pass) {
-  // `in`/`out` describe one pass over a queue that persists across passes;
-  // summing them would double-count survivors. Only the drop rules — which
-  // fire at most once per dropped event — accumulate meaningfully.
-  total.last_write_wins += pass.last_write_wins;
-  total.folded += pass.folded;
-  total.annihilated += pass.annihilated;
-  total.subsumed += pass.subsumed;
-}
-
 }  // namespace
 
 StreamService::StreamService(StreamOptions options)
@@ -70,6 +62,19 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
   for (std::size_t i = 1; i < trace.size(); ++i) {
     LBMEM_REQUIRE(trace[i].at >= trace[i - 1].at,
                   "trace arrival ticks must be non-decreasing");
+  }
+  if (!trace.empty()) {
+    // The clock runs at most (events + 1) cycles past the last arrival:
+    // every cycle after the last admission drains at least one event.
+    constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+    const Time cycles = static_cast<Time>(trace.size()) + 1;
+    LBMEM_REQUIRE(cycles <= kMaxTime / options_.cycle_ticks &&
+                      trace.back().at <=
+                          kMaxTime - cycles * options_.cycle_ticks,
+                  "trace arrival tick " + std::to_string(trace.back().at) +
+                      " leaves less than " + std::to_string(cycles) +
+                      " cycles of " + std::to_string(options_.cycle_ticks) +
+                      " ticks before the clock overflows");
   }
 
   StreamReport report;
@@ -140,27 +145,22 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
       std::vector<Event> events;
       events.reserve(pending.size());
       for (const Pending& p : pending) events.push_back(p.event);
-      CoalesceStats pass;
-      std::vector<std::size_t> kept;
-      std::vector<Event> survivors =
-          coalesce_events(std::move(events), &pass, &kept);
-      if (pass.dropped() > 0) {
-        std::vector<Pending> compacted;
-        compacted.reserve(survivors.size());
+      const std::vector<std::size_t> survivors = coalesce_events(events);
+      const auto dropped = static_cast<std::int64_t>(pending.size() -
+                                                     survivors.size());
+      if (dropped > 0) {
+        // Survivor indices ascend and survivors[s] >= s, so compacting in
+        // place never overwrites a survivor not yet moved.
         for (std::size_t s = 0; s < survivors.size(); ++s) {
-          Pending& origin = pending[kept[s]];
-          compacted.push_back(Pending{std::move(survivors[s]),
-                                      origin.admit_wall_us,
-                                      origin.admit_cycle});
+          if (survivors[s] != s) pending[s] = std::move(pending[survivors[s]]);
         }
-        pending = std::move(compacted);
-        report.coalesced += pass.dropped();
-        accumulate(report.coalesce_detail, pass);
-        if (metrics) {
-          options_.metrics->add(metrics->coalesced, pass.dropped());
-        }
-        // Coalescing never drops failures (barrier rule), so
-        // failures_pending is unchanged.
+        pending.erase(pending.begin() +
+                          static_cast<std::ptrdiff_t>(survivors.size()),
+                      pending.end());
+        report.coalesced += dropped;
+        if (metrics) options_.metrics->add(metrics->coalesced, dropped);
+        // Coalescing only drops WcetChanges, so failures_pending is
+        // unchanged.
       }
     }
 
@@ -238,19 +238,7 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
 
     if (progress && progress_every > 0 &&
         report.cycles % progress_every == 0) {
-      StreamProgress snap;
-      snap.cycle = report.cycles;
-      snap.now = window_end;
-      snap.events_in = report.events_in;
-      snap.applied = report.applied;
-      snap.rejected = report.rejected;
-      snap.coalesced = report.coalesced;
-      snap.shed_overflow = report.shed_overflow;
-      snap.backlog = static_cast<int>(pending.size());
-      snap.degraded_armed = degraded_armed;
-      snap.queue_delay_p50_us = report.queue_delay_us.percentile(50.0);
-      snap.queue_delay_p99_us = report.queue_delay_us.percentile(99.0);
-      progress(snap);
+      progress(report, static_cast<int>(pending.size()), degraded_armed);
     }
   }
 
@@ -274,18 +262,7 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
                            system.shed_tasks().end());
 
   if (options_.validate_final) {
-    int violations =
-        static_cast<int>(validate(system.schedule()).violations.size());
-    // A failed processor must host nothing — a rule the validator cannot
-    // know about (same check as OnlineRunner's per-event validation).
-    const auto& failed = system.failed_procs();
-    for (ProcId p = 0; p < static_cast<ProcId>(failed.size()); ++p) {
-      if (failed[static_cast<std::size_t>(p)] &&
-          !system.schedule().instances_on(p).empty()) {
-        ++violations;
-      }
-    }
-    report.final_violations = violations;
+    report.final_violations = count_violations(system);
   }
   return report;
 }

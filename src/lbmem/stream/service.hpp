@@ -18,10 +18,10 @@
 ///     queue) and observably (`shed_on_overflow` counter, per-event
 ///     accounting in the report). ProcessorFailures are never shed:
 ///     ignoring a hardware fault does not make it go away.
-///  2. **Coalescing** — the pending queue is collapsed by the
-///     deterministic coalescer (stream/coalescer.hpp) before repair, so
-///     redundant events (stale WCET estimates, arrive-then-leave tasks)
-///     never pay for a repair at all.
+///  2. **Coalescing** — before repair, the deterministic coalescer
+///     (stream/coalescer.hpp) drops every queued WCET estimate that a
+///     newer estimate of the same task supersedes (last-write-wins), so
+///     stale estimates never pay for a repair.
 ///  3. **Budget-bounded drain** — up to `batch_max` surviving events are
 ///     applied through the Rebalancer, stopping early once the cycle has
 ///     spent `budget_us` of measured repair wall time. At least one event
@@ -46,7 +46,6 @@
 
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/online/rebalancer.hpp"
-#include "lbmem/stream/coalescer.hpp"
 
 namespace lbmem {
 
@@ -76,21 +75,6 @@ struct StreamOptions {
   obs::Registry* metrics = nullptr;
 };
 
-/// Periodic progress snapshot handed to the serve loop's stats callback.
-struct StreamProgress {
-  std::int64_t cycle = 0;     ///< cycles completed so far
-  Time now = 0;               ///< virtual clock (end of current window)
-  std::int64_t events_in = 0;
-  std::int64_t applied = 0;
-  std::int64_t rejected = 0;
-  std::int64_t coalesced = 0;
-  std::int64_t shed_overflow = 0;
-  int backlog = 0;            ///< pending events after this cycle
-  bool degraded_armed = false;
-  std::int64_t queue_delay_p50_us = 0;
-  std::int64_t queue_delay_p99_us = 0;
-};
-
 /// Aggregates of one serve() run.
 struct StreamReport {
   // Traffic accounting (Deterministic).
@@ -98,7 +82,6 @@ struct StreamReport {
   std::int64_t admitted = 0;        ///< entered the pending queue
   std::int64_t shed_overflow = 0;   ///< dropped at admission (queue full)
   std::int64_t coalesced = 0;       ///< removed by coalescing before repair
-  CoalesceStats coalesce_detail;    ///< per-rule drop totals
   std::int64_t batches = 0;         ///< drain batches executed
   std::int64_t cycles = 0;          ///< admission windows processed
   std::int64_t applied = 0;         ///< events the engine accepted
@@ -135,17 +118,21 @@ class StreamService {
  public:
   explicit StreamService(StreamOptions options = {});
 
-  using ProgressFn = std::function<void(const StreamProgress&)>;
+  /// Periodic stats callback: the running report, the pending backlog
+  /// after the cycle, and whether overload has armed the ladder.
+  using ProgressFn = std::function<void(const StreamReport& so_far,
+                                        int backlog, bool degraded_armed)>;
 
-  /// Serve \p trace (arrival ticks must be non-decreasing) against
-  /// \p system until both the trace and the pending queue are empty.
-  /// \p progress, when set, is invoked with `progress_every > 0` cycle
-  /// granularity — see serve()'s second overload.
+  /// Serve \p trace against \p system until both the trace and the
+  /// pending queue are empty. Arrival ticks must be non-decreasing, and
+  /// the last must leave `(trace.size() + 1) * cycle_ticks` of headroom
+  /// below the largest Time: every cycle after the last admission drains
+  /// at least one event, so the virtual clock stays within that bound.
+  /// \p progress, when set, is invoked every \p progress_every > 0
+  /// cycles.
   StreamReport serve(Rebalancer& system, const EventTrace& trace,
                      const ProgressFn& progress = {},
                      std::int64_t progress_every = 0) const;
-
-  const StreamOptions& options() const { return options_; }
 
  private:
   StreamOptions options_;

@@ -793,6 +793,29 @@ TEST(CliServe, EmitTraceRoundTripsThroughTraceIn) {
   fs::remove_all(dir);
 }
 
+TEST(CliServe, TickWithoutClockHeadroomExitsWithOne) {
+  namespace fs = std::filesystem;
+#if defined(_WIN32)
+  const int pid = _getpid();
+#else
+  const int pid = getpid();
+#endif
+  const fs::path trace_path =
+      fs::temp_directory_path() /
+      ("lbmem_cli_serve_tick_" + std::to_string(pid) + ".txt");
+  {
+    std::ofstream out(trace_path);
+    out << "9223372036854775807 wcet t0 3\n";
+  }
+  const RunResult r =
+      run_cli("serve --tasks=20 --procs=4 \"--trace-in=" +
+              trace_path.string() + "\"");
+  fs::remove(trace_path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("tick 9223372036854775807"), std::string::npos)
+      << r.output;
+}
+
 TEST(CliServe, FlagHygiene) {
   // Generation knobs conflict with a recorded trace.
   RunResult r = run_cli("serve --trace-in=foo.txt --events=10");

@@ -118,28 +118,6 @@ TEST(OnlineRunner, CapacityTightReplayStaysWithinBudget) {
   EXPECT_LE(report.peak_max_memory, 220);
 }
 
-TEST(OnlineRunner, StopOnRejectStopsEarly) {
-  World world = make_world(3, 33, 1);
-  // Replace the trace with one guaranteed-rejected event plus a valid one.
-  world.trace.clear();
-  Event bad;
-  bad.at = 1;
-  bad.payload = WcetChange{"no-such-task", 1};
-  world.trace.push_back(bad);
-  Event good;
-  good.at = 2;
-  good.payload = WcetChange{world.system.graph().task(0).name,
-                            world.system.graph().task(0).wcet};
-  world.trace.push_back(good);
-
-  ReplayOptions options;
-  options.stop_on_reject = true;
-  const OnlineRunner runner(options);
-  const OnlineReport report = runner.replay(world.system, world.trace);
-  EXPECT_EQ(report.events.size(), 1u);
-  EXPECT_EQ(report.rejected, 1);
-}
-
 TEST(OnlineRunner, ReportRenderingsAreConsistent) {
   World world = make_world(2, 22, 12);
   const OnlineRunner runner;

@@ -1,7 +1,6 @@
 /// Unit tests for the streaming coalescer (stream/coalescer.hpp): the
-/// last-write-wins / fold / annihilation / subsumption rules, the
-/// producer-reference veto, the failure barrier, order preservation, and
-/// the drop-count bookkeeping.
+/// last-write-wins rule, the failure barrier, the task-name boundary, and
+/// the survivor-index contract.
 
 #include <gtest/gtest.h>
 
@@ -34,151 +33,93 @@ Event arrival(Time when, const std::string& name,
   return at(when, TaskArrival{std::move(spec)});
 }
 
-TEST(StreamCoalescer, EmptyAndSingletonPassThrough) {
-  CoalesceStats stats;
-  EXPECT_TRUE(coalesce_events({}, &stats).empty());
-  EXPECT_EQ(stats.in, 0);
-  EXPECT_EQ(stats.out, 0);
+using Survivors = std::vector<std::size_t>;
 
-  std::vector<Event> one{at(3, WcetChange{"a", 2})};
-  const std::vector<Event> out = coalesce_events(one, &stats);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(stats.dropped(), 0);
+TEST(StreamCoalescer, EmptyAndSingletonPassThrough) {
+  EXPECT_TRUE(coalesce_events({}).empty());
+  EXPECT_EQ(coalesce_events({at(3, WcetChange{"a", 2})}), Survivors{0});
 }
 
 TEST(StreamCoalescer, LastWriteWinsKeepsOnlyTheNewestEstimate) {
-  std::vector<Event> batch{
+  const std::vector<Event> batch{
       at(1, WcetChange{"a", 2}),
       at(2, WcetChange{"b", 3}),
       at(3, WcetChange{"a", 4}),
       at(4, WcetChange{"a", 5}),
   };
-  CoalesceStats stats;
-  const std::vector<Event> out = coalesce_events(batch, &stats);
-  ASSERT_EQ(out.size(), 2u);
-  // Order preserved: b's change (position 2) before a's last (position 4).
-  EXPECT_EQ(std::get<WcetChange>(out[0].payload).task, "b");
-  EXPECT_EQ(std::get<WcetChange>(out[1].payload).task, "a");
-  EXPECT_EQ(std::get<WcetChange>(out[1].payload).wcet, 5);
-  EXPECT_EQ(stats.last_write_wins, 2);
-  EXPECT_EQ(stats.dropped(), 2);
-}
-
-TEST(StreamCoalescer, WcetChangeFoldsIntoQueuedArrival) {
-  std::vector<Event> batch{
-      arrival(1, "dyn0"),
-      at(2, WcetChange{"dyn0", 4}),
-  };
-  CoalesceStats stats;
-  const std::vector<Event> out = coalesce_events(batch, &stats);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(std::get<TaskArrival>(out[0].payload).spec.wcet, 4);
-  EXPECT_EQ(stats.folded, 1);
-}
-
-TEST(StreamCoalescer, ArrivalRemovalPairAnnihilates) {
-  std::vector<Event> batch{
-      at(1, WcetChange{"a", 2}),
-      arrival(2, "dyn0"),
-      at(3, WcetChange{"dyn0", 4}),  // folds into the arrival first...
-      at(4, TaskRemoval{"dyn0"}),    // ...then the pair annihilates
-  };
-  CoalesceStats stats;
-  const std::vector<Event> out = coalesce_events(batch, &stats);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(std::get<WcetChange>(out[0].payload).task, "a");
-  EXPECT_EQ(stats.folded, 1);
-  EXPECT_EQ(stats.annihilated, 2);
-  EXPECT_EQ(stats.dropped(), 3);
-}
-
-TEST(StreamCoalescer, AnnihilationVetoedWhenAQueuedArrivalReferences) {
-  // dyn1 names dyn0 as producer between dyn0's arrival and removal: the
-  // pair must NOT cancel, or dyn1's admission would see a dead producer.
-  std::vector<Event> batch{
-      arrival(1, "dyn0"),
-      arrival(2, "dyn1", {NewTaskSpec::Producer{"dyn0", 1}}),
-      at(3, TaskRemoval{"dyn0"}),
-  };
-  CoalesceStats stats;
-  const std::vector<Event> out = coalesce_events(batch, &stats);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(stats.dropped(), 0);
-  EXPECT_EQ(out[0].kind(), EventKind::TaskArrival);
-  EXPECT_EQ(out[2].kind(), EventKind::TaskRemoval);
-}
-
-TEST(StreamCoalescer, RemovalSubsumesQueuedWcetChange) {
-  // "a" pre-exists (no queued arrival): its queued re-estimate is dead
-  // weight once the removal is also queued.
-  std::vector<Event> batch{
-      at(1, WcetChange{"a", 2}),
-      at(2, TaskRemoval{"a"}),
-  };
-  CoalesceStats stats;
-  const std::vector<Event> out = coalesce_events(batch, &stats);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].kind(), EventKind::TaskRemoval);
-  EXPECT_EQ(stats.subsumed, 1);
+  // Order preserved: b's change (position 1) before a's last (position 3).
+  EXPECT_EQ(coalesce_events(batch), (Survivors{1, 3}));
 }
 
 TEST(StreamCoalescer, FailureIsABarrier) {
   // The same WcetChange pair that would coalesce in one segment survives
   // when a failure sits between them; the failure itself always survives.
-  std::vector<Event> batch{
+  const std::vector<Event> batch{
       at(1, WcetChange{"a", 2}),
       at(2, ProcessorFailure{1}),
       at(3, WcetChange{"a", 4}),
   };
-  CoalesceStats stats;
-  const std::vector<Event> out = coalesce_events(batch, &stats);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(stats.dropped(), 0);
-  EXPECT_EQ(out[1].kind(), EventKind::ProcessorFailure);
+  EXPECT_EQ(coalesce_events(batch), (Survivors{0, 1, 2}));
+}
 
-  // Arrival/removal pairs do not annihilate across a failure either.
-  std::vector<Event> split{
+TEST(StreamCoalescer, ArrivalsAndRemovalsAreNeverCoalesced) {
+  // Arrive-then-re-estimate, arrive-then-leave, re-estimate-then-leave and
+  // an admission naming a queued task as producer all reach the engine
+  // unchanged: only an estimate superseded by a newer estimate is dropped.
+  const std::vector<Event> shapes{
       arrival(1, "dyn0"),
-      at(2, ProcessorFailure{0}),
-      at(3, TaskRemoval{"dyn0"}),
+      at(2, WcetChange{"dyn0", 4}),
+      arrival(3, "dyn1"),
+      at(4, TaskRemoval{"dyn1"}),
+      at(5, WcetChange{"a", 2}),
+      at(6, TaskRemoval{"a"}),
+      arrival(7, "dyn2"),
+      arrival(8, "dyn3", {NewTaskSpec::Producer{"dyn2", 1}}),
+      at(9, TaskRemoval{"dyn2"}),
   };
-  EXPECT_EQ(coalesce_events(split, &stats).size(), 3u);
-  EXPECT_EQ(stats.dropped(), 0);
+  EXPECT_EQ(coalesce_events(shapes),
+            (Survivors{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+
+  // A removal and re-arrival end the name's run of estimates: the estimate
+  // queued after the re-arrival does not supersede the one before the
+  // removal, which targets the task that left.
+  const std::vector<Event> reborn{
+      at(1, WcetChange{"b", 2}),
+      at(2, TaskRemoval{"b"}),
+      arrival(3, "b"),
+      at(4, WcetChange{"b", 5}),
+  };
+  EXPECT_EQ(coalesce_events(reborn), (Survivors{0, 1, 2, 3}));
 }
 
 TEST(StreamCoalescer, IsDeterministicAndIdempotent) {
-  std::vector<Event> batch{
+  const std::vector<Event> batch{
       at(1, WcetChange{"a", 2}),  at(2, WcetChange{"a", 3}),
       arrival(3, "dyn0"),         at(4, WcetChange{"dyn0", 9}),
       at(5, ProcessorFailure{2}), at(6, WcetChange{"a", 4}),
-      at(7, TaskRemoval{"dyn0"}),
+      at(7, TaskRemoval{"dyn0"}), at(8, WcetChange{"dyn0", 3}),
+      at(9, WcetChange{"dyn0", 4}),
   };
-  const std::vector<Event> once = coalesce_events(batch);
-  const std::vector<Event> again = coalesce_events(batch);
-  ASSERT_EQ(once.size(), again.size());
-  for (std::size_t i = 0; i < once.size(); ++i) {
-    EXPECT_EQ(to_string(once[i]), to_string(again[i]));
-  }
-  // A coalesced batch is a fixpoint: running it through again drops
-  // nothing (survivors are pairwise non-redundant by construction).
-  CoalesceStats stats;
-  const std::vector<Event> twice = coalesce_events(once, &stats);
-  EXPECT_EQ(stats.dropped(), 0);
-  ASSERT_EQ(twice.size(), once.size());
+  const Survivors once = coalesce_events(batch);
+  EXPECT_EQ(once, (Survivors{1, 2, 3, 4, 5, 6, 8}));
+  EXPECT_EQ(coalesce_events(batch), once);
+  // The survivors are a fixpoint: coalescing them again drops nothing.
+  std::vector<Event> kept;
+  for (const std::size_t i : once) kept.push_back(batch[i]);
+  EXPECT_EQ(coalesce_events(kept).size(), kept.size());
 }
 
 TEST(StreamCoalescer, KeptIndicesIdentifySurvivors) {
-  std::vector<Event> batch{
+  const std::vector<Event> batch{
       at(1, WcetChange{"a", 2}),
       at(2, WcetChange{"a", 3}),
       at(3, WcetChange{"b", 4}),
   };
-  std::vector<std::size_t> kept;
-  const std::vector<Event> out = coalesce_events(batch, nullptr, &kept);
-  ASSERT_EQ(out.size(), 2u);
+  const Survivors kept = coalesce_events(batch);
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0], 1u);  // a's last write
   EXPECT_EQ(kept[1], 2u);  // b's only write
+  EXPECT_EQ(std::get<WcetChange>(batch[kept[0]].payload).wcet, 3);
 }
 
 }  // namespace

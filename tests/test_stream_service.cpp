@@ -1,10 +1,12 @@
 /// Tests for the streaming event service (stream/service.hpp): the
 /// coalesced-batch ≡ surviving-events-one-by-one property, order
 /// preservation vs the replay harness, bounded-queue shedding, the
-/// failure-flush and min-progress drain rules, and overload escalation.
+/// failure-flush and min-progress drain rules, overload escalation, and
+/// the trace preconditions.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <variant>
 
@@ -15,6 +17,7 @@
 #include "lbmem/report/export.hpp"
 #include "lbmem/report/stream.hpp"
 #include "lbmem/sched/scheduler.hpp"
+#include "lbmem/stream/coalescer.hpp"
 #include "lbmem/stream/service.hpp"
 #include "lbmem/validate/validator.hpp"
 
@@ -78,7 +81,7 @@ StreamOptions one_window() {
 // The PR's acceptance property: applying the coalesced batch is
 // result-identical to applying the *surviving* events one by one. serve()
 // with one giant window coalesces the full trace in a single pass and
-// drains it through the engine; the twin system applies
+// drains it through the engine; the twin system applies the survivors of
 // coalesce_events(trace) event by event. Same sequence, same engine state
 // => byte-identical final schedule.
 TEST(StreamService, CoalescedBatchMatchesSurvivorsAppliedOneByOne) {
@@ -91,10 +94,10 @@ TEST(StreamService, CoalescedBatchMatchesSurvivorsAppliedOneByOne) {
     EXPECT_GT(report.coalesced, 0) << "seed " << seed
         << ": trace produced no coalescing — property vacuous";
 
-    const std::vector<Event> survivors = coalesce_events(twin.trace);
+    const std::vector<std::size_t> survivors = coalesce_events(twin.trace);
     ASSERT_EQ(static_cast<std::int64_t>(survivors.size()),
               report.admitted - report.coalesced);
-    for (const Event& event : survivors) twin.system.apply(event);
+    for (const std::size_t i : survivors) twin.system.apply(twin.trace[i]);
 
     EXPECT_EQ(schedule_to_json(served.system.schedule()),
               schedule_to_json(twin.system.schedule()))
@@ -270,6 +273,46 @@ TEST(StreamService, RejectsDecreasingArrivalTicks) {
   bad.push_back(at(10, WcetChange{world.system.graph().task(0).name, 2}));
   bad.push_back(at(5, WcetChange{world.system.graph().task(0).name, 3}));
   EXPECT_THROW(StreamService(one_window()).serve(world.system, bad), Error);
+}
+
+// The virtual clock runs at most (events + 1) cycles past the last
+// arrival, so serve() requires that much headroom below the largest tick
+// instead of wrapping the clock (an endless loop or a negative horizon).
+TEST(StreamService, RejectsTicksWithoutClockHeadroom) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  World world = make_world(3, 3, /*events=*/8);
+  const std::string task = world.system.graph().task(0).name;
+  StreamOptions options;
+  options.batch_max = 1;  // one event per cycle: the slowest drain
+
+  // The non-failure events of a generated trace, retimed to one tick.
+  EventTrace late;
+  for (const Event& event : world.trace) {
+    if (event.kind() != EventKind::ProcessorFailure) late.push_back(event);
+  }
+  ASSERT_GT(late.size(), 1u);
+  const Time headroom =
+      (static_cast<Time>(late.size()) + 1) * options.cycle_ticks;
+  const auto retime = [&late](Time tick) {
+    EventTrace out = late;
+    for (Event& event : out) event.at = tick;
+    return out;
+  };
+  ASSERT_THROW(StreamService(options).serve(world.system,
+                                            retime(kMax - headroom + 1)),
+               Error);
+  EXPECT_THROW(StreamService(options).serve(
+                   world.system, EventTrace{at(kMax, WcetChange{task, 3})}),
+               Error);
+
+  // Exactly at the bound the trace is served, and the clock stays ahead
+  // of the last arrival.
+  const StreamReport report =
+      StreamService(options).serve(world.system, retime(kMax - headroom));
+  EXPECT_EQ(report.applied + report.rejected,
+            report.admitted - report.coalesced);
+  EXPECT_GT(report.horizon, kMax - headroom);
+  EXPECT_EQ(report.final_violations, 0);
 }
 
 }  // namespace

@@ -226,8 +226,8 @@ constexpr FlagSpec kFlags[] = {
      "event per cycle, queued failures always flush)",
      kServe},
     {"coalesce", "on|off",
-     "collapse the pending queue (last-write-wins, annihilation, fold) "
-     "before each drain (default on)",
+     "drop queued WCET estimates superseded by a newer one for the same "
+     "task (last-write-wins) before each drain (default on)",
      kServe},
     {"overload", "N",
      "backlog high-water mark arming the degraded repair ladder "
@@ -1154,8 +1154,10 @@ int cmd_serve(const CliOptions& options) {
   const bool timing = options.timing;
   StreamService::ProgressFn progress;
   if (options.stats_every > 0) {
-    progress = [timing](const StreamProgress& snap) {
-      std::cout << progress_line(snap, timing) << "\n";
+    progress = [timing](const StreamReport& so_far, int backlog,
+                        bool degraded_armed) {
+      std::cout << progress_line(so_far, backlog, degraded_armed, timing)
+                << "\n";
     };
   }
 
