@@ -24,12 +24,4 @@ Problem Problem::generate(const WorkloadSpec& spec) {
   return Problem(std::move(graph), std::move(initial));
 }
 
-Problem Problem::adopt(const Schedule& initial) {
-  // Aliasing shared_ptr with no control block: non-owning by design — the
-  // caller owns the graph (see the class comment).
-  std::shared_ptr<const TaskGraph> alias(std::shared_ptr<const TaskGraph>(),
-                                         &initial.graph());
-  return Problem(std::move(alias), initial);
-}
-
 }  // namespace lbmem

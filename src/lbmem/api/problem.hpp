@@ -12,13 +12,11 @@
 /// the initial schedule's makespan and memory, so every Outcome is
 /// comparable to every other.
 ///
-/// Problems are built three ways:
+/// Problems are built two ways:
 ///  * generate() — seeded random workload + initial schedule (WorkloadSpec
 ///    mirrors the CLI's workload flags and gen/suites' SuiteSpec);
 ///  * the owning constructor — share a graph with an existing schedule
-///    (gen/suites' SuiteInstance plugs in directly);
-///  * adopt() — alias a schedule whose graph the *caller* keeps alive
-///    (non-owning; used by the online engine's full-resolve mode).
+///    (gen/suites' SuiteInstance plugs in directly).
 
 #include <cstdint>
 #include <memory>
@@ -50,13 +48,6 @@ class Problem {
   /// Generate a workload, schedule it, and wrap the result. Throws
   /// ScheduleError when the seed is unschedulable under the spec's policy.
   static Problem generate(const WorkloadSpec& spec);
-
-  /// Alias \p initial without taking ownership of its graph: the caller
-  /// guarantees the graph outlives the Problem and every Outcome solved
-  /// from it. Used where the graph's owner is the caller itself (the
-  /// online engine hands its own running schedule to a full-resolve
-  /// solver).
-  static Problem adopt(const Schedule& initial);
 
   const TaskGraph& graph() const { return *graph_; }
   std::shared_ptr<const TaskGraph> shared_graph() const { return graph_; }

@@ -77,9 +77,6 @@ struct SolveStats {
   int forced_stays = 0;
   int attempts_used = 0;
   bool fell_back = false;
-  std::int64_t dest_evaluated = 0;
-  std::int64_t dest_skipped_by_bound = 0;
-  std::int64_t dest_cut_by_incumbent = 0;
 
   // -- GA family (GaResult) -----------------------------------------------
   bool has_ga = false;
@@ -105,9 +102,7 @@ struct Outcome {
   std::string detail;
   /// Shares the Problem's graph ownership: a Schedule holds a raw pointer
   /// to its TaskGraph, so an Outcome must keep the graph alive even after
-  /// the (possibly temporary) Problem it was solved from is gone. For
-  /// Problems built with adopt() this is the same non-owning alias — the
-  /// caller-guarantees-lifetime caveat carries over.
+  /// the (possibly temporary) Problem it was solved from is gone.
   std::shared_ptr<const TaskGraph> graph;
 
   bool feasible() const { return schedule.has_value(); }

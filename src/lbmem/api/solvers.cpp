@@ -48,9 +48,6 @@ SolveStats to_solve_stats(const BalanceStats& stats) {
   out.forced_stays = stats.forced_stays;
   out.attempts_used = stats.attempts_used;
   out.fell_back = stats.fell_back;
-  out.dest_evaluated = stats.dest_evaluated;
-  out.dest_skipped_by_bound = stats.dest_skipped_by_bound;
-  out.dest_cut_by_incumbent = stats.dest_cut_by_incumbent;
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,14 @@ struct AliveTask {
 
 bool harmonic(Time a, Time b) { return a % b == 0 || b % a == 0; }
 
+constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+
+/// "event K of N", 1-based like the replay and serve tables.
+std::string event_label(int index, int events) {
+  return "event " + std::to_string(index + 1) + " of " +
+         std::to_string(events);
+}
+
 /// Stateful inter-arrival clock for the configured ArrivalModel. The
 /// UniformGap path makes exactly the one rng.uniform(min_gap, max_gap)
 /// draw per event the legacy generator made, at the same position in the
@@ -30,17 +39,24 @@ class ArrivalClock {
   ArrivalClock(const EventTraceParams& params, Rng& rng)
       : params_(params), rng_(rng) {}
 
-  /// Gap between the previous event and the next one (>= 0 ticks).
-  Time next_gap() {
+  /// Gap between the previous event and event \p index (>= 0 ticks).
+  Time next_gap(int index) {
     switch (params_.arrival) {
       case ArrivalModel::UniformGap:
         return rng_.uniform(params_.min_gap, params_.max_gap);
       case ArrivalModel::Poisson: {
         // Exponential inter-arrival with mean mean_gap, rounded to the
         // tick grid. uniform01() < 1, so the log argument stays positive.
+        // The draw is checked before rounding: llround has no defined
+        // result past the Time range, which a huge mean_gap reaches.
         const double u = rng_.uniform01();
-        return static_cast<Time>(
-            std::llround(-params_.mean_gap * std::log(1.0 - u)));
+        const double gap = -params_.mean_gap * std::log(1.0 - u);
+        LBMEM_REQUIRE(gap >= 0.0 && gap < static_cast<double>(kMaxTime),
+                      "random_event_trace: " +
+                          event_label(index, params_.events) +
+                          " draws a Poisson gap that is not a "
+                          "representable tick count");
+        return static_cast<Time>(std::llround(gap));
       }
       case ArrivalModel::Bursty: {
         if (burst_left_ <= 0) {
@@ -111,7 +127,11 @@ EventTrace random_event_trace(const TaskGraph& base, const Architecture& arch,
       params.failure_weight};
 
   for (int i = 0; i < params.events; ++i) {
-    now += clock.next_gap();
+    const Time gap = clock.next_gap(i);
+    LBMEM_REQUIRE(gap <= kMaxTime - now,
+                  "random_event_trace: " + event_label(i, params.events) +
+                      " carries the arrival clock past the largest tick");
+    now += gap;
     std::size_t kind = rng.pick_weighted(weights);
 
     // Degrade structurally impossible picks to a WCET change, the one kind

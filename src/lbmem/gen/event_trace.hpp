@@ -87,7 +87,9 @@ struct EventTraceParams {
 /// (params, seed). Arriving tasks reuse periods already present in the
 /// base application (the paper's Section-4 observation that realistic
 /// systems draw from a small sensor-imposed period set), which also keeps
-/// the hyper-period stable along typical traces.
+/// the hyper-period stable along typical traces. Throws PreconditionError,
+/// naming the event, when an arrival gap is not a representable tick
+/// count or would carry the clock past the largest Time.
 EventTrace random_event_trace(const TaskGraph& base, const Architecture& arch,
                               const EventTraceParams& params,
                               std::uint64_t seed);

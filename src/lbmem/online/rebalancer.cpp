@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "lbmem/api/solver.hpp"
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
@@ -336,44 +335,9 @@ int Rebalancer::alive_processor_count() const {
          static_cast<int>(std::count(failed_.begin(), failed_.end(), 1));
 }
 
-void Rebalancer::run_full_resolver(EventOutcome& out) {
-  const Problem problem = Problem::adopt(*sched_);
-  Outcome outcome = options_.full_resolver->solve(problem);
-  if (outcome.stats.has_balance) {
-    out.dirty_blocks = outcome.stats.blocks_total;
-  }
-  if (!outcome.feasible()) {
-    out.balance_fell_back = true;
-    return;
-  }
-  // The Problem spec carries no failed-processor set (see
-  // RebalancerOptions::full_resolver): an outcome that re-populates a
-  // failed processor is discarded like an infeasible one.
-  const Schedule& candidate = *outcome.schedule;
-  for (ProcId p = 0; p < sched_->architecture().processor_count(); ++p) {
-    if (failed_[static_cast<std::size_t>(p)] &&
-        (candidate.busy_on(p) > 0 || candidate.memory_on(p) > 0)) {
-      out.balance_fell_back = true;
-      out.resolver_discarded = true;
-      return;
-    }
-  }
-  out.balance_moves = outcome.stats.has_balance
-                          ? outcome.stats.moves_off_home
-                          : count_migrations(*sched_, candidate,
-                                             task_ids(*graph_));
-  out.balance_gain = sched_->makespan() - candidate.makespan();
-  sched_ = std::move(*outcome.schedule);
-  occ_ = build_occupancy(*sched_);
-}
-
 void Rebalancer::run_balance_stage(const std::vector<TaskId>& seeds,
                                    EventOutcome& out) {
   LBMEM_TRACE_SPAN("online.balance_stage");
-  if (!options_.incremental && options_.full_resolver) {
-    run_full_resolver(out);
-    return;
-  }
   BalanceOptions bopts = options_.balance;
   bopts.closed_procs = failed_;
   if (bopts.metrics == nullptr) bopts.metrics = options_.metrics;

@@ -45,33 +45,15 @@
 
 namespace lbmem {
 
-class Solver;  // api/solver.hpp
-
 /// Online-engine configuration.
 struct RebalancerOptions {
   /// Policy of the balance stage (including migration_penalty and memory-
   /// capacity enforcement). closed_procs is managed by the engine.
   BalanceOptions balance;
   /// Warm-start incremental balance over the dirty neighborhood (true) or
-  /// a from-scratch full resolve after every patch (false; the baseline
+  /// a full LoadBalancer::balance after every patch (false; the baseline
   /// the bench compares against).
   bool incremental = true;
-  /// Solver-backed full-resolve mode (DESIGN.md F18): when set and
-  /// incremental == false, the balance stage hands the whole post-repair
-  /// schedule to this facade solver (via Problem::adopt) instead of
-  /// running LoadBalancer::balance. The solver's valid outcome is adopted
-  /// as-is — the caller picked its authority; an infeasible outcome keeps
-  /// the repaired schedule (reported as balance_fell_back). The Problem
-  /// spec carries no failed-processor set, so the engine guards the
-  /// invariant itself: an outcome that places anything on a failed
-  /// processor is discarded (EventOutcome::resolver_discarded, counted by
-  /// OnlineReport) and the repaired schedule stands — from-scratch
-  /// whole-task resolvers re-place everything and therefore degrade to
-  /// repair-only once a processor has failed; instance-granular refiners
-  /// (the heuristic adapters) are the intended resolvers on lossy
-  /// architectures. The configured solver, not `balance`, decides policy
-  /// and capacity handling in this mode.
-  std::shared_ptr<const Solver> full_resolver;
   /// Observability sink (DESIGN.md F25): when set, every apply() folds
   /// its outcome into this registry — applied/rejected counters, the
   /// repaired-tasks / migration totals, the dirty-set-size histogram
@@ -107,12 +89,6 @@ struct EventOutcome {
   int balance_moves = 0;
   Time balance_gain = 0;
   bool balance_fell_back = false;
-  /// Full-resolve mode only: the configured solver produced a valid
-  /// schedule, but it re-populated a failed processor and was discarded
-  /// (the repaired schedule stands). Distinct from balance_fell_back's
-  /// ordinary infeasibility so a from-scratch resolver that degrades to
-  /// repair-only after a ProcessorFailure is visible, not silent.
-  bool resolver_discarded = false;
   /// Degraded-mode ladder (DESIGN.md F28): the rung that produced the
   /// committed schedule. 0 = the plain dirty-set repair (or the historic
   /// full re-place escalation) sufficed; 1 = widened-scope retry;
@@ -182,7 +158,6 @@ class Rebalancer {
                                         std::span<const TaskId> remap);
   void run_balance_stage(const std::vector<TaskId>& seeds,
                          EventOutcome& out);
-  void run_full_resolver(EventOutcome& out);
 
   RebalancerOptions options_;
   std::unique_ptr<TaskGraph> graph_;

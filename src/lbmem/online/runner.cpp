@@ -26,7 +26,6 @@ void fold_outcome(OnlineReport& report, const EventOutcome& outcome) {
   } else {
     ++report.rejected;
   }
-  report.total_resolver_discards += outcome.resolver_discarded ? 1 : 0;
   report.total_retries += outcome.degraded_retries;
   report.degraded_mode = std::max(report.degraded_mode, outcome.degraded_rung);
   report.shed.insert(report.shed.end(), outcome.shed.begin(),

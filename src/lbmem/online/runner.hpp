@@ -24,9 +24,6 @@ struct OnlineReport {
   int total_migrations = 0;
   int total_repaired = 0;
   int total_balance_moves = 0;
-  /// Full-resolve outcomes discarded for re-populating a failed processor
-  /// (see EventOutcome::resolver_discarded; 0 outside resolver mode).
-  int total_resolver_discards = 0;
   /// Degraded-mode ladder totals (DESIGN.md F28; all 0 with the ladder
   /// off): widened-scope retry attempts, recoveries per rung, the deepest
   /// rung any event needed, and every shed task in shed order.

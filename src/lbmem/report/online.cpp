@@ -86,12 +86,6 @@ std::string summarize_online(const OnlineReport& report,
       << report.total_repaired << " tasks, balance moves: "
       << report.total_balance_moves << " (Gtotal " << report.total_balance_gain
       << ")\n";
-  // Printed only when it happened, so non-resolver replays (and their
-  // goldens) keep their historic output.
-  if (report.total_resolver_discards > 0) {
-    out << "resolver discards: " << report.total_resolver_discards
-        << " (full-resolve outcome re-populated a failed processor)\n";
-  }
   // Degraded-mode ladder summary — printed only when a rung past the
   // plain repair was ever needed (DESIGN.md F28).
   if (report.degraded_mode > 0 || report.total_retries > 0) {
@@ -138,8 +132,6 @@ void event_to_json(std::ostringstream& out, const EventOutcome& outcome,
       << ", \"repaired_tasks\": " << outcome.repaired_tasks
       << ", \"dirty_blocks\": " << outcome.dirty_blocks
       << ", \"migrated_instances\": " << outcome.migrated_instances
-      << ", \"resolver_discarded\": "
-      << (outcome.resolver_discarded ? "true" : "false")
       << ", \"balance_moves\": " << outcome.balance_moves
       << ", \"balance_gain\": " << outcome.balance_gain;
   if (outcome.degraded_rung > 0 || outcome.degraded_retries > 0) {
@@ -183,8 +175,7 @@ std::string online_report_to_json(const OnlineReport& report,
       << ", \"total_migrations\": " << report.total_migrations
       << ", \"total_repaired\": " << report.total_repaired
       << ", \"total_balance_moves\": " << report.total_balance_moves
-      << ", \"total_balance_gain\": " << report.total_balance_gain
-      << ", \"total_resolver_discards\": " << report.total_resolver_discards;
+      << ", \"total_balance_gain\": " << report.total_balance_gain;
   // Per-rung ladder counts (DESIGN.md F28), only once the ladder acted.
   if (report.degraded_mode > 0 || report.total_retries > 0) {
     out << ", \"degraded_mode\": " << report.degraded_mode

@@ -38,14 +38,6 @@ std::string summarize_solve(const SolveStats& stats) {
     out << "attempts: " << stats.attempts_used
         << ", forced stays: " << stats.forced_stays
         << (stats.fell_back ? ", FELL BACK to input schedule" : "") << "\n";
-    // Bound-and-prune observability: printed only when pruning did real
-    // work, so exhaustive (trace-recording) runs keep their historic
-    // output.
-    if (stats.dest_skipped_by_bound + stats.dest_cut_by_incumbent > 0) {
-      out << "destinations: " << stats.dest_evaluated << " evaluated, "
-          << stats.dest_skipped_by_bound << " skipped by bound, "
-          << stats.dest_cut_by_incumbent << " cut by incumbent\n";
-    }
   }
   if (stats.has_ga) {
     out << "ga: fitness " << stats.fitness << ", evaluations "

@@ -75,6 +75,58 @@ void fold_sim(obs::Registry& reg, const SimMetrics& m) {
   reg.add(lost, m.lost_instances);
 }
 
+/// Reject perturbation magnitudes under which an instance's end or a
+/// processor's busy sum could pass the largest Time over windows
+/// [first, first + count): simulate_perturbed adds its draws unchecked. An
+/// instance runs at most WCET x (1 + jitter x storm factor) + stall ticks.
+/// The error names the first of stall, jitter and storm factor that, added
+/// to the bound in that order, breaks it.
+void require_clock_headroom(const Schedule& sched, const PerturbSpec& perturb,
+                            int first, int count) {
+  __extension__ using Wide = __int128;
+  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+  const TaskGraph& graph = sched.graph();
+  const Wide last_offset =
+      static_cast<Wide>(graph.hyperperiod()) * (first + count - 1);
+  const auto fits = [&](double jitter, Time stall) {
+    std::vector<Wide> busy(
+        static_cast<std::size_t>(sched.architecture().processor_count()), 0);
+    for (const TaskInstance inst : sched.all_instances()) {
+      const Time wcet = graph.task(inst.task).wcet;
+      // llround(wcet x jitter x u) with u < 1 never exceeds this ceiling.
+      const double overrun = static_cast<double>(wcet) * jitter;
+      if (!(overrun < static_cast<double>(kMaxTime))) return false;
+      const Wide run = static_cast<Wide>(wcet) +
+                       static_cast<Time>(std::ceil(overrun)) + stall;
+      Wide& on_proc = busy[static_cast<std::size_t>(sched.proc(inst))];
+      on_proc += run * count;
+      if (sched.start(inst) + last_offset + run > kMaxTime ||
+          on_proc > kMaxTime) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const double jitter = perturb.wcet_jitter > 0.0 ? perturb.wcet_jitter : 0.0;
+  const GilbertElliott& burst = perturb.wcet_burst;
+  // The largest jitter an instance draws with: a storm scales it.
+  const double stormy =
+      jitter > 0.0 && burst.active() && !(burst.factor <= 1.0)
+          ? jitter * burst.factor
+          : jitter;
+  const Time stall = perturb.stall_prob > 0.0 && perturb.stall_ticks > 0
+                         ? perturb.stall_ticks
+                         : 0;
+  if (fits(stormy, stall)) return;
+  const char* culprit = !fits(0.0, stall)    ? "stall_ticks"
+                        : !fits(jitter, stall) ? "wcet_jitter"
+                                               : "wcet_burst.factor";
+  throw PreconditionError(std::string("perturbation ") + culprit +
+                          " could carry an end time or a processor's busy "
+                          "sum past the largest tick over " +
+                          std::to_string(count) + " hyper-period(s)");
+}
+
 }  // namespace
 
 SimMetrics simulate(const Schedule& sched, const SimOptions& options) {
@@ -97,9 +149,11 @@ SimMetrics simulate_perturbed(const Schedule& sched, const SimOptions& options,
 
   const bool jitter_on = perturb.wcet_jitter > 0.0;
   const bool stall_on = perturb.stall_prob > 0.0 && perturb.stall_ticks > 0;
+  if (jitter_on || stall_on) {
+    require_clock_headroom(sched, perturb, first_hyperperiod, reps);
+  }
 
   // Permanent failures: per-processor first fail tick (sentinel: never).
-  // all_failures() already merged the legacy pair with `failures`.
   constexpr Time kNever = std::numeric_limits<Time>::max();
   std::vector<Time> fail_time(
       static_cast<std::size_t>(arch.processor_count()), kNever);

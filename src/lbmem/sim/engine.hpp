@@ -52,10 +52,13 @@ SimMetrics simulate(const Schedule& sched, const SimOptions& options = {});
 /// Execute \p sched under \p perturb. \p first_hyperperiod shifts the
 /// window: repetition w runs at absolute time offset
 /// (first_hyperperiod + w) * H, draws its noise from the absolute
-/// repetition index, and compares dispatches against the absolute
-/// perturb.fail_at — so a run stitched from consecutive windows (the
-/// robustness harness swaps in a repaired schedule mid-run) perturbs each
-/// instance exactly as one continuous run would.
+/// repetition index, and compares dispatches against the absolute fail
+/// times in perturb.failures — so a run stitched from consecutive windows
+/// (the robustness harness swaps in a repaired schedule mid-run) perturbs
+/// each instance exactly as one continuous run would. Throws
+/// PreconditionError, naming the parameter, when an instance's worst-case
+/// duration (WCET x (1 + jitter x storm factor) + stall) could carry an
+/// end time or a per-processor busy sum past the largest Time.
 SimMetrics simulate_perturbed(const Schedule& sched, const SimOptions& options,
                               const PerturbSpec& perturb,
                               int first_hyperperiod = 0);

@@ -51,9 +51,7 @@ bool burst_storm(std::uint64_t seed, std::uint64_t channel,
 }
 
 std::vector<ProcessorFault> PerturbSpec::all_failures() const {
-  std::vector<ProcessorFault> all;
-  if (fail_proc != kNoProc) all.push_back(ProcessorFault{fail_proc, fail_at});
-  all.insert(all.end(), failures.begin(), failures.end());
+  std::vector<ProcessorFault> all = failures;
   std::sort(all.begin(), all.end(),
             [](const ProcessorFault& a, const ProcessorFault& b) {
               if (a.at != b.at) return a.at < b.at;

@@ -1,20 +1,12 @@
-/// ScenarioRunner + report/solve rendering + the online engine's
-/// Solver-backed full-resolve mode: sweeps are deterministic modulo wall
-/// time, aggregates match the cells, unknown names fail before generation,
-/// and a facade solver driving the Rebalancer's full resolve keeps every
-/// post-event schedule valid.
+/// ScenarioRunner + report/solve rendering: sweeps are deterministic
+/// modulo wall time, aggregates match the cells, and unknown names fail
+/// before generation.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "lbmem/api/scenario.hpp"
 #include "lbmem/api/solvers.hpp"
-#include "lbmem/gen/event_trace.hpp"
-#include "lbmem/online/runner.hpp"
 #include "lbmem/report/solve.hpp"
-#include "lbmem/sched/scheduler.hpp"
-#include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
 namespace {
@@ -214,92 +206,6 @@ TEST(ApiScenario, UnknownSolverNameFailsBeforeGeneration) {
   ScenarioSpec spec = small_spec();
   spec.solvers = {"heuristic-lex", "does-not-exist"};
   EXPECT_THROW(ScenarioRunner().run(spec), Error);
-}
-
-TEST(ApiFullResolve, FacadeSolverDrivesTheFullResolveValidly) {
-  // Generated system + trace replayed with the balance stage delegated to
-  // a facade heuristic: the online acceptance bar (zero violations after
-  // every applied event) must hold in this mode too.
-  RandomGraphParams params;
-  params.tasks = 24;
-  params.intended_processors = 3;
-  auto graph = std::make_unique<TaskGraph>(random_task_graph(params, 5));
-  const Architecture arch(3);
-  Schedule before =
-      build_initial_schedule(*graph, arch, CommModel::flat(2));
-
-  RebalancerOptions options;
-  options.incremental = false;
-  options.full_resolver = SolverRegistry::builtin().require("heuristic-lex");
-
-  EventTraceParams trace_params;
-  trace_params.events = 12;
-  trace_params.max_failures = 1;
-  const EventTrace trace = random_event_trace(*graph, arch, trace_params, 9);
-
-  Rebalancer system(std::move(graph), std::move(before), options);
-  const OnlineReport report = OnlineRunner().replay(system, trace);
-  EXPECT_EQ(report.total_violations, 0);
-  EXPECT_GE(report.applied, static_cast<int>(trace.size()) / 2);
-}
-
-TEST(ApiFullResolve, DiscardedResolverOutcomesAreObservable) {
-  // A from-scratch whole-task resolver re-places everything, so after a
-  // ProcessorFailure its outcomes re-populate the failed processor and
-  // are discarded — visibly (resolver_discarded), not as ordinary
-  // infeasibility.
-  RandomGraphParams params;
-  params.tasks = 16;
-  params.intended_processors = 3;
-  auto graph = std::make_unique<TaskGraph>(random_task_graph(params, 11));
-  Schedule before =
-      build_initial_schedule(*graph, Architecture(3), CommModel::flat(2));
-  const std::string victim = graph->task(0).name;
-  const Time old_wcet = graph->task(0).wcet;
-
-  RebalancerOptions options;
-  options.incremental = false;
-  options.full_resolver = SolverRegistry::builtin().require("round-robin");
-  Rebalancer system(std::move(graph), std::move(before), options);
-
-  Event failure;
-  failure.payload = ProcessorFailure{2};
-  const EventOutcome failed = system.apply(failure);
-  ASSERT_TRUE(failed.applied) << failed.reject_reason;
-
-  Event wcet;
-  wcet.payload = WcetChange{victim, old_wcet + 1};
-  const EventOutcome outcome = system.apply(wcet);
-  ASSERT_TRUE(outcome.applied) << outcome.reject_reason;
-  EXPECT_TRUE(outcome.resolver_discarded);
-  EXPECT_TRUE(outcome.balance_fell_back);
-  EXPECT_TRUE(validate(system.schedule()).ok());
-  // The failed processor hosts nothing despite the resolver's attempts.
-  EXPECT_TRUE(system.schedule().instances_on(2).empty());
-}
-
-TEST(ApiFullResolve, InstanceGranularResolverCanMoveInstances) {
-  // A WcetChange resolved through the facade heuristic leaves a valid
-  // schedule whose makespan the resolver has had a chance to improve.
-  RandomGraphParams params;
-  params.tasks = 16;
-  params.intended_processors = 3;
-  auto graph = std::make_unique<TaskGraph>(random_task_graph(params, 11));
-  Schedule before =
-      build_initial_schedule(*graph, Architecture(3), CommModel::flat(2));
-  const std::string victim = graph->task(0).name;
-  const Time old_wcet = graph->task(0).wcet;
-
-  RebalancerOptions options;
-  options.incremental = false;
-  options.full_resolver = SolverRegistry::builtin().require("heuristic-lex");
-  Rebalancer system(std::move(graph), std::move(before), options);
-
-  Event event;
-  event.payload = WcetChange{victim, old_wcet + 1};
-  const EventOutcome outcome = system.apply(event);
-  ASSERT_TRUE(outcome.applied) << outcome.reject_reason;
-  EXPECT_TRUE(validate(system.schedule()).ok());
 }
 
 }  // namespace

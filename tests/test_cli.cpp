@@ -108,13 +108,6 @@ TEST(CliUsage, UnknownPlacementFails) {
       << r.output;
 }
 
-TEST(CliUsage, UnknownTraceModeFails) {
-  const RunResult r = run_cli("balance --trace=sometimes");
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("unknown trace mode: sometimes"), std::string::npos)
-      << r.output;
-}
-
 TEST(CliUsage, HelpExitsZeroWithUsage) {
   for (const char* invocation : {"--help", "-h", "balance --help",
                                  "compare -h", "example --help"}) {
@@ -154,19 +147,6 @@ TEST(CliUsage, AlgoConflictsAreRejected) {
       << all.output;
   const RunResult policy = run_cli("balance --algo=ga --policy=lex");
   EXPECT_EQ(policy.exit_code, 1);
-  const RunResult resolver =
-      run_cli("replay --resolver=heuristic-lex --mode=incremental");
-  EXPECT_EQ(resolver.exit_code, 1);
-  EXPECT_NE(resolver.output.find("--resolver implies --mode=full"),
-            std::string::npos)
-      << resolver.output;
-  // --migration-penalty configures the built-in balance stage, which a
-  // resolver bypasses: rejecting beats silently ignoring the flag.
-  const RunResult penalty =
-      run_cli("replay --resolver=heuristic-lex --migration-penalty=5");
-  EXPECT_EQ(penalty.exit_code, 1);
-  EXPECT_NE(penalty.output.find("--resolver bypasses"), std::string::npos)
-      << penalty.output;
 }
 
 TEST(CliUsage, ThreadsConflictsAreRejected) {
@@ -267,47 +247,6 @@ TEST(CliCompare, WritesComparisonJson) {
   EXPECT_NE(content.str().find("\"summary\""), std::string::npos);
   EXPECT_NE(content.str().find("heuristic-lex"), std::string::npos);
   fs::remove_all(dir);
-}
-
-TEST(CliReplay, ResolverFlagSelectsSolverBackedFullMode) {
-  const RunResult r = run_cli(
-      std::string("replay --events=4 --event-seed=2 "
-                  "--resolver=heuristic-lex ") +
-      kSmallWorkload);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("full (resolver heuristic-lex) mode"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("violations: 0"), std::string::npos) << r.output;
-}
-
-TEST(CliBalance, TraceOffRunsPrunedPathWithIdenticalDecisions) {
-  // --trace=off enables bound-and-prune destination selection; the
-  // decisions (and thus the rendered schedules) must be bit-identical, the
-  // only permitted difference being the extra pruning-counter summary line.
-  const std::string workload = "--tasks=24 --procs=4 --seed=7";
-  const RunResult traced = run_cli("balance " + workload + " --trace=on");
-  const RunResult pruned = run_cli("balance " + workload + " --trace=off");
-  EXPECT_EQ(traced.exit_code, 0);
-  EXPECT_EQ(pruned.exit_code, 0);
-  std::string stripped;
-  std::size_t pos = 0;
-  bool saw_counters = false;
-  while (pos < pruned.output.size()) {
-    std::size_t end = pruned.output.find('\n', pos);
-    if (end == std::string::npos) end = pruned.output.size() - 1;
-    const std::string line = pruned.output.substr(pos, end - pos + 1);
-    if (line.rfind("destinations: ", 0) == 0) {
-      saw_counters = true;
-      EXPECT_NE(line.find("skipped by bound"), std::string::npos) << line;
-    } else {
-      stripped += line;
-    }
-    pos = end + 1;
-  }
-  EXPECT_EQ(traced.output, stripped);
-  EXPECT_TRUE(saw_counters)
-      << "pruned run reported no skipped destinations:\n" << pruned.output;
 }
 
 TEST(CliExample, ReproducesPaperFigures) {
@@ -532,15 +471,20 @@ TEST(CliReplay, OutputIsDeterministic) {
   EXPECT_EQ(first.output, second.output);
 }
 
-TEST(CliReplay, DegradedLadderWithResolverRunsToCompletion) {
+TEST(CliReplay, DegradedLadderInFullModeRunsToCompletion) {
   // Event 14 of this trace is a WcetChange that no ladder rung absorbs.
   // It must reject cleanly: the pre-event placements overlap under the
-  // new WCET, so no rung may hand them to the resolver as a schedule.
+  // new WCET, so no rung may hand them to the balance stage as a schedule.
   const RunResult r = run_cli(
       "replay --tasks=60 --procs=4 --events=30 --event-seed=1 --seed=1 "
-      "--degraded --resolver=heuristic-lex --timing=off");
+      "--degraded --mode=full --timing=off");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("violations: 0"), std::string::npos) << r.output;
+  const std::size_t row = r.output.find("\n14  ");
+  ASSERT_NE(row, std::string::npos) << r.output;
+  const std::string line =
+      r.output.substr(row + 1, r.output.find('\n', row + 1) - row - 1);
+  EXPECT_NE(line.find("rejected"), std::string::npos) << line;
 }
 
 TEST(CliSimulate, UnrepairedFailureExitsWithTwo) {
@@ -813,6 +757,17 @@ TEST(CliServe, TickWithoutClockHeadroomExitsWithOne) {
   fs::remove(trace_path);
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("tick 9223372036854775807"), std::string::npos)
+      << r.output;
+}
+
+TEST(CliServe, ArrivalClockOverflowExitsWithOne) {
+  // A 1e18-tick mean gap carries the generated trace's clock past the
+  // largest tick; the generator rejects the trace instead of wrapping.
+  const RunResult r = run_cli(
+      "serve --tasks=20 --procs=4 --arrivals=poisson --mean-gap=1e18 "
+      "--events=40");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("random_event_trace: event "), std::string::npos)
       << r.output;
 }
 

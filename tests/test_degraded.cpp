@@ -64,19 +64,17 @@ Outcome solved_workload() {
 }
 
 TEST(Degraded, AllFailuresMergesLegacyAndList) {
-  // The legacy pair and the list merge into one stream sorted by
-  // (at, proc); a processor only dies once — the earliest time wins.
+  // The list comes back sorted by (at, proc); a processor only dies
+  // once — the earliest time wins.
   PerturbSpec spec;
-  spec.fail_proc = 1;
-  spec.fail_at = 9;
-  spec.failures = {{0, 3}, {1, 5}};
+  spec.failures = {{1, 9}, {0, 3}, {1, 5}};
   EXPECT_TRUE(spec.any_failure());
   const std::vector<ProcessorFault> all = spec.all_failures();
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].proc, 0);
   EXPECT_EQ(all[0].at, 3);
   EXPECT_EQ(all[1].proc, 1);
-  EXPECT_EQ(all[1].at, 5);  // the legacy t=9 entry deduplicated away
+  EXPECT_EQ(all[1].at, 5);  // the t=9 entry deduplicated away
 }
 
 TEST(Degraded, FailureListAloneActivatesTheSpec) {

@@ -10,6 +10,7 @@
 #include "lbmem/gen/event_trace.hpp"
 #include "lbmem/gen/paper_example.hpp"
 #include "lbmem/gen/random_graph.hpp"
+#include "lbmem/util/check.hpp"
 
 namespace lbmem {
 namespace {
@@ -221,6 +222,39 @@ TEST(EventTraceGenerator, UniformGapKeepsLegacyTracesByteIdentical) {
     EXPECT_EQ(defaulted[i].at, explicit_uniform[i].at);
     EXPECT_EQ(to_string(defaulted[i]), to_string(explicit_uniform[i]));
   }
+}
+
+TEST(EventTraceGenerator, ArrivalClockOverflowIsRejected) {
+  // A mean gap of 1e18 ticks carries the clock past the largest tick
+  // within a few events; one of 1e308 draws gaps no tick count can hold.
+  // Both are rejected, naming the event, instead of wrapping.
+  const TaskGraph graph = paper_example_graph();
+  const Architecture arch = paper_example_architecture();
+  EventTraceParams params;
+  params.arrival = ArrivalModel::Poisson;
+  const auto error = [&](double mean_gap, int events) {
+    params.mean_gap = mean_gap;
+    params.events = events;
+    try {
+      random_event_trace(graph, arch, params, 1);
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string wrapped = error(1e18, 40);
+  EXPECT_NE(wrapped.find("random_event_trace: event "), std::string::npos)
+      << wrapped;
+  EXPECT_NE(wrapped.find(" of 40 carries the arrival clock past the largest "
+                         "tick"),
+            std::string::npos)
+      << wrapped;
+  const std::string huge = error(1e308, 5);
+  EXPECT_NE(huge.find("random_event_trace: event 1 of 5 draws a Poisson gap"),
+            std::string::npos)
+      << huge;
+  EXPECT_NE(huge.find("not a representable tick count"), std::string::npos)
+      << huge;
 }
 
 }  // namespace

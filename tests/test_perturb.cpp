@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "lbmem/gen/paper_example.hpp"
 #include "lbmem/sim/engine.hpp"
 #include "lbmem/sim/perturb.hpp"
+#include "lbmem/util/check.hpp"
 
 namespace lbmem {
 namespace {
@@ -37,6 +41,19 @@ Time total_busy(const SimMetrics& m) {
   Time sum = 0;
   for (const ProcMetrics& pm : m.procs) sum += pm.busy;
   return sum;
+}
+
+/// The PreconditionError message of a two-window paper-example run under
+/// \p spec, or "" when it runs.
+std::string headroom_error(const PerturbSpec& spec) {
+  const TaskGraph g = paper_example_graph();
+  const Schedule s = paper_example_schedule(g);
+  try {
+    simulate_perturbed(s, SimOptions{2, true}, spec, 0);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(PerturbSim, ZeroNoiseMatchesUnperturbed) {
@@ -219,8 +236,7 @@ TEST(PerturbSim, FailedProcessorLosesItsDispatches) {
   const TaskGraph g = figure1_graph();
   const Schedule s = figure1_system(g);
   PerturbSpec spec;
-  spec.fail_proc = 0;  // a's processor dies before anything runs
-  spec.fail_at = 0;
+  spec.failures = {{0, 0}};  // a's processor dies before anything runs
   const SimMetrics m = simulate_perturbed(s, SimOptions{1, true}, spec, 0);
   EXPECT_EQ(m.lost_instances, 4);  // a0..a3
   EXPECT_EQ(m.data_violations, 4);  // b[0] waits for four data forever
@@ -231,6 +247,44 @@ TEST(PerturbSim, FailedProcessorLosesItsDispatches) {
   }
   // 4 of 5 instances lost: the miss rate charges every one of them.
   EXPECT_DOUBLE_EQ(m.miss_rate(), 4.0 / 5.0);
+}
+
+TEST(PerturbSim, StallOfTheLargestTickIsRejected) {
+  PerturbSpec spec;
+  spec.stall_prob = 1.0;
+  spec.stall_ticks = std::numeric_limits<Time>::max();
+  const std::string error = headroom_error(spec);
+  EXPECT_NE(error.find("perturbation stall_ticks"), std::string::npos)
+      << error;
+}
+
+TEST(PerturbSim, StallOverflowingABusySumIsRejected) {
+  // 2^62 ticks fit one instance's end, but not the busy sum of the
+  // several instances each processor runs.
+  PerturbSpec spec;
+  spec.stall_prob = 1.0;
+  spec.stall_ticks = Time{1} << 62;
+  const std::string error = headroom_error(spec);
+  EXPECT_NE(error.find("perturbation stall_ticks"), std::string::npos)
+      << error;
+}
+
+TEST(PerturbSim, JitterBeyondTheTickRangeIsRejected) {
+  PerturbSpec spec;
+  spec.wcet_jitter = 1e300;
+  const std::string error = headroom_error(spec);
+  EXPECT_NE(error.find("perturbation wcet_jitter"), std::string::npos)
+      << error;
+}
+
+TEST(PerturbSim, StormFactorBeyondTheTickRangeIsRejected) {
+  PerturbSpec spec;
+  spec.wcet_jitter = 0.5;
+  spec.wcet_burst.p = 1.0;
+  spec.wcet_burst.factor = 1e300;
+  const std::string error = headroom_error(spec);
+  EXPECT_NE(error.find("perturbation wcet_burst.factor"), std::string::npos)
+      << error;
 }
 
 }  // namespace

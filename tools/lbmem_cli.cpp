@@ -124,10 +124,6 @@ constexpr FlagSpec kFlags[] = {
      "registered solver(s): balance/simulate take one name, compare a "
      "comma list or 'all' (the default there)",
      kBalance | kSimulate | kCompare},
-    {"trace", "on|off",
-     "record the full decision trace; off runs the pruned hot path and the "
-     "summary reports destinations evaluated/skipped by bound",
-     kHeuristicDriven},
     {"threads", "N",
      "worker threads for the (instance x solver) sweep, 0 = hardware "
      "concurrency — results are identical for every N",
@@ -205,10 +201,6 @@ constexpr FlagSpec kFlags[] = {
     {"migration-penalty", "P", "price of moving a block off its processor",
      kReplay | kServe},
     {"mode", "incremental|full", "balance-stage strategy", kReplay},
-    {"resolver", "NAME",
-     "full-resolve each event through this registered solver (implies "
-     "--mode=full)",
-     kReplay},
     {"arrivals", "uniform|poisson|bursty",
      "inter-arrival model stamping the generated trace's event ticks",
      kServe},
@@ -357,7 +349,6 @@ struct CliOptions {
   std::uint64_t event_seed = 1;
   Time migration_penalty = 0;
   bool incremental = true;
-  std::string resolver;
   // serve (streaming service):
   ArrivalModel arrivals = ArrivalModel::UniformGap;
   double mean_gap = 16.0;
@@ -374,18 +365,11 @@ struct CliOptions {
   bool degraded = false;
   /// --adaptive: miss-rate-driven compare row (F30).
   bool adaptive = false;
-  /// --trace=on (default) records the full per-block decision trace, which
-  /// evaluates every destination exhaustively; --trace=off runs the pruned
-  /// production path (bound-and-prune selection) — decisions are identical.
-  bool trace = true;
   /// --threads=N for compare's (instance x solver) sweep; 0 resolves to
   /// the hardware concurrency.
   int threads = 1;
   // set-tracking for cross-flag validation:
   bool policy_set = false;
-  bool trace_set = false;
-  bool mode_set = false;
-  bool penalty_set = false;
   bool perturb_knob_set = false;  ///< any perturbation knob besides --perturb
   bool fail_proc_set = false;
   bool fail_at_set = false;
@@ -575,7 +559,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         if (value.empty()) usage("--emit-trace takes a file path or '-'");
         options.emit_trace = value;
       } else if (key == "migration-penalty") {
-        options.penalty_set = true;
         options.migration_penalty = std::stoll(value);
       } else if (key == "count") {
         options.count = std::stoi(value);
@@ -587,18 +570,10 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         }
       } else if (key == "algo") {
         options.algo = value;
-      } else if (key == "resolver") {
-        options.resolver = value;
       } else if (key == "mode") {
-        options.mode_set = true;
         if (value == "incremental") options.incremental = true;
         else if (value == "full") options.incremental = false;
         else usage("unknown mode: " + value);
-      } else if (key == "trace") {
-        options.trace_set = true;
-        if (value == "on") options.trace = true;
-        else if (value == "off") options.trace = false;
-        else usage("unknown trace mode: " + value);
       } else if (key == "timing") {
         if (value == "on") options.timing = true;
         else if (value == "off") options.timing = false;
@@ -647,9 +622,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
       usage("--policy configures the default heuristic run; with --algo, "
             "name a heuristic-<policy> solver instead");
     }
-    if (options.trace_set) {
-      usage("--trace applies to the heuristic path only, not to --algo runs");
-    }
   }
   // Perturbation knobs only mean something under --perturb: a silent
   // no-op --jitter would read as "I measured robustness" when nothing
@@ -678,17 +650,6 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
   if (options.adaptive && !options.perturb) {
     usage("--adaptive ranks candidates by perturbed miss rate; add "
           "--perturb");
-  }
-  if (cmd.bit == kReplay && !options.resolver.empty()) {
-    if (options.mode_set && options.incremental) {
-      usage("--resolver implies --mode=full");
-    }
-    // The resolver runs with its own registered configuration; the
-    // built-in balance stage (and its penalty) is bypassed entirely.
-    if (options.penalty_set) {
-      usage("--migration-penalty configures the built-in balance stage, "
-            "which --resolver bypasses");
-    }
   }
   if (cmd.bit == kServe) {
     if (!options.trace_in.empty() && options.trace_gen_set) {
@@ -840,7 +801,6 @@ BalanceOptions make_balance_options(const CliOptions& options,
   BalanceOptions balance;
   balance.policy = options.policy;
   balance.enforce_memory_capacity = options.capacity != kUnlimitedMemory;
-  balance.record_trace = options.trace;
   balance.metrics = metrics;
   return balance;
 }
@@ -1059,12 +1019,6 @@ int cmd_replay(const CliOptions& options) {
   online_options.metrics = obs.registry();
   online_options.degraded = options.degraded;
   std::string mode = options.incremental ? "incremental" : "full";
-  if (!options.resolver.empty()) {
-    online_options.incremental = false;
-    online_options.full_resolver =
-        SolverRegistry::builtin().require(options.resolver);
-    mode = "full (resolver " + options.resolver + ")";
-  }
   if (options.degraded) mode += ", degraded ladder";
   Rebalancer system = Rebalancer::adopt(
       p.problem.graph(), *p.outcome.schedule, online_options);
