@@ -20,7 +20,9 @@ LoadBalancer::LoadBalancer(BalanceOptions options)
 
 namespace {
 
-/// One balancing attempt over a working copy of the schedule.
+/// One balancing attempt, editing the schedule and its all-instances
+/// occupancy in place through a ScheduleJournal (DESIGN.md F36): the
+/// caller rolls a failed attempt back to the journal mark it started at.
 ///
 /// Occupancy covers *moved* instances only: the paper's heuristic treats
 /// already-moved blocks as a committed prefix, while not-yet-moved blocks
@@ -36,60 +38,35 @@ namespace {
 /// performs no heap allocation and never rewalks the dependence graph.
 class Attempt {
  public:
-  Attempt(const Schedule& input, const BalanceOptions& opts,
-          Time max_gain_override, const BlockDecomposition& dec,
-          const std::vector<ProcTimeline>* warm_all_occ)
+  Attempt(ScheduleJournal& journal, const BalanceOptions& opts,
+          Time max_gain_override, const BlockDecomposition& dec)
       : opts_(opts),
         max_gain_(max_gain_override),
-        sched_(input),
+        journal_(journal),
+        sched_(journal.schedule()),
+        all_occ_(journal.occupancy()),
         dec_(dec),
-        h_(input.graph().hyperperiod()),
-        procs_(input.architecture().processor_count()),
-        all_occ_(static_cast<std::size_t>(procs_), ProcTimeline(h_)),
+        h_(sched_.graph().hyperperiod()),
+        procs_(sched_.architecture().processor_count()),
         moved_mem_(static_cast<std::size_t>(procs_), Mem{0}),
         last_moved_end_(static_cast<std::size_t>(procs_), Time{0}),
         first_moved_start_(static_cast<std::size_t>(procs_), Time{-1}),
         resident_mem_(static_cast<std::size_t>(procs_), Mem{0}),
         processed_(dec_.blocks.size(), false) {
     for (ProcId p = 0; p < procs_; ++p) {
-      resident_mem_[static_cast<std::size_t>(p)] = input.memory_on(p);
+      resident_mem_[static_cast<std::size_t>(p)] = sched_.memory_on(p);
     }
-    const std::size_t total = input.graph().total_instances();
+    const std::size_t total = sched_.graph().total_instances();
     instance_processed_.assign(total, 0);
     affected_epoch_.assign(total, 0);
     if (opts_.overlap_rule == OverlapRule::MovedOnly) {
       // The moved-prefix timelines exist only under MovedOnly; see commit().
       occupancy_.assign(static_cast<std::size_t>(procs_), ProcTimeline(h_));
     }
-    if (opts_.overlap_rule == OverlapRule::AllInstances) {
-      if (warm_all_occ != nullptr) {
-        // Warm start: the caller hands over an occupancy that already
-        // mirrors the input schedule — copied wholesale instead of
-        // re-adding every instance (DESIGN.md F12).
-        LBMEM_REQUIRE(warm_all_occ->size() == all_occ_.size() &&
-                          (warm_all_occ->empty() ||
-                           warm_all_occ->front().hyperperiod() == h_),
-                      "warm occupancy does not match the input schedule");
-        all_occ_ = *warm_all_occ;
-      } else {
-        // The input schedule is valid by contract, so its footprints are
-        // disjoint; debug builds still verify each insertion.
-        for (const TaskInstance inst : input.all_instances()) {
-          all_occ_[static_cast<std::size_t>(input.proc(inst))].add_unchecked(
-              input.start(inst), input.graph().task(inst.task).wcet, inst);
-        }
-      }
-    }
   }
 
   /// Run the heuristic; returns true when the final schedule validates.
   bool run(std::vector<StepRecord>* trace, BalanceStats& stats);
-
-  Schedule& schedule() { return sched_; }
-
-  /// Final all-instances occupancy (mirrors schedule() after a successful
-  /// run under OverlapRule::AllInstances); movable out for warm-state reuse.
-  std::vector<ProcTimeline>& all_occupancy() { return all_occ_; }
 
  private:
   struct QueueEntry {
@@ -206,11 +183,11 @@ class Attempt {
     const std::size_t count = (gain > 0) ? affected_.size() : member_count_;
     for (std::size_t i = 0; i < count; ++i) {
       const ProcId before = (i < member_count_) ? home : layout_[i].proc;
-      all_occ_[static_cast<std::size_t>(before)].remove(affected_[i]);
+      journal_.remove(before, affected_[i]);
     }
     for (std::size_t i = 0; i < count; ++i) {
       const TaskInstance inst = affected_[i];
-      auto& occ = all_occ_[static_cast<std::size_t>(sched_.proc(inst))];
+      const ProcId p = sched_.proc(inst);
       const Time start = sched_.start(inst);
       const Time wcet = graph().task(inst.task).wcet;
       // Every committed placement should fit (evaluate() checked it), but
@@ -219,8 +196,8 @@ class Attempt {
       // (then over the whole schedule) rejects it, and the gain-disabled
       // retry takes over gracefully. The fits() probe doubles as
       // add_unchecked's safety proof.
-      if (occ.fits(start, wcet)) {
-        occ.add_unchecked(start, wcet, inst);
+      if (all_occ(p).fits(start, wcet)) {
+        journal_.add(p, start, wcet, inst);
       } else {
         footprint_dropped_ = true;
       }
@@ -228,10 +205,15 @@ class Attempt {
     }
   }
 
+  /// The journaled all-instances occupancy (AllInstances rule).
+  const ProcTimeline& all_occ(ProcId p) const {
+    return all_occ_[static_cast<std::size_t>(p)];
+  }
+
   /// Occupancy consulted by overlap checks, per the configured rule.
   const ProcTimeline& blocking_occ(ProcId p) const {
     return opts_.overlap_rule == OverlapRule::AllInstances
-               ? all_occ_[static_cast<std::size_t>(p)]
+               ? all_occ(p)
                : occupancy_[static_cast<std::size_t>(p)];
   }
   ProcTimeline& occupancy(ProcId p) {
@@ -240,16 +222,17 @@ class Attempt {
 
   const BalanceOptions& opts_;
   Time max_gain_;  // -1 = unlimited, otherwise a cap on per-block gains
-  Schedule sched_;
+  ScheduleJournal& journal_;  // every edit of the schedule and occupancy
+  const Schedule& sched_;     // journal_.schedule(): read-only here
+  const std::vector<ProcTimeline>& all_occ_;  // journal_.occupancy()
   // Blocks depend only on the (shared) input schedule, so the
   // decomposition is built once per balance() and reused across attempts.
   const BlockDecomposition& dec_;
   Time h_;
   int procs_;
   std::vector<ProcTimeline> occupancy_;  // moved prefix only
-  std::vector<ProcTimeline> all_occ_;    // every instance (AllInstances rule)
-  std::vector<TaskInstance> moved_;      // re-added to all_occ_, in order
-  bool footprint_dropped_ = false;       // all_occ_ lost a moved footprint
+  std::vector<TaskInstance> moved_;      // re-added to all_occ(), in order
+  bool footprint_dropped_ = false;       // all_occ() lost a moved footprint
   std::vector<Mem> moved_mem_;
   std::vector<Time> last_moved_end_;
   std::vector<Time> first_moved_start_;
@@ -638,16 +621,16 @@ void Attempt::commit(const Block& block, ProcId dest, Time gain, bool forced,
   // are in A".
   if (gain > 0) {
     for (const TaskId t : block.tasks) {
-      sched_.set_first_start(t, sched_.first_start(t) - gain);
+      journal_.set_first_start(t, sched_.first_start(t) - gain);
     }
     ++stats.gains_applied;
   }
 
   for (const TaskInstance& inst : block.members) {
-    sched_.assign(inst, dest);
+    journal_.assign(inst, dest);
     // The moved-prefix occupancy is only ever read under MovedOnly
     // (blocking_occ); under AllInstances every committed footprint already
-    // lands in all_occ_ via update_all_occ, so maintaining a second,
+    // lands in all_occ() via update_all_occ, so maintaining a second,
     // write-only timeline per processor would be pure overhead.
     if (opts_.overlap_rule == OverlapRule::MovedOnly) {
       const Time wcet = graph().task(inst.task).wcet;
@@ -721,7 +704,7 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
   if (opts_.overlap_rule == OverlapRule::MovedOnly || footprint_dropped_) {
     return is_valid(sched_);
   }
-  // The input is valid and all_occ_ mirrored it; every re-add passed fits()
+  // The input is valid and all_occ() mirrored it; every re-add passed fits()
   // against that mirror, so no overlap exists anywhere and precedence can
   // only have broken at a moved instance or a consumer of one (DESIGN.md
   // F35).
@@ -926,53 +909,60 @@ BalanceResult LoadBalancer::balance(const Schedule& input) const {
     LBMEM_TRACE_SPAN("lb.build_blocks");
     return build_blocks(input);
   }();
-  return run_attempts(input, dec, /*warm_occupancy=*/nullptr,
-                      /*return_occupancy=*/false);
+  // One copy of the input, one occupancy build; every attempt then edits
+  // them in place and a failed one rolls back (DESIGN.md F36).
+  Schedule work(input);
+  std::vector<ProcTimeline> occupancy;
+  if (options_.overlap_rule == OverlapRule::AllInstances) {
+    occupancy = build_occupancy(work);
+  }
+  ScheduleJournal journal(work, occupancy);
+  RebalanceResult result = run_attempts(journal, dec);
+  journal.commit();
+  return BalanceResult{std::move(work), std::move(result.stats),
+                       std::move(result.trace)};
 }
 
-BalanceResult LoadBalancer::rebalance(const Schedule& input,
-                                      const RebalanceScope& scope) const {
-  LBMEM_REQUIRE(input.complete(), "rebalance requires a complete schedule");
-  LBMEM_REQUIRE(scope.blocks != nullptr,
-                "rebalance requires a block decomposition");
+RebalanceResult LoadBalancer::rebalance(
+    Schedule& sched, std::vector<ProcTimeline>& occupancy,
+    const BlockDecomposition& blocks) const {
+  ScheduleJournal journal(sched, occupancy);
+  RebalanceResult result = rebalance(journal, blocks);
+  journal.commit();
+  return result;
+}
+
+RebalanceResult LoadBalancer::rebalance(
+    ScheduleJournal& journal, const BlockDecomposition& blocks) const {
+  const Schedule& sched = journal.schedule();
+  LBMEM_REQUIRE(sched.complete(), "rebalance requires a complete schedule");
   // Under MovedOnly, instances outside the scope would be invisible to
-  // overlap checks — the opposite of the RebalanceScope contract (unscoped
+  // overlap checks — the opposite of the scoped contract (unscoped
   // instances constrain every placement). Scoped rebalancing is therefore
   // defined for the AllInstances rule only.
   LBMEM_REQUIRE(options_.overlap_rule == OverlapRule::AllInstances,
                 "rebalance requires OverlapRule::AllInstances");
-  return run_attempts(input, *scope.blocks, scope.occupancy,
-                      scope.return_occupancy);
+  const std::vector<ProcTimeline>& occupancy = journal.occupancy();
+  LBMEM_REQUIRE(
+      occupancy.size() ==
+              static_cast<std::size_t>(
+                  sched.architecture().processor_count()) &&
+          occupancy.front().hyperperiod() == sched.graph().hyperperiod(),
+      "rebalance needs the schedule's all-instances occupancy");
+  return run_attempts(journal, blocks);
 }
 
-BalanceResult LoadBalancer::run_attempts(
-    const Schedule& input, const BlockDecomposition& dec,
-    const std::vector<ProcTimeline>* warm_occupancy,
-    bool return_occupancy) const {
+RebalanceResult LoadBalancer::run_attempts(
+    ScheduleJournal& journal, const BlockDecomposition& dec) const {
   obs::ScopedSpan balance_span("lb.balance");
   Stopwatch watch;
+  const Schedule& sched = journal.schedule();
 
   BalanceStats base;
-  base.makespan_before = input.makespan();
-  base.max_memory_before = input.max_memory();
-  for (ProcId p = 0; p < input.architecture().processor_count(); ++p) {
-    base.memory_before.push_back(input.memory_on(p));
-  }
-
-  // Build the all-instances occupancy once per balance() and hand it to
-  // every attempt as warm state: the Attempt constructor then copies the
-  // built structures instead of re-inserting every instance per attempt.
-  std::vector<ProcTimeline> pristine;
-  if (warm_occupancy == nullptr &&
-      options_.overlap_rule == OverlapRule::AllInstances) {
-    pristine.assign(
-        static_cast<std::size_t>(input.architecture().processor_count()),
-        ProcTimeline(input.graph().hyperperiod()));
-    for (const TaskInstance inst : input.all_instances()) {
-      pristine[static_cast<std::size_t>(input.proc(inst))].add_unchecked(
-          input.start(inst), input.graph().task(inst.task).wcet, inst);
-    }
-    warm_occupancy = &pristine;
+  base.makespan_before = sched.makespan();
+  base.max_memory_before = sched.max_memory();
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    base.memory_before.push_back(sched.memory_on(p));
   }
 
   // The first attempt honours options_.max_gain; the retry disables gains
@@ -980,34 +970,32 @@ BalanceResult LoadBalancer::run_attempts(
   // no optimistic shift propagation remains). A third attempt would start
   // from the same input, decomposition and occupancy with gains still
   // disabled, replaying the retry bit for bit, so a failed retry falls
-  // back.
+  // back. Every attempt starts from the state passed in: a failed one
+  // rolls the journal back to its mark.
   constexpr int kAttempts = 2;
   for (int attempt = 1; attempt <= kAttempts; ++attempt) {
     const Time gain_override = (attempt == 1) ? options_.max_gain : 0;
     LBMEM_TRACE_SPAN("lb.attempt");
-    Attempt run(input, options_, gain_override, dec, warm_occupancy);
+    const ScheduleJournal::Mark mark = journal.mark();
     BalanceStats stats = base;
     stats.attempts_used = attempt;
     std::vector<StepRecord> trace;
-    const bool ok = run.run(options_.record_trace ? &trace : nullptr, stats);
-    if (!ok) continue;
+    const bool ok = Attempt(journal, options_, gain_override, dec)
+                        .run(options_.record_trace ? &trace : nullptr, stats);
+    if (!ok) {
+      journal.rollback(mark);
+      continue;
+    }
 
-    Schedule& result = run.schedule();
-    stats.makespan_after = result.makespan();
+    stats.makespan_after = sched.makespan();
     stats.gain_total = stats.makespan_before - stats.makespan_after;
-    stats.max_memory_after = result.max_memory();
-    for (ProcId p = 0; p < result.architecture().processor_count(); ++p) {
-      stats.memory_after.push_back(result.memory_on(p));
+    stats.max_memory_after = sched.max_memory();
+    for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+      stats.memory_after.push_back(sched.memory_on(p));
     }
     stats.wall_seconds = watch.seconds();
     if (options_.metrics != nullptr) fold_stats(*options_.metrics, stats);
-    BalanceResult out{std::move(result), std::move(stats), std::move(trace),
-                      {}};
-    if (return_occupancy &&
-        options_.overlap_rule == OverlapRule::AllInstances) {
-      out.occupancy = std::move(run.all_occupancy());
-    }
-    return out;
+    return RebalanceResult{std::move(stats), std::move(trace)};
   }
 
   // Fall back: the input schedule is valid and Gtotal = 0, so Theorem 1's
@@ -1021,7 +1009,7 @@ BalanceResult LoadBalancer::run_attempts(
   stats.memory_after = base.memory_before;
   stats.wall_seconds = watch.seconds();
   if (options_.metrics != nullptr) fold_stats(*options_.metrics, stats);
-  return BalanceResult{input, std::move(stats), {}, {}};
+  return RebalanceResult{std::move(stats), {}};
 }
 
 }  // namespace lbmem

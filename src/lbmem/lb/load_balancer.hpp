@@ -30,6 +30,7 @@
 
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/cost_policy.hpp"
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/schedule.hpp"
 #include "lbmem/sched/timeline.hpp"
 
@@ -100,26 +101,6 @@ struct BalanceOptions {
   int threads = 1;
 };
 
-/// Scope of an incremental warm-start rebalance (DESIGN.md F12). Scoped
-/// rebalancing is defined for OverlapRule::AllInstances only: under
-/// MovedOnly the unscoped instances would be invisible to overlap checks,
-/// the opposite of this contract.
-struct RebalanceScope {
-  /// Blocks to re-evaluate — typically build_blocks_around() of the tasks
-  /// an event dirtied. Instances outside the decomposition are never moved
-  /// but still constrain every placement through the occupancy. Required.
-  const BlockDecomposition* blocks = nullptr;
-  /// Warm per-processor all-instances occupancy mirroring the input
-  /// schedule, copied instead of being rebuilt from scratch. Optional.
-  /// The mirror is load-bearing: the moved-set validation trusts it to
-  /// prove the result overlap-free (DESIGN.md F12, F35), so a stale piece
-  /// can let an invalid schedule through in optimized builds.
-  const std::vector<ProcTimeline>* occupancy = nullptr;
-  /// Return the final all-instances occupancy in BalanceResult::occupancy
-  /// (empty on fallback) so the caller can keep its warm state in sync.
-  bool return_occupancy = false;
-};
-
 /// Per-block decision record (mirrors the paper's step-by-step example).
 struct StepRecord {
   BlockId block = -1;
@@ -170,9 +151,13 @@ struct BalanceResult {
   Schedule schedule;
   BalanceStats stats;
   std::vector<StepRecord> trace;
-  /// All-instances occupancy of `schedule`, filled only when a
-  /// RebalanceScope asked for it (warm-state handover; empty otherwise).
-  std::vector<ProcTimeline> occupancy;
+};
+
+/// What an in-place rebalance reports; the schedule is the caller's own.
+struct RebalanceResult {
+  BalanceStats stats;
+  /// Filled when BalanceOptions::record_trace is set.
+  std::vector<StepRecord> trace;
 };
 
 /// The load-balancing heuristic.
@@ -190,22 +175,39 @@ class LoadBalancer {
   /// verdict against the whole-schedule is_valid.
   BalanceResult balance(const Schedule& input) const;
 
-  /// Incremental warm-start balance: identical decision machinery, but only
-  /// the blocks of \p scope are popped — everything else stays put and acts
-  /// as committed occupancy. Eligibility and the Block Condition anchor are
-  /// local to this run, mirroring one balancing "round" over the scoped
-  /// blocks. Same validity contract as balance(): on validation failure the
-  /// gain-disabled retry runs, and ultimately the input is returned.
-  BalanceResult rebalance(const Schedule& input,
-                          const RebalanceScope& scope) const;
+  /// Incremental warm-start balance, in place (DESIGN.md F12, F36):
+  /// identical decision machinery, but only the blocks of \p blocks are
+  /// popped — typically build_blocks_around() of the tasks an event
+  /// dirtied. Every other instance stays put and still constrains each
+  /// placement through \p occupancy, the all-instances occupancy of
+  /// \p sched (build_occupancy), which the run keeps mirroring the
+  /// schedule. The mirror is load-bearing: the moved-set validation trusts
+  /// it to prove the result overlap-free (DESIGN.md F35), so a stale piece
+  /// can let an invalid schedule through in optimized builds. Eligibility
+  /// and the Block Condition anchor are local to this run, mirroring one
+  /// balancing "round" over the scoped blocks. Same validity contract as
+  /// balance(): on validation failure the gain-disabled retry runs, and
+  /// ultimately (stats.fell_back) \p sched and \p occupancy are left
+  /// exactly as passed in. Defined for OverlapRule::AllInstances only:
+  /// under MovedOnly the unscoped instances would be invisible to overlap
+  /// checks. With every block in \p blocks (build_blocks) it decides
+  /// exactly what balance() does.
+  RebalanceResult rebalance(Schedule& sched,
+                            std::vector<ProcTimeline>& occupancy,
+                            const BlockDecomposition& blocks) const;
+
+  /// The same, editing through \p journal's schedule and occupancy. The
+  /// edits stay in the journal for the caller to commit or roll back (the
+  /// online engine keeps one journal per event); a fallback rolls the
+  /// journal back to the mark it had on entry.
+  RebalanceResult rebalance(ScheduleJournal& journal,
+                            const BlockDecomposition& blocks) const;
 
   const BalanceOptions& options() const { return options_; }
 
  private:
-  BalanceResult run_attempts(const Schedule& input,
-                             const BlockDecomposition& dec,
-                             const std::vector<ProcTimeline>* warm_occupancy,
-                             bool return_occupancy) const;
+  RebalanceResult run_attempts(ScheduleJournal& journal,
+                               const BlockDecomposition& dec) const;
 
   BalanceOptions options_;
 };

@@ -1,7 +1,9 @@
 #include "lbmem/model/task_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
+#include <string>
 
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/math.hpp"
@@ -133,6 +135,11 @@ void TaskGraph::freeze() {
   if (topo_order_.size() != tasks_.size()) {
     throw ModelError("task graph contains a dependence cycle");
   }
+  topo_rank_.resize(tasks_.size());
+  for (std::size_t i = 0; i < topo_order_.size(); ++i) {
+    topo_rank_[static_cast<std::size_t>(topo_order_[i])] =
+        static_cast<std::int32_t>(i);
+  }
 
   // Instance counts (H / period) and CSR offsets, cached so hot paths
   // never divide or re-derive the dense instance enumeration.
@@ -140,9 +147,25 @@ void TaskGraph::freeze() {
   instance_base_.resize(tasks_.size() + 1);
   instance_base_[0] = 0;
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    instance_count_[t] = static_cast<InstanceIdx>(hyperperiod_ / tasks_[t].period);
+    // Trace text is untrusted: a period coprime to the rest can blow H up
+    // past what one task's instances can be numbered with, or past what
+    // any occupancy can hold.
+    const Time count = hyperperiod_ / tasks_[t].period;
+    if (count > std::numeric_limits<InstanceIdx>::max()) {
+      throw ModelError("task " + tasks_[t].name + ": " +
+                       std::to_string(count) +
+                       " instances per hyper-period overflow the instance "
+                       "index");
+    }
+    instance_count_[t] = static_cast<InstanceIdx>(count);
     instance_base_[t + 1] =
         instance_base_[t] + static_cast<std::size_t>(instance_count_[t]);
+    if (instance_base_[t + 1] > kMaxTotalInstances) {
+      throw ModelError("task " + tasks_[t].name + ": the hyper-period of " +
+                       std::to_string(hyperperiod_) + " expands the graph "
+                       "past " + std::to_string(kMaxTotalInstances) +
+                       " instances");
+    }
   }
   total_instances_ = instance_base_.back();
   frozen_ = true;

@@ -45,6 +45,9 @@ class TaskGraph {
 
   /// Validate global invariants (DAG) and build derived data. Must be
   /// called once after construction; mutating calls afterwards throw.
+  /// Throws ModelError, naming the task, when a task's instance count
+  /// H / period exceeds InstanceIdx or the total instance count exceeds
+  /// kMaxTotalInstances.
   void freeze();
 
   /// Update a task's WCET after freeze() — the one structural mutation the
@@ -52,8 +55,8 @@ class TaskGraph {
   /// at freeze time depends on WCETs (hyper-period, instance counts,
   /// adjacency and topological order all come from periods and edges).
   /// Revalidates 0 < wcet <= period. Schedules referencing this graph keep
-  /// incrementally-maintained busy aggregates; callers must invoke
-  /// Schedule::refresh_aggregates() on them afterwards.
+  /// incrementally-maintained busy aggregates; callers must correct them
+  /// with Schedule::wcet_changed() (ScheduleJournal::set_wcet does both).
   void set_wcet(TaskId id, Time wcet);
 
   /// This graph minus the tasks in \p drop and the dependences touching
@@ -153,6 +156,19 @@ class TaskGraph {
   /// A topological order of task ids (producers before consumers).
   std::span<const TaskId> topological_order() const;
 
+  /// Position of \p id in topological_order().
+  std::int32_t topological_rank(TaskId id) const {
+    require_frozen("topological_rank");
+    LBMEM_REQUIRE(id >= 0 && id < static_cast<TaskId>(tasks_.size()),
+                  "task id out of range");
+    return topo_rank_[static_cast<std::size_t>(id)];
+  }
+
+  /// Ceiling on total_instances(): freeze() rejects a graph whose
+  /// hyper-period would expand into more instances than this. About 360x
+  /// the largest graph the benches build, and a few GB of occupancy.
+  static constexpr std::size_t kMaxTotalInstances = std::size_t{1} << 24;
+
   /// Producer instances consumed by instance \p k of the consumer of
   /// dependence \p dep_index (paper Section 3.1):
   ///  * T_c = n*T_p: instance k consumes producer instances k*n .. k*n+n-1
@@ -228,6 +244,7 @@ class TaskGraph {
   Time hyperperiod_ = 0;
   std::size_t total_instances_ = 0;
   std::vector<TaskId> topo_order_;
+  std::vector<std::int32_t> topo_rank_;  // inverse of topo_order_
   std::vector<InstanceIdx> instance_count_;  // per task: H / period
   std::vector<std::size_t> instance_base_;   // CSR offsets, size tasks+1
   std::vector<std::vector<std::int32_t>> in_edges_;

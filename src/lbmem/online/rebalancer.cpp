@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <set>
 #include <utility>
 
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/scheduler.hpp"
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/stopwatch.hpp"
@@ -29,22 +31,6 @@ TaskId maybe_find(const TaskGraph& graph, const std::string& name) {
   return -1;
 }
 
-/// All-instances occupancy of \p sched. Unassigned instances (a not-yet-
-/// admitted arrival) simply have no footprint. instances_on() is sorted by
-/// start, which keeps the sorted-vector inserts cheap.
-std::vector<ProcTimeline> build_occupancy(const Schedule& sched) {
-  const int m = sched.architecture().processor_count();
-  std::vector<ProcTimeline> occ(static_cast<std::size_t>(m),
-                                ProcTimeline(sched.graph().hyperperiod()));
-  for (ProcId p = 0; p < m; ++p) {
-    for (const TaskInstance inst : sched.instances_on(p)) {
-      occ[static_cast<std::size_t>(p)].add(
-          sched.start(inst), sched.graph().task(inst.task).wcet, inst);
-    }
-  }
-  return occ;
-}
-
 #if LBMEM_TIMELINE_VERIFY
 /// Does \p occ hold exactly the pieces of build_occupancy(\p sched)?
 bool mirrors(const std::vector<ProcTimeline>& occ, const Schedule& sched) {
@@ -55,17 +41,6 @@ bool mirrors(const std::vector<ProcTimeline>& occ, const Schedule& sched) {
                     });
 }
 #endif
-
-/// Processor of each task's first instance (kNoProc when unassigned) —
-/// the repair's migration-avoiding placement preference.
-std::vector<ProcId> instance0_procs(const Schedule& sched) {
-  const auto count = static_cast<TaskId>(sched.graph().task_count());
-  std::vector<ProcId> preferred(static_cast<std::size_t>(count), kNoProc);
-  for (TaskId t = 0; t < count; ++t) {
-    preferred[static_cast<std::size_t>(t)] = sched.proc(TaskInstance{t, 0});
-  }
-  return preferred;
-}
 
 /// Every task id in order: the id remap of an event that keeps the graph.
 std::vector<TaskId> task_ids(const TaskGraph& graph) {
@@ -101,21 +76,23 @@ void add_consumers(const TaskGraph& graph, TaskId t,
   }
 }
 
-/// Grow \p dirty by one dependency ring: every producer or consumer of a
-/// dirty task becomes dirty (the rung-1 scope widening, DESIGN.md F28).
-/// Returns false when the ring added nothing (fixpoint — retrying would
-/// repeat the identical repair).
-bool widen_by_ring(const TaskGraph& graph, std::vector<std::uint8_t>& dirty) {
-  std::vector<std::uint8_t> next = dirty;
-  for (const Dependence& dep : graph.dependences()) {
-    if (dirty[static_cast<std::size_t>(dep.producer)]) {
-      next[static_cast<std::size_t>(dep.consumer)] = 1;
+/// Grow the sorted, duplicate-free task set \p dirty by one dependency
+/// ring: every producer or consumer of a dirty task becomes dirty (the
+/// rung-1 scope widening, DESIGN.md F28). Returns false when the ring added
+/// nothing (fixpoint — retrying would repeat the identical repair).
+bool widen_by_ring(const TaskGraph& graph, std::vector<TaskId>& dirty) {
+  std::vector<TaskId> next = dirty;
+  for (const TaskId t : dirty) {
+    for (const std::int32_t e : graph.deps_in(t)) {
+      next.push_back(graph.dependences()[static_cast<std::size_t>(e)].producer);
     }
-    if (dirty[static_cast<std::size_t>(dep.consumer)]) {
-      next[static_cast<std::size_t>(dep.producer)] = 1;
+    for (const std::int32_t e : graph.deps_out(t)) {
+      next.push_back(graph.dependences()[static_cast<std::size_t>(e)].consumer);
     }
   }
-  const bool grew = next != dirty;
+  std::sort(next.begin(), next.end());
+  next.erase(std::unique(next.begin(), next.end()), next.end());
+  const bool grew = next.size() != dirty.size();
   dirty.swap(next);
   return grew;
 }
@@ -135,17 +112,20 @@ std::vector<TaskId> shed_order(const TaskGraph& graph) {
   return order;
 }
 
-/// Scope guard undoing a durable engine mutation (set_wcet, failed_ flag)
-/// unless dismissed — keeps the "rejected events leave the system exactly
-/// as before" promise even when patching throws (bad_alloc, precondition).
+/// Scope guard running \p undo unless dismissed — apply()'s strong
+/// exception guarantee: whatever throws, the event leaves nothing behind.
 template <typename Undo>
 class Rollback {
  public:
   explicit Rollback(Undo undo) : undo_(std::move(undo)) {}
   Rollback(const Rollback&) = delete;
   Rollback& operator=(const Rollback&) = delete;
-  ~Rollback() {
-    if (armed_) undo_();
+  ~Rollback() { fire(); }
+  /// Undo now; later calls and the destructor do nothing.
+  void fire() noexcept {
+    if (!armed_) return;
+    armed_ = false;
+    undo_();
   }
   void dismiss() { armed_ = false; }
 
@@ -154,59 +134,56 @@ class Rollback {
   bool armed_ = true;
 };
 
-}  // namespace
-
-/// Candidate post-patch state, committed only when the repair succeeds
-/// (rejected events must leave the system untouched; DESIGN.md F14).
-struct Rebalancer::Patched {
-  explicit Patched(Schedule s) : sched(std::move(s)) {}
-
-  Schedule sched;
-  std::vector<ProcTimeline> occ;
-  std::vector<std::uint8_t> dirty;      ///< per (post-event) TaskId
-  std::vector<ProcId> preferred;        ///< placement preference per task
-  std::vector<TaskId> repaired;
-  std::vector<TaskId> seeds;            ///< balance-stage seed tasks
-  bool full_replace = false;
-};
-
-namespace {
-
 /// The dirty-set repair (DESIGN.md F11): re-place every dirty task whole —
 /// earliest feasible strict-periodic start over the alive processors,
 /// preferring its previous processor — in topological order, cascading to
 /// consumers whose data-readiness a re-placement broke (consumers are
-/// always later in the order, so one pass suffices). Returns an empty
-/// string on success, else the reason the repair is infeasible.
-std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
-                   std::vector<std::uint8_t>& dirty,
-                   const std::vector<ProcId>& preferred,
+/// always later in the order, so one pass suffices). Every edit goes
+/// through \p edits. \p preferred is the placement preference per task for
+/// a fresh schedule (a full re-place); empty means each task's current
+/// instance-0 processor, which keeps its pre-repair value until the task
+/// itself is re-placed. Returns an empty string on success, else the
+/// reason the repair is infeasible.
+std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
+                   std::span<const ProcId> preferred,
                    const std::vector<std::uint8_t>& failed,
                    std::vector<TaskId>& repaired) {
+  const Schedule& work = edits.schedule();
   const TaskGraph& graph = work.graph();
+  // Pending dirty tasks by topological rank: popped in topological order,
+  // and a cascade only adds consumers, which rank later than every task
+  // already popped — so membership in the pending set is all the cascade
+  // needs, and a local event never touches the other tasks.
+  std::set<std::pair<std::int32_t, TaskId>> dirty;
+  const auto key = [&](TaskId t) {
+    return std::pair{graph.topological_rank(t), t};
+  };
+  for (const TaskId t : initial) dirty.insert(key(t));
   const auto detach = [&](TaskId t) {
     const InstanceIdx n = graph.instance_count(t);
     for (InstanceIdx k = 0; k < n; ++k) {
       const TaskInstance inst{t, k};
       const ProcId p = work.proc(inst);
-      if (p != kNoProc) occ[static_cast<std::size_t>(p)].remove(inst);
+      if (p != kNoProc) edits.remove(p, inst);
     }
   };
   // Detach the initial dirty set up front so it does not constrain its own
   // re-placement; cascade additions are detached when their turn comes
-  // (remove() is a no-op on absent owners), which is merely conservative.
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (dirty[static_cast<std::size_t>(t)]) detach(t);
-  }
+  // (removing an absent owner is a no-op), which is merely conservative.
+  for (const auto& [rank, t] : dirty) detach(t);
 
   // Scratch hoisted out of the loop: a full-replace escalation re-places
   // every task, and a fresh allocation per task adds up.
   std::vector<Mem> resident;
-  for (const TaskId t : graph.topological_order()) {
-    if (!dirty[static_cast<std::size_t>(t)]) continue;
+  while (!dirty.empty()) {
+    const TaskId t = dirty.begin()->second;
+    dirty.erase(dirty.begin());
     detach(t);
     const Task& task = graph.task(t);
     const InstanceIdx n = graph.instance_count(t);
+    const ProcId pref = preferred.empty()
+                            ? work.proc(TaskInstance{t, 0})
+                            : preferred[static_cast<std::size_t>(t)];
 
     // t's current residency per processor: the schedule still carries its
     // stale assignment, so a capacity projection must not double-count it.
@@ -231,8 +208,9 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
         continue;  // admitting t whole on p would overrun the capacity
       }
       const Time lb = precedence_lower_bound(work, t, p);
-      const auto start = occ[static_cast<std::size_t>(p)].earliest_fit(
-          lb, task.period, task.wcet, n);
+      const auto start =
+          edits.occupancy()[static_cast<std::size_t>(p)].earliest_fit(
+              lb, task.period, task.wcet, n);
       if (!start) continue;
       bool better = false;
       if (best_proc == kNoProc) {
@@ -240,7 +218,6 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
       } else if (*start != best_start) {
         better = *start < best_start;
       } else {
-        const ProcId pref = preferred[static_cast<std::size_t>(t)];
         const bool cand_pref = (p == pref);
         const bool best_pref = (best_proc == pref);
         if (cand_pref != best_pref) {
@@ -258,19 +235,19 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
       return "no feasible placement for task " + task.name;
     }
 
-    commit_whole_task(work, occ, t, best_proc, best_start);
+    commit_whole_task(edits, t, best_proc, best_start);
     repaired.push_back(t);
 
     // Cascade: a later start or a new processor can invalidate consumers.
     for (const std::int32_t e : graph.deps_out(t)) {
       const Dependence& dep =
           graph.dependences()[static_cast<std::size_t>(e)];
-      if (dirty[static_cast<std::size_t>(dep.consumer)]) continue;
+      if (dirty.contains(key(dep.consumer))) continue;
       const InstanceIdx nc = graph.instance_count(dep.consumer);
       for (InstanceIdx k = 0; k < nc; ++k) {
         const TaskInstance inst{dep.consumer, k};
         if (work.data_ready(inst, work.proc(inst)) > work.start(inst)) {
-          dirty[static_cast<std::size_t>(dep.consumer)] = 1;
+          dirty.insert(key(dep.consumer));
           break;
         }
       }
@@ -279,22 +256,34 @@ std::string repair(Schedule& work, std::vector<ProcTimeline>& occ,
   return {};
 }
 
-}  // namespace
+/// A state that replaces the engine's instead of editing it (DESIGN.md
+/// F14): arrivals and removals carry the placements onto a new graph, and
+/// a full re-place starts from an empty schedule, so their state is new
+/// anyway. It is swapped in only once its repair succeeded.
+struct Candidate {
+  explicit Candidate(Schedule s) : sched(std::move(s)) {}
+
+  Schedule sched;
+  std::vector<ProcTimeline> occ;
+  std::vector<TaskId> dirty;      ///< initial dirty tasks (post-event ids)
+  std::vector<ProcId> preferred;  ///< full re-place: preference per task
+  std::vector<TaskId> repaired;
+  std::vector<TaskId> seeds;      ///< balance-stage seed tasks
+  bool full_replace = false;
+};
 
 /// Fresh candidate that re-places *every* task (hyper-period changes and
 /// the escalation path when a local repair is infeasible; DESIGN.md F13).
 /// Placement preferences come from the pre-event schedule through \p remap
 /// (\p pre's task id -> \p graph's).
-Rebalancer::Patched Rebalancer::full_replace_candidate(
-    const TaskGraph& graph, const Schedule& pre,
-    std::span<const TaskId> remap) {
-  Rebalancer::Patched candidate{
-      Schedule(graph, pre.architecture(), pre.comm())};
+Candidate full_replace_candidate(const TaskGraph& graph, const Schedule& pre,
+                                 std::span<const TaskId> remap) {
+  Candidate candidate{Schedule(graph, pre.architecture(), pre.comm())};
   candidate.full_replace = true;
   candidate.occ.assign(
       static_cast<std::size_t>(pre.architecture().processor_count()),
       ProcTimeline(graph.hyperperiod()));
-  candidate.dirty.assign(graph.task_count(), 1);
+  candidate.dirty = task_ids(graph);
   candidate.preferred.assign(graph.task_count(), kNoProc);
   for (TaskId t = 0; t < static_cast<TaskId>(remap.size()); ++t) {
     const TaskId nt = remap[static_cast<std::size_t>(t)];
@@ -306,6 +295,8 @@ Rebalancer::Patched Rebalancer::full_replace_candidate(
   return candidate;
 }
 
+}  // namespace
+
 Rebalancer::Rebalancer(std::unique_ptr<TaskGraph> graph, Schedule schedule,
                        RebalancerOptions options)
     : options_(std::move(options)),
@@ -316,6 +307,10 @@ Rebalancer::Rebalancer(std::unique_ptr<TaskGraph> graph, Schedule schedule,
                 "the schedule must reference the owned graph");
   LBMEM_REQUIRE(sched_->complete(),
                 "Rebalancer requires a complete schedule");
+  // The engine's occupancy mirrors every instance, and the balance stage
+  // runs in place over it (LoadBalancer::rebalance).
+  LBMEM_REQUIRE(options_.balance.overlap_rule == OverlapRule::AllInstances,
+                "the online engine requires OverlapRule::AllInstances");
   failed_.assign(
       static_cast<std::size_t>(sched_->architecture().processor_count()), 0);
   occ_ = build_occupancy(*sched_);
@@ -335,7 +330,8 @@ int Rebalancer::alive_processor_count() const {
          static_cast<int>(std::count(failed_.begin(), failed_.end(), 1));
 }
 
-void Rebalancer::run_balance_stage(const std::vector<TaskId>& seeds,
+void Rebalancer::run_balance_stage(ScheduleJournal& journal,
+                                   std::vector<TaskId> seeds,
                                    EventOutcome& out) {
   LBMEM_TRACE_SPAN("online.balance_stage");
   BalanceOptions bopts = options_.balance;
@@ -343,33 +339,24 @@ void Rebalancer::run_balance_stage(const std::vector<TaskId>& seeds,
   if (bopts.metrics == nullptr) bopts.metrics = options_.metrics;
   const LoadBalancer balancer(bopts);
 
-  // Scoped rebalancing is only defined under AllInstances (see
-  // RebalanceScope); a MovedOnly configuration degrades to a full balance.
-  const bool scoped = options_.incremental &&
-                      bopts.overlap_rule == OverlapRule::AllInstances;
-  BalanceResult result = [&] {
-    if (!scoped) return balancer.balance(*sched_);
-    std::vector<TaskId> deduped(seeds);
-    std::sort(deduped.begin(), deduped.end());
-    deduped.erase(std::unique(deduped.begin(), deduped.end()),
-                  deduped.end());
-    const BlockDecomposition dec = build_blocks_around(*sched_, deduped);
-    RebalanceScope scope;
-    scope.blocks = &dec;
-    scope.occupancy = &occ_;
-    scope.return_occupancy = true;
-    return balancer.rebalance(*sched_, scope);
+  // Incremental: the blocks around the seeds. --mode=full: every block,
+  // which decides exactly what balance() would on this state.
+  const BlockDecomposition dec = [&] {
+    if (!options_.incremental) {
+      LBMEM_TRACE_SPAN("lb.build_blocks");
+      return build_blocks(*sched_);
+    }
+    std::sort(seeds.begin(), seeds.end());
+    seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    return build_blocks_around(*sched_, seeds);
   }();
+  const RebalanceResult result = balancer.rebalance(journal, dec);
 
   out.dirty_blocks = result.stats.blocks_total;
   out.balance_fell_back = result.stats.fell_back;
-  if (result.stats.fell_back) return;  // keep the repaired schedule
-
+  if (result.stats.fell_back) return;  // the repaired state stands
   out.balance_moves = result.stats.moves_off_home;
   out.balance_gain = result.stats.gain_total;
-  sched_ = std::move(result.schedule);
-  occ_ = result.occupancy.empty() ? build_occupancy(*sched_)
-                                  : std::move(result.occupancy);
 }
 
 EventOutcome Rebalancer::fail_processor(ProcId proc, Time at) {
@@ -460,71 +447,68 @@ EventOutcome Rebalancer::apply(const Event& event) {
     if (options_.metrics != nullptr) fold_event(*options_.metrics, out);
   };
 
-  // Snapshot for the migration diff and (conceptually) the rollback: the
-  // candidate-state patching below never mutates *sched_ in place, so a
-  // rejected event only ever needs its explicit graph-level undo. Taken
-  // lazily so cheap rejects and no-op events skip the O(instances) copy;
-  // every applied path materializes it while building its candidate,
-  // before anything commits. (A WcetChange materializes it after the
-  // set_wcet graph mutation, which is safe: the snapshot copies only the
-  // schedule's own vectors, untouched by the graph edit.)
-  std::optional<Schedule> pre_snapshot;
-  const auto pre = [&]() -> const Schedule& {
-    if (!pre_snapshot) pre_snapshot.emplace(*sched_);
-    return *pre_snapshot;
-  };
+  // Strong exception guarantee (DESIGN.md F14, F36): every change below is
+  // undone unless the event commits as apply()'s last step. Graph-keeping
+  // repairs and every balance stage edit *sched_ and occ_ in place through
+  // `journal`. A candidate that replaces the state (a new graph, a full
+  // re-place, a shed) is swapped in, and the state it replaced waits in
+  // `prior` until apply() returns.
+  ScheduleJournal journal(*sched_, occ_);
+  struct Prior {
+    std::unique_ptr<TaskGraph> graph;  // null: the graph was kept
+    std::optional<Schedule> sched;     // engaged once a candidate swapped in
+    std::vector<ProcTimeline> occ;
+    ScheduleJournal::Mark mark = 0;    // journal length at the swap
+  } prior;
+  ProcId failed_proc = kNoProc;
+  const std::size_t shed_before = shed_.size();
+  Rollback undo([&]() noexcept {
+    if (prior.sched) {
+      journal.rollback(prior.mark);  // the candidate's balance stage
+      if (prior.graph) graph_.swap(prior.graph);
+      sched_.swap(prior.sched);
+      occ_.swap(prior.occ);
+    }
+    journal.rollback(0);
+    if (failed_proc != kNoProc) {
+      failed_[static_cast<std::size_t>(failed_proc)] = 0;
+    }
+    shed_.erase(shed_.begin() + static_cast<std::ptrdiff_t>(shed_before),
+                shed_.end());
+  });
 
   std::string reject;
-  // Pre-event task id -> post-event id (-1: removed or shed); the identity
-  // unless the event or the shed rung edits the graph.
-  std::vector<TaskId> remap = task_ids(*graph_);
+  // Pre-event task id -> post-event id (-1: removed or shed). Filled by a
+  // graph edit, or as the identity once a graph-keeping event escalates.
+  std::vector<TaskId> remap;
   std::unique_ptr<TaskGraph> new_graph;   // null = graph kept
   std::unique_ptr<TaskGraph> shed_graph;  // rung 3 shrank the graph
-  std::optional<Patched> patched;
+  std::optional<Candidate> patched;       // state to swap in
+  // In-place repair: the balance seeds and the tasks re-placed.
+  std::vector<TaskId> seeds;
+  std::vector<TaskId> repaired;
+  const bool degraded = options_.degraded;
 
-  // The repair ladder. Rung 0 is the plain dirty-set repair; without
-  // degraded mode a failure escalates once to a full re-place and then
-  // rejects (the historic F11/F13 behavior). With degraded mode the
-  // failure climbs: widened-scope retries, the constructive full
-  // re-place, and finally load shedding (DESIGN.md F28). Every rung
-  // builds its candidate from pristine pre-event state via make_base /
-  // full_replace_candidate, so a failed rung leaks nothing into the next
-  // — and a rejected event leaks nothing at all (F14).
-  const auto try_repair = [&](Patched& c) {
-    return repair(c.sched, c.occ, c.dirty, c.preferred, failed_, c.repaired);
+  const auto repair_candidate = [&](Candidate& c) {
+    ScheduleJournal edits(c.sched, c.occ, /*record=*/false);
+    return repair(edits, c.dirty, c.preferred, failed_, c.repaired);
   };
-  const auto run_ladder = [&](const std::function<Patched()>& make_base,
-                              const TaskGraph& graph) -> std::string {
-    LBMEM_TRACE_SPAN("online.repair");
-    Patched candidate = make_base();
-    const std::vector<std::uint8_t> base_dirty = candidate.dirty;
-    const bool base_full = candidate.full_replace;
-    std::string err = try_repair(candidate);
-    if (err.empty()) {
-      patched.emplace(std::move(candidate));
-      return {};
-    }
-    const bool degraded = options_.degraded;
-    if (!base_full) {
-      // Rung 1 (degraded only): re-attempt with the dirty set widened by
-      // one dependency ring per retry.
-      if (degraded) {
-        std::vector<std::uint8_t> dirty = base_dirty;
-        for (int r = 0; r < kMaxRetries; ++r) {
-          if (!widen_by_ring(graph, dirty)) break;  // fixpoint: no new scope
-          Patched retry = make_base();
-          retry.dirty = dirty;
-          ++out.degraded_retries;
-          if (try_repair(retry).empty()) {
-            out.degraded_rung = 1;
-            patched.emplace(std::move(retry));
-            return {};
-          }
-        }
-      }
-      // Rung 2 / the historic escalation: re-place every task.
-      Patched full = full_replace_candidate(graph, pre(), remap);
-      if (try_repair(full).empty()) {
+
+  // The repair ladder (DESIGN.md F28). Rung 0 is the plain dirty-set
+  // repair; without degraded mode a failure escalates once to a full
+  // re-place and then rejects (the historic F11/F13 behavior). With
+  // degraded mode the failure climbs: widened-scope retries, the
+  // constructive full re-place, and finally load shedding. A failed rung
+  // leaks nothing into the next: in-place attempts roll back to the
+  // event's mark, and candidates start from the pre-event placements.
+  //
+  // Rungs 2 and 3: fresh candidates over \p graph, preferring the
+  // pre-event placements of *sched_ (by now rolled back to them).
+  const auto escalate = [&](const TaskGraph& graph, const std::string& err,
+                            bool replace) -> std::string {
+    if (replace) {
+      Candidate full = full_replace_candidate(graph, *sched_, remap);
+      if (repair_candidate(full).empty()) {
         full.seeds = full.repaired;
         if (degraded) out.degraded_rung = 2;
         patched.emplace(std::move(full));
@@ -547,8 +531,8 @@ EventOutcome Rebalancer::apply(const Event& event) {
       for (TaskId& id : composed) {
         if (id >= 0) id = shed_remap[static_cast<std::size_t>(id)];
       }
-      Patched cand = full_replace_candidate(*shrunk, pre(), composed);
-      if (!try_repair(cand).empty()) continue;
+      Candidate cand = full_replace_candidate(*shrunk, *sched_, composed);
+      if (!repair_candidate(cand).empty()) continue;
       cand.seeds = cand.repaired;
       out.degraded_rung = 3;
       for (const TaskId v : victims) out.shed.push_back(graph.task(v).name);
@@ -560,6 +544,67 @@ EventOutcome Rebalancer::apply(const Event& event) {
     return err;  // the whole ladder failed: report the rung-0 reason
   };
 
+  // Rungs 0 and 1 of a graph-keeping event, in place through the journal;
+  // a failed attempt rolls back to `base` (the event's own edit stays).
+  const auto repair_in_place =
+      [&](const std::vector<TaskId>& base_dirty) -> std::string {
+    LBMEM_TRACE_SPAN("online.repair");
+    const ScheduleJournal::Mark base = journal.mark();
+    const auto attempt = [&](const std::vector<TaskId>& initial) {
+      repaired.clear();
+      std::string err = repair(journal, initial, {}, failed_, repaired);
+      if (!err.empty()) journal.rollback(base);
+      return err;
+    };
+    const std::string err = attempt(base_dirty);
+    if (err.empty()) return {};
+    if (degraded) {
+      // Rung 1: re-attempt with the dirty set widened by one dependency
+      // ring per retry.
+      std::vector<TaskId> dirty = base_dirty;
+      for (int r = 0; r < kMaxRetries; ++r) {
+        if (!widen_by_ring(*graph_, dirty)) break;  // fixpoint: no new scope
+        ++out.degraded_retries;
+        if (attempt(dirty).empty()) {
+          out.degraded_rung = 1;
+          return {};
+        }
+      }
+    }
+    remap = task_ids(*graph_);
+    return escalate(*graph_, err, /*replace=*/true);
+  };
+
+  // The same ladder for arrivals and removals, on candidates from
+  // \p make_base.
+  const auto repair_candidates =
+      [&](const std::function<Candidate()>& make_base,
+          const TaskGraph& graph) -> std::string {
+    LBMEM_TRACE_SPAN("online.repair");
+    Candidate candidate = make_base();
+    const std::string err = repair_candidate(candidate);
+    if (err.empty()) {
+      patched.emplace(std::move(candidate));
+      return {};
+    }
+    if (candidate.full_replace) return escalate(graph, err, false);
+    if (degraded) {
+      std::vector<TaskId> dirty = candidate.dirty;
+      for (int r = 0; r < kMaxRetries; ++r) {
+        if (!widen_by_ring(graph, dirty)) break;  // fixpoint: no new scope
+        Candidate retry = make_base();
+        retry.dirty = dirty;
+        ++out.degraded_retries;
+        if (repair_candidate(retry).empty()) {
+          out.degraded_rung = 1;
+          patched.emplace(std::move(retry));
+          return {};
+        }
+      }
+    }
+    return escalate(graph, err, true);
+  };
+
   switch (event.kind()) {
     case EventKind::WcetChange: {
       const WcetChange& change = std::get<WcetChange>(event.payload);
@@ -568,39 +613,24 @@ EventOutcome Rebalancer::apply(const Event& event) {
         reject = "wcet change for unknown task " + change.task;
         break;
       }
-      const Time old_wcet = graph_->task(t).wcet;
-      if (change.wcet == old_wcet) {
+      if (change.wcet == graph_->task(t).wcet) {
         // Nothing changed: apply as a no-op instead of paying for a
-        // schedule copy, an aggregate refresh and a balance round.
+        // repair and a balance round.
         out.applied = true;
         finish();
         return out;
       }
       try {
-        graph_->set_wcet(t, change.wcet);
+        journal.set_wcet(*graph_, t, change.wcet);
       } catch (const ModelError& e) {
         reject = e.what();
         break;
       }
-      // Guarded so the mutation unwinds on reject AND on any exception
-      // thrown while patching (DESIGN.md F14).
-      Rollback undo([this, t, old_wcet] { graph_->set_wcet(t, old_wcet); });
-      const auto make_base = [&] {
-        Patched candidate{pre()};
-        candidate.sched.refresh_aggregates();
-        // The occupancy copy holds old-length pieces for t; the repair
-        // re-places t, so its pieces then carry the new WCET.
-        candidate.occ = occ_;
-        candidate.dirty.assign(graph_->task_count(), 0);
-        candidate.dirty[static_cast<std::size_t>(t)] = 1;
-        candidate.preferred = instance0_procs(pre());
-        candidate.seeds.push_back(t);
-        add_consumers(*graph_, t, candidate.seeds);
-        return candidate;
-      };
-      reject = run_ladder(make_base, *graph_);
-      if (!reject.empty()) break;  // ~Rollback restores the old WCET
-      undo.dismiss();
+      // t's occupancy pieces still have the old length; the repair
+      // re-places t, so its pieces then carry the new WCET.
+      seeds.push_back(t);
+      add_consumers(*graph_, t, seeds);
+      reject = repair_in_place({t});
       break;
     }
 
@@ -618,22 +648,15 @@ EventOutcome Rebalancer::apply(const Event& event) {
         reject = "cannot fail the last alive processor";
         break;
       }
+      failed_proc = p;
       failed_[static_cast<std::size_t>(p)] = 1;
-      // Un-fail on reject and on any exception while patching (F14).
-      Rollback undo([this, p] { failed_[static_cast<std::size_t>(p)] = 0; });
-      const auto make_base = [&] {
-        Patched candidate{pre()};
-        candidate.occ = occ_;
-        candidate.dirty.assign(graph_->task_count(), 0);
-        for (const TaskInstance inst : pre().instances_on(p)) {
-          candidate.dirty[static_cast<std::size_t>(inst.task)] = 1;
-        }
-        candidate.preferred = instance0_procs(pre());
-        return candidate;
-      };
-      reject = run_ladder(make_base, *graph_);
-      if (!reject.empty()) break;  // ~Rollback un-fails the processor
-      undo.dismiss();
+      std::vector<TaskId> dirty;
+      for (const TaskInstance inst : sched_->instances_on(p)) {
+        dirty.push_back(inst.task);
+      }
+      std::sort(dirty.begin(), dirty.end());
+      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+      reject = repair_in_place(dirty);
       break;
     }
 
@@ -657,22 +680,20 @@ EventOutcome Rebalancer::apply(const Event& event) {
         // occupancy owners still match when the hyper-period held.
         const bool same_h = rebuilt->hyperperiod() == graph_->hyperperiod();
         const auto make_base = [&] {
-          Patched candidate{carry_over(pre(), *rebuilt, remap)};
+          Candidate candidate{carry_over(*sched_, *rebuilt, remap)};
           const Architecture& arch = candidate.sched.architecture();
           if (!same_h && arch.has_memory_limit() &&
               candidate.sched.max_memory() > arch.memory_capacity()) {
             // A grown hyper-period multiplies every processor's resident
             // memory; past the capacity, re-place every task (DESIGN.md F13).
-            return full_replace_candidate(*rebuilt, pre(), remap);
+            return full_replace_candidate(*rebuilt, *sched_, remap);
           }
           candidate.occ = same_h ? occ_ : build_occupancy(candidate.sched);
-          candidate.dirty.assign(rebuilt->task_count(), 0);
-          candidate.dirty[static_cast<std::size_t>(nid)] = 1;
-          candidate.preferred = instance0_procs(candidate.sched);
+          candidate.dirty.push_back(nid);
           candidate.seeds.push_back(nid);
           return candidate;
         };
-        reject = run_ladder(make_base, *rebuilt);
+        reject = repair_candidates(make_base, *rebuilt);
         if (reject.empty()) new_graph = std::move(rebuilt);
       } catch (const ModelError& e) {
         reject = e.what();
@@ -700,13 +721,11 @@ EventOutcome Rebalancer::apply(const Event& event) {
           // folding the old circle onto the smaller one is not validity-
           // preserving, so every task is re-placed (DESIGN.md F13). Every
           // task is then repaired and seeds the balance stage.
-          return full_replace_candidate(*rebuilt, pre(), remap);
+          return full_replace_candidate(*rebuilt, *sched_, remap);
         }
-        Patched candidate{carry_over(pre(), *rebuilt, remap)};
+        Candidate candidate{carry_over(*sched_, *rebuilt, remap)};
         // Ids shifted, so the occupancy owners must be rebuilt.
         candidate.occ = build_occupancy(candidate.sched);
-        candidate.dirty.assign(rebuilt->task_count(), 0);
-        candidate.preferred = instance0_procs(candidate.sched);
         // Seed the balance around the hole the victim left.
         for (const Dependence& dep : graph_->dependences()) {
           if (dep.producer != victim && dep.consumer != victim) continue;
@@ -716,16 +735,16 @@ EventOutcome Rebalancer::apply(const Event& event) {
         }
         return candidate;
       };
-      reject = run_ladder(make_base, *rebuilt);
+      reject = repair_candidates(make_base, *rebuilt);
       if (reject.empty()) new_graph = std::move(rebuilt);
       break;
     }
   }
 
-  if (!reject.empty() || !patched.has_value()) {
+  if (!reject.empty()) {
+    undo.fire();  // report the pre-event state
     out.applied = false;
-    out.reject_reason =
-        reject.empty() ? std::string("event produced no state") : reject;
+    out.reject_reason = reject;
     finish();
     return out;
   }
@@ -737,22 +756,32 @@ EventOutcome Rebalancer::apply(const Event& event) {
 
   out.applied = true;
   out.graph_rebuilt = (new_graph != nullptr);
-  out.full_replace = patched->full_replace;
-  out.repaired_tasks = static_cast<int>(patched->repaired.size());
+  if (patched) {
+    out.full_replace = patched->full_replace;
+    seeds = std::move(patched->seeds);
+    repaired = std::move(patched->repaired);
+    // Swap the candidate in (moves only, so nothing can throw half way);
+    // the pre-event graph, schedule and occupancy wait in `prior`.
+    prior.mark = journal.mark();
+    prior.occ = std::move(patched->occ);
+    prior.sched.emplace(std::move(patched->sched));
+    if (new_graph) {
+      graph_.swap(new_graph);
+      prior.graph = std::move(new_graph);
+    }
+    sched_.swap(prior.sched);
+    occ_.swap(prior.occ);
+  }
+  out.repaired_tasks = static_cast<int>(repaired.size());
+  seeds.insert(seeds.end(), repaired.begin(), repaired.end());
+  run_balance_stage(journal, std::move(seeds), out);
 
-  std::vector<TaskId> seeds = patched->seeds;
-  seeds.insert(seeds.end(), patched->repaired.begin(),
-               patched->repaired.end());
-
-  // Commit. The swap keeps the pre-event graph alive in new_graph until
-  // the migration diff below (the `pre` snapshot references it).
-  if (new_graph) graph_.swap(new_graph);
-  sched_ = std::move(patched->sched);
-  occ_ = std::move(patched->occ);
-  run_balance_stage(seeds, out);
-
-  out.migrated_instances = count_migrations(pre(), *sched_, remap);
+  out.migrated_instances = prior.sched
+                               ? count_migrations(*prior.sched, *sched_, remap)
+                               : journal.migrations();
   finish();
+  journal.commit();
+  undo.dismiss();
   return out;
 }
 

@@ -15,15 +15,22 @@
 ///     TaskGraph::without and carry placements over (DESIGN.md F10/F13).
 ///  2. **Warm-start incremental balance** — only the blocks around the
 ///     dirtied tasks are re-decomposed (build_blocks_around) and re-run
-///     through the paper's heuristic (LoadBalancer::rebalance), reusing
-///     the engine's persistently maintained all-instances occupancy
-///     instead of rebuilding it, and pricing migrations through
+///     through the paper's heuristic (LoadBalancer::rebalance), in place on
+///     the engine's schedule and its persistently maintained all-instances
+///     occupancy, pricing migrations through
 ///     BalanceOptions::migration_penalty (DESIGN.md F9/F12).
+///
+/// WCET changes and processor failures keep the graph, so their repair and
+/// every balance stage edit the live state through one ScheduleJournal per
+/// event (DESIGN.md F36); arrivals, removals and full re-places build a
+/// fresh candidate state and swap it in.
 ///
 /// Every applied event leaves a schedule that passes validate/ — events
 /// whose repair is infeasible are *rejected*: the pre-event state is kept
 /// untouched (including un-marking a failed processor, DESIGN.md F14) and
-/// the outcome reports the reason.
+/// the outcome reports the reason. apply() gives the strong exception
+/// guarantee: if anything inside it throws, the state is as before the
+/// call.
 ///
 /// With RebalancerOptions::degraded the engine instead escalates through
 /// the degraded-mode repair ladder (DESIGN.md F28) before giving up:
@@ -33,14 +40,15 @@
 /// the F14 contract: a rung that does not produce a valid schedule leaves
 /// the system exactly as before.
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "lbmem/lb/load_balancer.hpp"
 #include "lbmem/online/event.hpp"
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/timeline.hpp"
 
 namespace lbmem {
@@ -51,8 +59,8 @@ struct RebalancerOptions {
   /// capacity enforcement). closed_procs is managed by the engine.
   BalanceOptions balance;
   /// Warm-start incremental balance over the dirty neighborhood (true) or
-  /// a full LoadBalancer::balance after every patch (false; the baseline
-  /// the bench compares against).
+  /// a balance over every block after every patch (false; the baseline the
+  /// bench compares against, deciding what LoadBalancer::balance would).
   bool incremental = true;
   /// Observability sink (DESIGN.md F25): when set, every apply() folds
   /// its outcome into this registry — applied/rejected counters, the
@@ -114,7 +122,8 @@ struct EventOutcome {
 /// schedule references (arrival/removal events replace it).
 class Rebalancer {
  public:
-  /// \p schedule must be complete, valid, and reference \p graph.
+  /// \p schedule must be complete, valid, and reference \p graph; the
+  /// balance stage must use OverlapRule::AllInstances.
   Rebalancer(std::unique_ptr<TaskGraph> graph, Schedule schedule,
              RebalancerOptions options = {});
 
@@ -124,7 +133,8 @@ class Rebalancer {
                           RebalancerOptions options = {});
 
   /// Apply one event: patch, repair, incrementally rebalance. Returns the
-  /// outcome; on rejection the system is exactly as before the call.
+  /// outcome; on rejection, and when it throws, the system is exactly as
+  /// before the call.
   EventOutcome apply(const Event& event);
 
   /// Convenience for the robustness harness and failover tests: a
@@ -151,12 +161,7 @@ class Rebalancer {
   bool degraded_enabled() const { return options_.degraded; }
 
  private:
-  struct Patched;  // candidate post-patch state (rebalancer.cpp)
-
-  static Patched full_replace_candidate(const TaskGraph& graph,
-                                        const Schedule& pre,
-                                        std::span<const TaskId> remap);
-  void run_balance_stage(const std::vector<TaskId>& seeds,
+  void run_balance_stage(ScheduleJournal& journal, std::vector<TaskId> seeds,
                          EventOutcome& out);
 
   RebalancerOptions options_;

@@ -1,0 +1,158 @@
+#include "lbmem/sched/journal.hpp"
+
+#include <algorithm>
+
+#include "lbmem/util/check.hpp"
+
+namespace lbmem {
+
+std::vector<ProcTimeline> build_occupancy(const Schedule& sched) {
+  const TaskGraph& graph = sched.graph();
+  std::vector<ProcTimeline> occ(
+      static_cast<std::size_t>(sched.architecture().processor_count()),
+      ProcTimeline(graph.hyperperiod()));
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    const InstanceIdx n = graph.instance_count(t);
+    for (InstanceIdx k = 0; k < n; ++k) {
+      const TaskInstance inst{t, k};
+      const ProcId p = sched.proc(inst);
+      if (p == kNoProc) continue;
+      occ[static_cast<std::size_t>(p)].add_unchecked(
+          sched.start(inst), graph.task(t).wcet, inst);
+    }
+  }
+  return occ;
+}
+
+ScheduleJournal::ScheduleJournal(Schedule& sched,
+                                 std::vector<ProcTimeline>& occupancy,
+                                 bool record)
+    : sched_(&sched), occ_(&occupancy), record_(record) {}
+
+void ScheduleJournal::assign(TaskInstance inst, ProcId p) {
+  if (record_) {
+    const ProcId old = sched_->proc(inst);
+    if (old == p) return;
+    LBMEM_REQUIRE(old != kNoProc, "journaled schedules must be complete");
+    log_.push_back(Entry{Kind::Assign, old, inst, 0, 0});
+  }
+  sched_->assign(inst, p);
+}
+
+void ScheduleJournal::set_first_start(TaskId t, Time start) {
+  if (record_) {
+    const Time old = sched_->first_start(t);  // throws when unset
+    if (old == start) return;
+    log_.push_back(Entry{Kind::FirstStart, kNoProc, TaskInstance{t, 0}, old,
+                         0});
+  }
+  sched_->set_first_start(t, start);
+}
+
+void ScheduleJournal::add(ProcId p, Time start, Time len, TaskInstance owner) {
+  ProcTimeline& timeline = (*occ_)[static_cast<std::size_t>(p)];
+  if (record_) log_.push_back(Entry{Kind::Add, p, owner, 0, 0});
+  try {
+    timeline.add_unchecked(start, len, owner);
+  } catch (...) {
+    if (record_) log_.pop_back();  // the add changed nothing
+    throw;
+  }
+}
+
+void ScheduleJournal::remove(ProcId p, TaskInstance owner) {
+  ProcTimeline& timeline = (*occ_)[static_cast<std::size_t>(p)];
+  if (!record_) {
+    timeline.remove(owner);
+    return;
+  }
+  // Reserve the entry first, so that the removal cannot outlive a failed
+  // log append.
+  log_.push_back(Entry{Kind::Remove, p, owner, 0, 0});
+  const ProcTimeline::Released released = timeline.remove(owner);
+  if (released.len == 0) {
+    log_.pop_back();
+    return;
+  }
+  log_.back().a = released.start;
+  log_.back().b = released.len;
+}
+
+void ScheduleJournal::set_wcet(TaskGraph& graph, TaskId t, Time wcet) {
+  LBMEM_REQUIRE(&graph == &sched_->graph(),
+                "set_wcet needs the schedule's own graph");
+  LBMEM_REQUIRE(graph_ == nullptr || graph_ == &graph,
+                "one journal edits one graph");
+  const Time old = graph.task(t).wcet;
+  if (record_) {
+    log_.push_back(Entry{Kind::Wcet, kNoProc, TaskInstance{t, 0}, old, 0});
+    graph_ = &graph;
+  }
+  try {
+    graph.set_wcet(t, wcet);
+  } catch (...) {
+    if (record_) log_.pop_back();  // rejected: the graph is unchanged
+    throw;
+  }
+  sched_->wcet_changed(t, old);
+}
+
+void ScheduleJournal::undo(const Entry& e) noexcept {
+  switch (e.kind) {
+    case Kind::Assign:
+      sched_->assign(e.inst, e.proc);
+      break;
+    case Kind::FirstStart:
+      sched_->set_first_start(e.inst.task, e.a);
+      break;
+    case Kind::Add:
+      (*occ_)[static_cast<std::size_t>(e.proc)].remove(e.inst);
+      break;
+    case Kind::Remove:
+      (*occ_)[static_cast<std::size_t>(e.proc)].restore(
+          e.inst, ProcTimeline::Released{e.a, e.b});
+      break;
+    case Kind::Wcet: {
+      const Time current = graph_->task(e.inst.task).wcet;
+      graph_->set_wcet(e.inst.task, e.a);
+      sched_->wcet_changed(e.inst.task, current);
+      break;
+    }
+  }
+}
+
+void ScheduleJournal::rollback(Mark m) noexcept {
+  while (log_.size() > m) {
+    undo(log_.back());
+    log_.pop_back();
+  }
+}
+
+int ScheduleJournal::migrations() const {
+  // The first Assign entry of an instance holds its processor before any
+  // journaled edit; compare it with the current one.
+  struct First {
+    std::size_t dense;
+    std::size_t order;
+    TaskInstance inst;
+    ProcId proc;
+  };
+  std::vector<First> firsts;
+  const TaskGraph& graph = sched_->graph();
+  for (std::size_t i = 0; i < log_.size(); ++i) {
+    const Entry& e = log_[i];
+    if (e.kind != Kind::Assign) continue;
+    firsts.push_back(First{graph.dense_index(e.inst), i, e.inst, e.proc});
+  }
+  std::sort(firsts.begin(), firsts.end(), [](const First& a, const First& b) {
+    return a.dense != b.dense ? a.dense < b.dense : a.order < b.order;
+  });
+  int migrations = 0;
+  for (std::size_t i = 0; i < firsts.size(); ++i) {
+    if (i > 0 && firsts[i].dense == firsts[i - 1].dense) continue;
+    if (sched_->proc(firsts[i].inst) != firsts[i].proc) ++migrations;
+  }
+  return migrations;
+}
+
+}  // namespace lbmem

@@ -53,19 +53,13 @@ void Schedule::assign_all(TaskId t, ProcId p) {
   }
 }
 
-void Schedule::refresh_aggregates() {
-  std::fill(mem_on_.begin(), mem_on_.end(), Mem{0});
-  std::fill(busy_time_on_.begin(), busy_time_on_.end(), Time{0});
-  for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count()); ++t) {
-    const Task& task = graph_->task(t);
-    const std::size_t base = graph_->instance_base(t);
-    const std::size_t limit = graph_->instance_base(t + 1);
-    for (std::size_t i = base; i < limit; ++i) {
-      const ProcId p = instance_proc_[i];
-      if (p == kNoProc) continue;
-      mem_on_[static_cast<std::size_t>(p)] += task.memory;
-      busy_time_on_[static_cast<std::size_t>(p)] += task.wcet;
-    }
+void Schedule::wcet_changed(TaskId t, Time old_wcet) {
+  const Time delta = graph_->task(t).wcet - old_wcet;
+  const std::size_t base = graph_->instance_base(t);
+  const std::size_t limit = graph_->instance_base(t + 1);
+  for (std::size_t i = base; i < limit; ++i) {
+    const ProcId p = instance_proc_[i];
+    if (p != kNoProc) busy_time_on_[static_cast<std::size_t>(p)] += delta;
   }
 }
 

@@ -46,11 +46,11 @@ class Schedule {
   /// Assign every instance of \p t to \p p (initial whole-task placement).
   void assign_all(TaskId t, ProcId p);
 
-  /// Recompute the per-processor memory/busy aggregates from the stored
-  /// placements. assign() accumulates them with the task shapes current at
-  /// assignment time, so a post-freeze TaskGraph::set_wcet leaves busy_on
-  /// stale; the online engine calls this once per WcetChange event. O(I).
-  void refresh_aggregates();
+  /// Correct busy_on after TaskGraph::set_wcet changed the WCET of \p t
+  /// from \p old_wcet: assign() accumulates busy time with the WCET current
+  /// at assignment time, so only t's placed instances are stale. O(instances
+  /// of t).
+  void wcet_changed(TaskId t, Time old_wcet);
 
   // ---- timing queries (inline: the balancer's innermost reads) -----------
 

@@ -20,20 +20,19 @@ Time precedence_lower_bound(const Schedule& sched, TaskId t, ProcId p) {
   return std::max<Time>(lb, 0);
 }
 
-void commit_whole_task(Schedule& sched, std::vector<ProcTimeline>& timelines,
-                       TaskId t, ProcId p, Time start) {
-  const TaskGraph& graph = sched.graph();
+void commit_whole_task(ScheduleJournal& edits, TaskId t, ProcId p,
+                       Time start) {
+  const TaskGraph& graph = edits.schedule().graph();
   const Task& task = graph.task(t);
-  sched.set_first_start(t, start);
-  sched.assign_all(t, p);
+  edits.set_first_start(t, start);
   const InstanceIdx n = graph.instance_count(t);
+  for (InstanceIdx k = 0; k < n; ++k) edits.assign(TaskInstance{t, k}, p);
   // Every caller commits a start that earliest_fit() just proved free, so
-  // the conflict re-query inside a checked add would be pure overhead on
-  // the scheduler and online-repair hot paths; debug builds still verify.
+  // the journal's unchecked add skips the conflict re-query on the
+  // scheduler and online-repair hot paths; debug builds still verify.
   for (InstanceIdx k = 0; k < n; ++k) {
-    timelines[static_cast<std::size_t>(p)].add_unchecked(
-        start + task.period * static_cast<Time>(k), task.wcet,
-        TaskInstance{t, k});
+    edits.add(p, start + task.period * static_cast<Time>(k), task.wcet,
+              TaskInstance{t, k});
   }
 }
 
@@ -83,6 +82,7 @@ Schedule build_initial_schedule(const TaskGraph& graph,
   std::vector<ProcTimeline> timelines(
       static_cast<std::size_t>(arch.processor_count()),
       ProcTimeline(graph.hyperperiod()));
+  ScheduleJournal edits(sched, timelines, /*record=*/false);
 
   const std::map<Time, ProcId> clusters =
       options.policy == PlacementPolicy::PeriodCluster
@@ -123,7 +123,7 @@ Schedule build_initial_schedule(const TaskGraph& graph,
           "unschedulable: no feasible strict-periodic start for task " +
           graph.task(t).name);
     }
-    commit_whole_task(sched, timelines, t, chosen->proc, chosen->start);
+    commit_whole_task(edits, t, chosen->proc, chosen->start);
   }
   return sched;
 }
@@ -138,6 +138,7 @@ Schedule build_forced_schedule(const TaskGraph& graph,
   std::vector<ProcTimeline> timelines(
       static_cast<std::size_t>(arch.processor_count()),
       ProcTimeline(graph.hyperperiod()));
+  ScheduleJournal edits(sched, timelines, /*record=*/false);
   for (const TaskId t : graph.topological_order()) {
     const ProcId p = assignment[static_cast<std::size_t>(t)];
     LBMEM_REQUIRE(p >= 0 && p < arch.processor_count(),
@@ -148,7 +149,7 @@ Schedule build_forced_schedule(const TaskGraph& graph,
       throw ScheduleError("forced assignment unschedulable at task " +
                           graph.task(t).name);
     }
-    commit_whole_task(sched, timelines, t, p, *s);
+    commit_whole_task(edits, t, p, *s);
   }
   return sched;
 }

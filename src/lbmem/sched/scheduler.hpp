@@ -22,6 +22,7 @@
 /// find the earliest strict-periodically feasible start on the candidate
 /// processor's hyper-period circle.
 
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/schedule.hpp"
 #include "lbmem/sched/timeline.hpp"
 
@@ -53,13 +54,13 @@ Schedule build_initial_schedule(const TaskGraph& graph,
 /// (data_ready(t_k, p) - k*T). Exposed for tests.
 Time precedence_lower_bound(const Schedule& sched, TaskId t, ProcId p);
 
-/// Place whole task \p t on \p p with first start \p start: set the start,
-/// assign every instance, and occupy the strict-periodic slots on the
-/// processor's timeline. The single definition of the whole-task commit
-/// sequence, shared by the initial schedulers and the online engine's
-/// dirty-set repair.
-void commit_whole_task(Schedule& sched, std::vector<ProcTimeline>& timelines,
-                       TaskId t, ProcId p, Time start);
+/// Place whole task \p t on \p p with first start \p start through
+/// \p edits: set the start, assign every instance, and occupy the
+/// strict-periodic slots on the processor's timeline. The single definition
+/// of the whole-task commit sequence, shared by the initial schedulers and
+/// the online engine's dirty-set repair.
+void commit_whole_task(ScheduleJournal& edits, TaskId t, ProcId p,
+                       Time start);
 
 /// Build a schedule with a fixed whole-task processor assignment
 /// (assignment[t] = processor of every instance of t); start times are the

@@ -45,28 +45,59 @@ ProcTimeline::OwnerPieces* ProcTimeline::OwnerIndex::find(TaskInstance key) {
   }
 }
 
-ProcTimeline::OwnerPieces& ProcTimeline::OwnerIndex::insert(TaskInstance key) {
-  // Rehash at 3/4 load (live + tombstones) so probe chains stay short.
-  if (table_.empty() || (used_ + 1) * 4 > table_.size() * 3) grow();
+ProcTimeline::OwnerIndex::Slot ProcTimeline::OwnerIndex::locate(
+    TaskInstance key) const {
   const std::size_t mask = table_.size() - 1;
   std::size_t first_tombstone = table_.size();
   for (std::size_t i = probe(key);; i = (i + 1) & mask) {
-    Entry& e = table_[i];
+    const Entry& e = table_[i];
     if (empty_slot(e)) {
-      Entry& dest =
-          (first_tombstone < table_.size()) ? table_[first_tombstone] : e;
-      if (&dest == &e) ++used_;  // tombstone reuse keeps `used_` unchanged
-      dest.key = key;
-      dest.val = OwnerPieces{};
-      ++live_;
-      return dest.val;
+      if (first_tombstone < table_.size()) {
+        return Slot{first_tombstone, false, false};
+      }
+      return Slot{i, false, true};
     }
     if (tombstone(e)) {
       if (first_tombstone == table_.size()) first_tombstone = i;
     } else if (e.key == key) {
-      return e.val;
+      return Slot{i, true, false};
     }
   }
+}
+
+ProcTimeline::OwnerPieces& ProcTimeline::OwnerIndex::place(const Slot& slot,
+                                                           TaskInstance key) {
+  Entry& dest = table_[slot.index];
+  if (slot.empty) ++used_;  // tombstone reuse keeps `used_` unchanged
+  dest.key = key;
+  dest.val = OwnerPieces{};
+  ++live_;
+  return dest.val;
+}
+
+ProcTimeline::OwnerPieces& ProcTimeline::OwnerIndex::insert(TaskInstance key) {
+  if (table_.empty()) grow();
+  Slot slot = locate(key);
+  if (slot.found) return table_[slot.index].val;
+  // Rehash at 3/4 load (live + tombstones) so probe chains stay short. Only
+  // filling an empty slot raises the load; reusing a tombstone never does.
+  if (slot.empty && over_load_if_filled()) {
+    grow();
+    slot = locate(key);
+  }
+  return place(slot, key);
+}
+
+void ProcTimeline::OwnerIndex::restore(TaskInstance key,
+                                       OwnerPieces val) noexcept {
+  Slot slot = locate(key);
+  if (slot.empty && over_load_if_filled()) {
+    // The table never shrinks and an undo only brings back an owner set the
+    // table held before, so after the purge the live owners fit again.
+    purge_tombstones();
+    slot = locate(key);
+  }
+  place(slot, key) = val;
 }
 
 void ProcTimeline::OwnerIndex::erase(TaskInstance key) {
@@ -84,18 +115,48 @@ void ProcTimeline::OwnerIndex::erase(TaskInstance key) {
 }
 
 void ProcTimeline::OwnerIndex::grow() {
-  std::vector<Entry> old = std::move(table_);
-  std::size_t cap = 16;
+  std::size_t cap = std::max<std::size_t>(16, table_.size());
   while (cap < live_ * 4) cap <<= 1;  // rehash also purges tombstones
-  table_.assign(cap, Entry{});
+  if (cap == table_.size()) {
+    purge_tombstones();
+    return;
+  }
+  // Allocate before touching the table: a failed allocation leaves it
+  // as it was.
+  std::vector<Entry> fresh(cap, Entry{});
+  fresh.swap(table_);
   used_ = live_;
   const std::size_t mask = cap - 1;
-  for (const Entry& e : old) {
+  for (const Entry& e : fresh) {
     if (empty_slot(e) || tombstone(e)) continue;
     std::size_t i = probe(e.key);
     while (!empty_slot(table_[i])) i = (i + 1) & mask;
     table_[i] = e;
   }
+}
+
+void ProcTimeline::OwnerIndex::purge_tombstones() noexcept {
+  // Re-insert every live entry in probe order, starting after a slot that
+  // was empty before the purge: no probe chain crosses such a slot, so each
+  // entry's home lies between it and the entry, and its re-insertion lands
+  // no later than the slot it just vacated.
+  const std::size_t n = table_.size();
+  const std::size_t mask = n - 1;
+  std::size_t origin = 0;
+  while (!empty_slot(table_[origin])) ++origin;  // used_ < n: one exists
+  for (Entry& e : table_) {
+    if (tombstone(e)) e.key = TaskInstance{-1, -1};
+  }
+  for (std::size_t step = 1; step < n; ++step) {
+    const std::size_t i = (origin + step) & mask;
+    if (empty_slot(table_[i])) continue;
+    const Entry e = table_[i];
+    table_[i].key = TaskInstance{-1, -1};
+    std::size_t j = probe(e.key);
+    while (!empty_slot(table_[j])) j = (j + 1) & mask;
+    table_[j] = e;
+  }
+  used_ = live_;
 }
 
 void ProcTimeline::add(Time start, Time len, TaskInstance owner) {
@@ -116,28 +177,28 @@ void ProcTimeline::add_impl(Time start, Time len, TaskInstance owner) {
   const Time s = mod_floor(start, h_);
   const bool wraps = s + len > h_;
   OwnerPieces& slots = owner_index_.insert(owner);
-  // Validate capacity before mutating anything: a rejected add must leave
-  // both the index and the pieces consistent (remove() stays a no-op).
-  // (A fresh owner always has two free slots, so a throw here never leaves
-  // behind a newly inserted index entry with pieces.)
-  const int free_slots = (slots.first < 0 ? 1 : 0) + (slots.second < 0 ? 1 : 0);
-  LBMEM_REQUIRE(free_slots >= (wraps ? 2 : 1),
-                "ProcTimeline: an owner may hold at most two pieces");
-  const auto record = [&](Time piece_start) {
-    (slots.first < 0 ? slots.first : slots.second) = piece_start;
-  };
+  // Validate before mutating anything: a rejected add must leave both the
+  // index and the pieces consistent (remove() stays a no-op).
+  LBMEM_REQUIRE(slots.first < 0,
+                "ProcTimeline: an owner holds one interval at a time");
+  // Pieces first, index last: a piece insert that throws (bad_alloc)
+  // leaves no index entry pointing at a missing piece.
   if (!wraps) {
-    record(s);
     insert_piece(Piece{s, len, owner});
   } else {
-    record(s);
-    record(Time{0});
     insert_piece(Piece{s, h_ - s, owner});
-    insert_piece(Piece{0, s + len - h_, owner});
+    try {
+      insert_piece(Piece{0, s + len - h_, owner});
+    } catch (...) {
+      erase_piece_at(s, owner);
+      throw;
+    }
+    slots.second = 0;
   }
+  slots.first = s;
 }
 
-void ProcTimeline::erase_piece_at(Time start, TaskInstance owner) {
+Time ProcTimeline::erase_piece_at(Time start, TaskInstance owner) {
   // Pieces are disjoint with positive length, so starts are unique keys.
   const std::size_t b = bucket_of(start);
   std::vector<Piece>& v = buckets_[b];
@@ -146,18 +207,40 @@ void ProcTimeline::erase_piece_at(Time start, TaskInstance owner) {
       [](const Piece& p, Time value) { return p.start < value; });
   LBMEM_REQUIRE(it != v.end() && it->start == start && it->owner == owner,
                 "ProcTimeline owner index out of sync");
+  const Time len = it->len;
   v.erase(it);
   if (v.empty()) nonempty_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   --piece_count_;
+  return len;
 }
 
-void ProcTimeline::remove(TaskInstance owner) {
+ProcTimeline::Released ProcTimeline::remove(TaskInstance owner) {
+  Released released;
   const OwnerPieces* found = owner_index_.find(owner);
-  if (!found) return;
+  if (!found) return released;
   const OwnerPieces slots = *found;
   owner_index_.erase(owner);
-  if (slots.first >= 0) erase_piece_at(slots.first, owner);
-  if (slots.second >= 0) erase_piece_at(slots.second, owner);
+  if (slots.first < 0) return released;
+  released.start = slots.first;
+  released.len = erase_piece_at(slots.first, owner);
+  if (slots.second >= 0) released.len += erase_piece_at(slots.second, owner);
+  return released;
+}
+
+void ProcTimeline::restore(TaskInstance owner,
+                           const Released& interval) noexcept {
+  if (interval.len == 0) return;
+  const Time s = interval.start;
+  OwnerPieces slots;
+  slots.first = s;
+  if (s + interval.len > h_) {
+    slots.second = 0;
+    insert_piece(Piece{s, h_ - s, owner});
+    insert_piece(Piece{0, s + interval.len - h_, owner});
+  } else {
+    insert_piece(Piece{s, interval.len, owner});
+  }
+  owner_index_.restore(owner, slots);
 }
 
 std::optional<Time> ProcTimeline::earliest_fit(Time lb, Time period, Time wcet,

@@ -61,8 +61,8 @@ class ProcTimeline {
   bool fits(Time start, Time len) const;
 
   /// Occupy [start, start+len) for \p owner; throws PreconditionError if it
-  /// does not fit. An owner may hold at most two pieces (one wrapping
-  /// interval, or two separate adds).
+  /// does not fit or the owner already holds an interval here (an owner
+  /// holds one interval, stored as two pieces when it wraps).
   void add(Time start, Time len, TaskInstance owner);
 
   /// add() without the redundant conflict query, for callers that have
@@ -73,8 +73,24 @@ class ProcTimeline {
   /// (debug/sanitizer builds) the full fits() check still runs and throws.
   void add_unchecked(Time start, Time len, TaskInstance owner);
 
-  /// Release all intervals owned by \p owner (no-op if absent).
-  void remove(TaskInstance owner);
+  /// The interval remove() released: start in [0, H), len 0 when the
+  /// owner was absent.
+  struct Released {
+    Time start = 0;
+    Time len = 0;
+  };
+
+  /// Release the interval owned by \p owner (no-op if absent) and return
+  /// it, so that restore() can undo the removal exactly.
+  Released remove(TaskInstance owner);
+
+  /// Undo remove(): put \p interval back for \p owner, split into the
+  /// same pieces. Called on the state remove() left (every later change
+  /// undone), it neither allocates nor throws: each piece returns to a
+  /// bucket that kept its capacity, and the owner index reuses a tombstone
+  /// or, past its load limit, purges its tombstones in place instead of
+  /// growing (ScheduleJournal::rollback).
+  void restore(TaskInstance owner, const Released& interval) noexcept;
 
   /// The owner of some interval overlapping [start, start+len), if any.
   std::optional<TaskInstance> conflicting_owner(Time start, Time len) const;
@@ -128,8 +144,8 @@ class ProcTimeline {
     bool operator==(const Piece&) const = default;
   };
   struct OwnerPieces {
-    Time first = -1;
-    Time second = -1;  // -1 = unused slot
+    Time first = -1;   // the interval's start, -1 = no interval
+    Time second = -1;  // 0 when the interval wraps, else -1
   };
 
   /// Linear-probing owner -> OwnerPieces table with tombstone deletion and
@@ -139,6 +155,8 @@ class ProcTimeline {
     OwnerPieces* find(TaskInstance key);
     /// Slot for \p key, inserting an empty record if absent.
     OwnerPieces& insert(TaskInstance key);
+    /// Re-insert an absent \p key with \p val without ever growing.
+    void restore(TaskInstance key, OwnerPieces val) noexcept;
     void erase(TaskInstance key);
 
    private:
@@ -160,9 +178,22 @@ class ProcTimeline {
       const std::uint64_t mixed = packed * 0x9e3779b97f4a7c15ULL;
       return static_cast<std::size_t>(mixed >> 32) & (table_.size() - 1);
     }
+    /// Where \p key lives, else the slot an insert would take: the first
+    /// tombstone on its probe chain, or the empty slot ending the chain.
+    struct Slot {
+      std::size_t index;
+      bool found;
+      bool empty;
+    };
+    Slot locate(TaskInstance key) const;
+    OwnerPieces& place(const Slot& slot, TaskInstance key);
+    bool over_load_if_filled() const {
+      return (used_ + 1) * 4 > table_.size() * 3;
+    }
     void grow();
+    void purge_tombstones() noexcept;
 
-    std::vector<Entry> table_;  // power-of-two size
+    std::vector<Entry> table_;  // power-of-two size, never shrinks
     std::size_t used_ = 0;      // live + tombstones
     std::size_t live_ = 0;
   };
@@ -272,7 +303,8 @@ class ProcTimeline {
 
   void add_impl(Time start, Time len, TaskInstance owner);
   void insert_piece(Piece piece);
-  void erase_piece_at(Time start, TaskInstance owner);
+  /// Erase \p owner's piece starting at \p start; returns its length.
+  Time erase_piece_at(Time start, TaskInstance owner);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static constexpr std::size_t kWords =

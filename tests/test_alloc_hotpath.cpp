@@ -16,18 +16,30 @@
 /// one seed task allocates a constant number of times, whatever the size
 /// of the graph around it.
 ///
+/// The Rebalancer cases extend the discipline to the online engine: a
+/// local WCET event edits the state in place (DESIGN.md F36), so its bytes
+/// allocated stay far below one copy of the schedule or the occupancy; and
+/// apply() gives the strong exception guarantee, probed by making the k-th
+/// allocation inside it throw std::bad_alloc, for every k.
+///
 /// Skipped under sanitizers: ASan and TSan interpose the allocator and
-/// this counting definition would fight their bookkeeping.
+/// this counting definition would fight their bookkeeping. The injected-
+/// failure sweep therefore runs in the plain builds only (in Debug ones
+/// with LBMEM_TIMELINE_VERIFY's occupancy cross-checks on).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "lbmem/gen/suites.hpp"
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/load_balancer.hpp"
+#include "lbmem/obs/metrics.hpp"
+#include "lbmem/online/rebalancer.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define LBMEM_ALLOC_TEST_DISABLED 1
@@ -41,20 +53,31 @@
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
+/// When non-zero, the allocation that brings g_alloc_count to this value
+/// throws std::bad_alloc instead.
+std::atomic<std::size_t> g_fail_at{0};
+
+// Out of line, so the compiler cannot pair an inlined new with the free()
+// below and warn about a malloc/delete mismatch that is not one.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t n =
+      g_alloc_count.fetch_add(1, std::memory_order_relaxed) + 1;
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (n == g_fail_at.load(std::memory_order_relaxed)) throw std::bad_alloc();
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 #endif  // !LBMEM_ALLOC_TEST_DISABLED
 
@@ -152,6 +175,186 @@ TEST(BlockBuilderAllocations, AroundOneSeedIsIndependentOfGraphSize) {
   const std::size_t large = allocs_around_one_seed(4000);
   EXPECT_EQ(small, large);
   EXPECT_LT(large, 32u) << "one allocation per task is back";
+#endif
+}
+
+#ifndef LBMEM_ALLOC_TEST_DISABLED
+/// A balanced instance of the bench_throughput family (M = 8).
+SuiteInstance balanced_instance(int tasks) {
+  SuiteSpec spec;
+  spec.params.tasks = tasks;
+  spec.params.period_levels = 3;
+  spec.params.edge_probability = 0.15;
+  spec.params.max_in_degree = 2;
+  spec.processors = 8;
+  spec.comm_cost = 2;
+  spec.count = 1;
+  spec.base_seed = 88'000 + static_cast<std::uint64_t>(tasks) * 31 + 8;
+  spec.max_seed_attempts = 400;
+  auto suite = make_suite(spec);
+  EXPECT_FALSE(suite.empty());
+  SuiteInstance instance = std::move(suite.front());
+  instance.schedule = LoadBalancer().balance(instance.schedule).schedule;
+  return instance;
+}
+
+/// Everything an event may change: the state a reject or a throw must
+/// leave as it was.
+struct EngineState {
+  std::vector<Time> starts;
+  std::vector<ProcId> procs;
+  std::vector<Mem> memory;
+  std::vector<Time> busy;
+  std::vector<Time> wcets;
+  std::size_t tasks = 0;
+  std::vector<std::uint8_t> failed;
+  bool operator==(const EngineState&) const = default;
+};
+
+EngineState capture(const Rebalancer& engine) {
+  EngineState state;
+  const Schedule& sched = engine.schedule();
+  const TaskGraph& graph = engine.graph();
+  state.tasks = graph.task_count();
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    state.starts.push_back(sched.first_start(t));
+    state.wcets.push_back(graph.task(t).wcet);
+    for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
+      state.procs.push_back(sched.proc(TaskInstance{t, k}));
+    }
+  }
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    state.memory.push_back(sched.memory_on(p));
+    state.busy.push_back(sched.busy_on(p));
+  }
+  state.failed = engine.failed_procs();
+  return state;
+}
+#endif
+
+TEST(RebalancerAllocations, LocalWcetEventCopiesNoState) {
+#ifdef LBMEM_ALLOC_TEST_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#elif LBMEM_TIMELINE_VERIFY
+  GTEST_SKIP() << "verify builds rebuild the occupancy after every apply()";
+#else
+  const SuiteInstance instance = balanced_instance(4000);
+  Rebalancer engine = Rebalancer::adopt(*instance.graph, instance.schedule);
+  const std::size_t instances = engine.graph().total_instances();
+
+  // Re-estimate one task at a time, +1 then -1 alternately, over tasks
+  // spread across the graph; only events applied without a full re-place
+  // are local.
+  std::size_t bytes = 0;
+  int local = 0;
+  const auto tasks = static_cast<TaskId>(engine.graph().task_count());
+  for (TaskId t = 0; t < tasks && local < 20; t += 97) {
+    const Task& task = engine.graph().task(t);
+    const Time wcet = (t / 97) % 2 == 0 ? task.wcet + 1 : task.wcet - 1;
+    if (wcet < 1 || wcet > task.period) continue;
+    const Event event{0, WcetChange{task.name, wcet}};
+    const std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    const EventOutcome out = engine.apply(event);
+    const std::size_t used =
+        g_alloc_bytes.load(std::memory_order_relaxed) - before;
+    if (!out.applied || out.full_replace) continue;
+    bytes += used;
+    ++local;
+  }
+  ASSERT_EQ(local, 20);
+  // One occupancy copy alone costs about 100 B per instance, one schedule
+  // copy about 8 B per instance plus its per-task vectors.
+  const std::size_t mean = bytes / static_cast<std::size_t>(local);
+  EXPECT_LT(mean, 40 * instances)
+      << mean << " bytes per local event for " << instances << " instances";
+#endif
+}
+
+#ifndef LBMEM_ALLOC_TEST_DISABLED
+/// Makes the k-th allocation inside one apply() throw, for every k the
+/// event allocates (strided to at most \p probes points), on a fresh copy
+/// of \p base each time. After each throw the state must be the pre-event
+/// one, and applying the event again must end where an untouched twin
+/// does. Returns the number of injection points that threw.
+int sweep_injected_failures(const Rebalancer& base, const Event& event,
+                            std::size_t probes) {
+  const auto copy = [&](obs::Registry& registry) {
+    RebalancerOptions options;
+    options.metrics = &registry;
+    return Rebalancer::adopt(base.graph(), base.schedule(), options);
+  };
+  obs::Registry twin_registry;
+  Rebalancer twin = copy(twin_registry);
+  const std::size_t start = g_alloc_count.load(std::memory_order_relaxed);
+  const EventOutcome reference = twin.apply(event);
+  const std::size_t allocations =
+      g_alloc_count.load(std::memory_order_relaxed) - start;
+  EXPECT_TRUE(reference.applied) << reference.reject_reason;
+  const EngineState pre = capture(base);
+  const EngineState post = capture(twin);
+
+  int threw = 0;
+  const std::size_t stride = std::max<std::size_t>(1, allocations / probes);
+  for (std::size_t k = 1; k <= allocations; k += stride) {
+    obs::Registry registry;
+    Rebalancer engine = copy(registry);
+    g_fail_at.store(g_alloc_count.load(std::memory_order_relaxed) + k,
+                    std::memory_order_relaxed);
+    bool thrown = false;
+    try {
+      engine.apply(event);
+    } catch (const std::bad_alloc&) {
+      thrown = true;
+    }
+    g_fail_at.store(0, std::memory_order_relaxed);
+    if (!thrown) continue;
+    ++threw;
+    EXPECT_TRUE(capture(engine) == pre)
+        << to_string(event.kind()) << ": allocation " << k << " of "
+        << allocations << " left a changed state";
+    const EventOutcome again = engine.apply(event);
+    EXPECT_EQ(again.applied, reference.applied);
+    EXPECT_TRUE(capture(engine) == post)
+        << to_string(event.kind()) << ": the retry after allocation " << k
+        << " diverged from the twin";
+  }
+  return threw;
+}
+#endif
+
+TEST(RebalancerAllocations, InjectedFailureLeavesStateUntouched) {
+#ifdef LBMEM_ALLOC_TEST_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  const SuiteInstance instance = balanced_instance(200);
+  const Rebalancer base = Rebalancer::adopt(*instance.graph,
+                                            instance.schedule);
+  const TaskGraph& graph = base.graph();
+  // One applied event of each kind: a re-estimate of a task spread across
+  // the graph, the failure of P0, a new consumer of that task, and the
+  // removal of another task.
+  const TaskId t = static_cast<TaskId>(graph.task_count() / 2);
+  const Task& task = graph.task(t);
+  const Time wcet = task.wcet < task.period ? task.wcet + 1 : task.wcet - 1;
+  NewTaskSpec spec;
+  spec.name = "arrival";
+  spec.period = task.period;
+  spec.wcet = 1;
+  spec.memory = 1;
+  spec.producers.push_back({task.name, 1});
+  const std::vector<Event> events = {
+      Event{0, WcetChange{task.name, wcet}},
+      Event{0, ProcessorFailure{0}},
+      Event{0, TaskArrival{spec}},
+      Event{0, TaskRemoval{graph.task(t / 2).name}},
+  };
+  // Every injection point in optimized builds; a stride keeps verify
+  // builds, which rebuild the occupancy after every apply(), near 10 s.
+  const std::size_t probes = LBMEM_TIMELINE_VERIFY ? 250 : 2000;
+  for (const Event& event : events) {
+    const int threw = sweep_injected_failures(base, event, probes);
+    EXPECT_GT(threw, 50) << to_string(event.kind());
+  }
 #endif
 }
 

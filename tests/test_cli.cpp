@@ -771,6 +771,38 @@ TEST(CliServe, ArrivalClockOverflowExitsWithOne) {
       << r.output;
 }
 
+TEST(CliServe, ArrivalsThatExplodeTheInstanceCountAreRejected) {
+  // Coprime periods multiply the hyper-period: 4294967311 overflows the
+  // instance index of every period-16 task, and 1000003 would expand the
+  // graph to tens of millions of instances. Both arrivals are rejected
+  // with the running system untouched.
+  namespace fs = std::filesystem;
+#if defined(_WIN32)
+  const int pid = _getpid();
+#else
+  const int pid = getpid();
+#endif
+  const fs::path trace_path =
+      fs::temp_directory_path() /
+      ("lbmem_cli_serve_explode_" + std::to_string(pid) + ".txt");
+  {
+    std::ofstream out(trace_path);
+    out << "5 arrival big 4294967311 1 1\n"
+        << "5 arrival big 1000003 1 1\n";
+  }
+  const RunResult r =
+      run_cli("serve --tasks=20 --procs=4 --seed=1 --timing=off "
+              "\"--trace-in=" + trace_path.string() + "\"");
+  fs::remove(trace_path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("drained: 0 applied, 2 rejected"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("alive: 20 tasks"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("final violations: 0"), std::string::npos)
+      << r.output;
+}
+
 TEST(CliServe, FlagHygiene) {
   // Generation knobs conflict with a recorded trace.
   RunResult r = run_cli("serve --trace-in=foo.txt --events=10");

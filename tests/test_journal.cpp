@@ -1,0 +1,283 @@
+/// Unit tests for the undo journal over a schedule and its occupancy
+/// (lbmem/sched/journal.hpp, DESIGN.md F36): rollback to any mark restores
+/// the schedule, its aggregates and every occupancy piece exactly; the
+/// destructor rolls back unless committed; the WCET edit keeps busy time
+/// exact; and a timeline undoes removals exactly across owner-index
+/// rehashes.
+
+#include <gtest/gtest.h>
+
+#include <numeric>
+#include <vector>
+
+#include "lbmem/gen/suites.hpp"
+#include "lbmem/sched/journal.hpp"
+#include "lbmem/util/rng.hpp"
+
+namespace lbmem {
+namespace {
+
+SuiteInstance instance(int tasks, int procs, std::uint64_t seed) {
+  SuiteSpec spec;
+  spec.params.tasks = tasks;
+  spec.params.period_levels = 3;
+  spec.params.edge_probability = 0.2;
+  spec.processors = procs;
+  spec.comm_cost = 2;
+  spec.count = 1;
+  spec.base_seed = seed;
+  auto suite = make_suite(spec);
+  EXPECT_FALSE(suite.empty());
+  return std::move(suite.front());
+}
+
+/// Schedule fields and aggregates, for exact comparison.
+struct Snapshot {
+  std::vector<Time> starts;
+  std::vector<ProcId> procs;
+  std::vector<Mem> memory;
+  std::vector<Time> busy;
+  bool operator==(const Snapshot&) const = default;
+};
+
+Snapshot snap(const Schedule& sched) {
+  Snapshot s;
+  const TaskGraph& graph = sched.graph();
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    s.starts.push_back(sched.first_start(t));
+  }
+  for (const TaskInstance inst : sched.all_instances()) {
+    s.procs.push_back(sched.proc(inst));
+  }
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    s.memory.push_back(sched.memory_on(p));
+    s.busy.push_back(sched.busy_on(p));
+  }
+  return s;
+}
+
+bool same_occupancy(const std::vector<ProcTimeline>& a,
+                    const std::vector<ProcTimeline>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    if (!a[p].same_pieces(b[p]) || !a[p].check_index_integrity()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Busy time per processor recomputed from the placements and the graph's
+/// current WCETs.
+std::vector<Time> busy_from_scratch(const Schedule& sched) {
+  std::vector<Time> busy(
+      static_cast<std::size_t>(sched.architecture().processor_count()), 0);
+  for (const TaskInstance inst : sched.all_instances()) {
+    busy[static_cast<std::size_t>(sched.proc(inst))] +=
+        sched.graph().task(inst.task).wcet;
+  }
+  return busy;
+}
+
+/// Moves random instances to random processors where their interval fits,
+/// and shifts random first starts, all through \p journal.
+void random_edits(ScheduleJournal& journal, Rng& rng, int count) {
+  const Schedule& sched = journal.schedule();
+  const std::vector<TaskInstance> all = sched.all_instances();
+  const int procs = sched.architecture().processor_count();
+  for (int i = 0; i < count; ++i) {
+    const TaskInstance inst =
+        all[static_cast<std::size_t>(rng.uniform(0, std::ssize(all) - 1))];
+    if (rng.uniform(0, 3) == 0) {
+      journal.set_first_start(inst.task, rng.uniform(0, 50));
+      continue;
+    }
+    // Shifted starts leave the occupancy behind the schedule, so every
+    // re-add is guarded by fits().
+    const Time start = sched.start(inst);
+    const Time wcet = sched.graph().task(inst.task).wcet;
+    const ProcId home = sched.proc(inst);
+    journal.remove(home, inst);
+    const auto fits = [&](ProcId p) {
+      return journal.occupancy()[static_cast<std::size_t>(p)].fits(start,
+                                                                   wcet);
+    };
+    const auto dest = static_cast<ProcId>(rng.uniform(0, procs - 1));
+    if (fits(dest)) {
+      journal.assign(inst, dest);
+      journal.add(dest, start, wcet, inst);
+    } else if (fits(home)) {
+      journal.add(home, start, wcet, inst);
+    }
+  }
+}
+
+TEST(ScheduleJournal, RollbackToAnyMarkRestoresScheduleAndOccupancy) {
+  const SuiteInstance base = instance(60, 4, 17);
+  Schedule sched = base.schedule;
+  std::vector<ProcTimeline> occ = build_occupancy(sched);
+  const Snapshot initial = snap(sched);
+  const std::vector<ProcTimeline> initial_occ = occ;
+
+  Rng rng(5);
+  ScheduleJournal journal(sched, occ);
+  random_edits(journal, rng, 200);
+  const ScheduleJournal::Mark middle = journal.mark();
+  const Snapshot at_middle = snap(sched);
+  const std::vector<ProcTimeline> occ_at_middle = occ;
+  random_edits(journal, rng, 400);
+  EXPECT_FALSE(snap(sched) == at_middle);
+
+  journal.rollback(middle);
+  EXPECT_EQ(journal.mark(), middle);
+  EXPECT_TRUE(snap(sched) == at_middle);
+  EXPECT_TRUE(same_occupancy(occ, occ_at_middle));
+
+  journal.rollback(0);
+  EXPECT_TRUE(snap(sched) == initial);
+  EXPECT_TRUE(same_occupancy(occ, initial_occ));
+}
+
+TEST(ScheduleJournal, DestructorRollsBackUnlessCommitted) {
+  const SuiteInstance base = instance(40, 4, 23);
+  Schedule sched = base.schedule;
+  std::vector<ProcTimeline> occ = build_occupancy(sched);
+  const Snapshot initial = snap(sched);
+  Rng rng(9);
+  {
+    ScheduleJournal journal(sched, occ);
+    random_edits(journal, rng, 100);
+  }
+  EXPECT_TRUE(snap(sched) == initial);
+  EXPECT_TRUE(same_occupancy(occ, build_occupancy(sched)));
+
+  Snapshot edited;
+  {
+    ScheduleJournal journal(sched, occ);
+    random_edits(journal, rng, 100);
+    edited = snap(sched);
+    journal.commit();
+    EXPECT_EQ(journal.mark(), 0u);
+  }
+  EXPECT_TRUE(snap(sched) == edited);
+}
+
+TEST(ScheduleJournal, SetWcetKeepsBusyTimeExactAndRollsBack) {
+  const SuiteInstance base = instance(40, 4, 31);
+  TaskGraph graph = *base.graph;  // a mutable copy for set_wcet
+  std::vector<TaskId> ids(graph.task_count());
+  std::iota(ids.begin(), ids.end(), TaskId{0});
+  Schedule sched = carry_over(base.schedule, graph, ids);
+  std::vector<ProcTimeline> occ = build_occupancy(sched);
+  const Snapshot initial = snap(sched);
+  TaskId target = 0;
+  while (graph.task(target).wcet == graph.task(target).period) ++target;
+  const Time old_wcet = graph.task(target).wcet;
+
+  ScheduleJournal journal(sched, occ);
+  journal.set_wcet(graph, target, old_wcet + 1);
+  EXPECT_EQ(graph.task(target).wcet, old_wcet + 1);
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    EXPECT_EQ(sched.busy_on(p),
+              busy_from_scratch(sched)[static_cast<std::size_t>(p)]);
+  }
+
+  // An invalid WCET changes nothing and records nothing.
+  const ScheduleJournal::Mark before = journal.mark();
+  EXPECT_THROW(journal.set_wcet(graph, target, graph.task(target).period + 1),
+               ModelError);
+  EXPECT_EQ(journal.mark(), before);
+  EXPECT_EQ(graph.task(target).wcet, old_wcet + 1);
+
+  journal.rollback(0);
+  EXPECT_EQ(graph.task(target).wcet, old_wcet);
+  EXPECT_TRUE(snap(sched) == initial);
+}
+
+TEST(ScheduleJournal, MigrationsCompareWithTheFirstRecordedProcessor) {
+  const SuiteInstance base = instance(30, 4, 41);
+  Schedule sched = base.schedule;
+  std::vector<ProcTimeline> occ;  // schedule edits only
+  ScheduleJournal journal(sched, occ);
+  const TaskInstance a{0, 0};
+  const TaskInstance b{1, 0};
+  const ProcId home_a = sched.proc(a);
+  const ProcId home_b = sched.proc(b);
+  const auto other = [](ProcId p) { return static_cast<ProcId>((p + 1) % 4); };
+  journal.assign(a, other(home_a));
+  journal.assign(a, other(other(home_a)));  // still migrated
+  journal.assign(b, other(home_b));
+  journal.assign(b, home_b);  // back home: not a migration
+  EXPECT_EQ(journal.migrations(), 1);
+  journal.rollback(0);
+  EXPECT_EQ(journal.migrations(), 0);
+  EXPECT_EQ(sched.proc(a), home_a);
+}
+
+TEST(ScheduleJournal, TimelineRestoreSurvivesOwnerIndexGrowthAndPurge) {
+  // Undo in reverse order across owner-index rehashes: a removed owner
+  // comes back after the index grew, filled with tombstones, and purged.
+  const Time h = 4096;
+  ProcTimeline tl(h);
+  for (int i = 0; i < 40; ++i) tl.add(i * 8, 3, TaskInstance{i, 0});
+  const ProcTimeline initial = tl;
+
+  struct Op {
+    bool added;
+    TaskInstance owner;
+    ProcTimeline::Released released;
+  };
+  std::vector<Op> ops;
+  Rng rng(77);
+  int next_owner = 1000;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.uniform(0, 2) == 0) {
+      // Remove a random present owner.
+      const TaskInstance owner{static_cast<TaskId>(rng.uniform(0, 39)), 0};
+      const ProcTimeline::Released r = tl.remove(owner);
+      if (r.len > 0) ops.push_back(Op{false, owner, r});
+      continue;
+    }
+    const Time start = rng.uniform(0, h - 1);
+    const Time len = rng.uniform(1, 4);
+    if (!tl.fits(start, len)) continue;
+    const TaskInstance owner{next_owner++, 0};
+    tl.add(start, len, owner);
+    ops.push_back(Op{true, owner, {}});
+    if (rng.uniform(0, 1) == 0) {  // churn: leave a tombstone behind
+      ops.push_back(Op{false, owner, tl.remove(owner)});
+    }
+  }
+  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
+    if (it->added) {
+      tl.remove(it->owner);
+    } else {
+      tl.restore(it->owner, it->released);
+    }
+    ASSERT_TRUE(tl.check_index_integrity());
+  }
+  EXPECT_TRUE(tl.same_pieces(initial));
+  // The restored owners are indexed again: each one removes cleanly.
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(tl.remove(TaskInstance{i, 0}).len, 3) << i;
+  }
+  EXPECT_EQ(tl.piece_count(), 0u);
+}
+
+TEST(ScheduleJournal, RemoveReturnsTheWrappingIntervalWhole) {
+  ProcTimeline tl(12);
+  tl.add(10, 4, TaskInstance{0, 0});  // [10,12) and [0,2)
+  const ProcTimeline::Released r = tl.remove(TaskInstance{0, 0});
+  EXPECT_EQ(r.start, 10);
+  EXPECT_EQ(r.len, 4);
+  EXPECT_EQ(tl.piece_count(), 0u);
+  tl.restore(TaskInstance{0, 0}, r);
+  EXPECT_EQ(tl.piece_count(), 2u);
+  EXPECT_FALSE(tl.fits(0, 1));
+  EXPECT_FALSE(tl.fits(11, 1));
+  EXPECT_TRUE(tl.check_index_integrity());
+  EXPECT_THROW(tl.add(5, 1, TaskInstance{0, 0}), PreconditionError);
+}
+
+}  // namespace
+}  // namespace lbmem

@@ -138,19 +138,19 @@ TEST(PruneEquivalence, ScopedRebalance) {
   // partial decomposition; pruned and exhaustive must agree there too.
   for (const auto& instance : suite(40, 4, 6000)) {
     const BlockDecomposition dec = build_blocks(instance.schedule);
-    RebalanceScope scope;
-    scope.blocks = &dec;
-
-    BalanceOptions options;
-    options.record_trace = true;
-    const BalanceResult exhaustive =
-        LoadBalancer(options).rebalance(instance.schedule, scope);
-    options.record_trace = false;
-    const BalanceResult pruned =
-        LoadBalancer(options).rebalance(instance.schedule, scope);
-    expect_equal_schedules(exhaustive.schedule, pruned.schedule);
-    EXPECT_EQ(exhaustive.stats.moves_off_home, pruned.stats.moves_off_home);
-    EXPECT_EQ(exhaustive.stats.gain_total, pruned.stats.gain_total);
+    const auto run = [&](bool record_trace, Schedule& sched) {
+      BalanceOptions options;
+      options.record_trace = record_trace;
+      std::vector<ProcTimeline> occupancy = build_occupancy(sched);
+      return LoadBalancer(options).rebalance(sched, occupancy, dec).stats;
+    };
+    Schedule exhaustive = instance.schedule;
+    Schedule pruned = instance.schedule;
+    const BalanceStats exhaustive_stats = run(true, exhaustive);
+    const BalanceStats pruned_stats = run(false, pruned);
+    expect_equal_schedules(exhaustive, pruned);
+    EXPECT_EQ(exhaustive_stats.moves_off_home, pruned_stats.moves_off_home);
+    EXPECT_EQ(exhaustive_stats.gain_total, pruned_stats.gain_total);
   }
 }
 
@@ -265,13 +265,21 @@ TEST(MovedSetValidation, ScopedRebalanceSweepStaysValid) {
              seed < static_cast<TaskId>(base->graph().task_count()); ++seed) {
           const BlockDecomposition dec =
               build_blocks_around(*base, std::span<const TaskId>(&seed, 1));
-          RebalanceScope scope;
-          scope.blocks = &dec;
-          const BalanceResult result = balancer.rebalance(*base, scope);
-          ASSERT_TRUE(validate(result.schedule).ok())
+          Schedule result = *base;
+          std::vector<ProcTimeline> occupancy = build_occupancy(result);
+          const RebalanceResult run =
+              balancer.rebalance(result, occupancy, dec);
+          ASSERT_TRUE(validate(result).ok())
               << "seed " << instance.seed << " task " << seed << "\n"
-              << validate(result.schedule).to_string();
-          if (result.stats.attempts_used == 2) ++retried;
+              << validate(result).to_string();
+          // The occupancy edited in place still mirrors the result, after
+          // a rolled-back first attempt too; a fallback is the input.
+          const std::vector<ProcTimeline> cold = build_occupancy(result);
+          for (std::size_t p = 0; p < cold.size(); ++p) {
+            ASSERT_TRUE(occupancy[p].same_pieces(cold[p]));
+          }
+          if (run.stats.fell_back) expect_equal_schedules(result, *base);
+          if (run.stats.attempts_used == 2) ++retried;
           ++runs;
         }
       }

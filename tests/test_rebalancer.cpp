@@ -420,45 +420,40 @@ TEST(RebalanceSubset, FullSeedSetReproducesBalance) {
     EXPECT_EQ(dec.blocks[i].category, reference.blocks[i].category);
   }
 
-  RebalanceScope scope;
-  scope.blocks = &dec;
-  const BalanceResult subset = LoadBalancer().rebalance(before, scope);
-  EXPECT_EQ(subset.schedule.makespan(), full.schedule.makespan());
+  Schedule subset = before;
+  std::vector<ProcTimeline> occupancy = build_occupancy(subset);
+  LoadBalancer().rebalance(subset, occupancy, dec);
+  EXPECT_EQ(subset.makespan(), full.schedule.makespan());
   for (const TaskInstance inst : before.all_instances()) {
-    EXPECT_EQ(subset.schedule.proc(inst), full.schedule.proc(inst));
+    EXPECT_EQ(subset.proc(inst), full.schedule.proc(inst));
   }
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    EXPECT_EQ(subset.schedule.first_start(t), full.schedule.first_start(t));
+    EXPECT_EQ(subset.first_start(t), full.schedule.first_start(t));
   }
 }
 
 TEST(RebalanceSubset, WarmOccupancyMatchesColdRebuild) {
+  // rebalance() keeps the occupancy it edits in place mirroring the
+  // schedule: afterwards it holds exactly the pieces a cold
+  // build_occupancy() of the result holds.
   const TaskGraph graph = paper_example_graph();
   const Schedule before = paper_example_schedule(graph);
-  std::vector<ProcTimeline> warm(
-      3, ProcTimeline(graph.hyperperiod()));
-  for (const TaskInstance inst : before.all_instances()) {
-    warm[static_cast<std::size_t>(before.proc(inst))].add(
-        before.start(inst), graph.task(inst.task).wcet, inst);
-  }
   std::vector<TaskId> all_tasks;
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
     all_tasks.push_back(t);
   }
   const BlockDecomposition dec = build_blocks_around(before, all_tasks);
-  RebalanceScope cold_scope;
-  cold_scope.blocks = &dec;
-  RebalanceScope warm_scope;
-  warm_scope.blocks = &dec;
-  warm_scope.occupancy = &warm;
-  warm_scope.return_occupancy = true;
-  const BalanceResult cold = LoadBalancer().rebalance(before, cold_scope);
-  const BalanceResult warm_result =
-      LoadBalancer().rebalance(before, warm_scope);
-  for (const TaskInstance inst : before.all_instances()) {
-    EXPECT_EQ(cold.schedule.proc(inst), warm_result.schedule.proc(inst));
+  Schedule sched = before;
+  std::vector<ProcTimeline> warm = build_occupancy(sched);
+  const RebalanceResult result = LoadBalancer().rebalance(sched, warm, dec);
+  ASSERT_FALSE(result.stats.fell_back);
+  EXPECT_GT(result.stats.moves_off_home, 0);
+  const std::vector<ProcTimeline> cold = build_occupancy(sched);
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t p = 0; p < warm.size(); ++p) {
+    EXPECT_TRUE(warm[p].same_pieces(cold[p])) << "processor " << p;
+    EXPECT_TRUE(warm[p].check_index_integrity()) << "processor " << p;
   }
-  EXPECT_FALSE(warm_result.occupancy.empty());
 }
 
 }  // namespace

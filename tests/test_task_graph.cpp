@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lbmem/model/task_graph.hpp"
 #include "lbmem/util/check.hpp"
 
@@ -83,6 +85,59 @@ TEST(TaskGraph, HyperperiodAndInstances) {
   EXPECT_EQ(g.instance_count(a), 4);
   EXPECT_EQ(g.instance_count(b), 3);
   EXPECT_EQ(g.total_instances(), 7u);
+}
+
+TEST(TaskGraph, FreezeRejectsInstanceCountsPastTheInstanceIndex) {
+  // Trace text is untrusted: a period coprime to the others blows H up
+  // until H / period no longer fits InstanceIdx.
+  TaskGraph g;
+  g.add_task("fast", 16, 1, 1);
+  g.add_task("big", 4294967311, 1, 1);
+  try {
+    g.freeze();
+    FAIL() << "froze with " << g.total_instances() << " instances";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("task fast"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(g.frozen());
+}
+
+TEST(TaskGraph, FreezeRejectsMoreThanTheInstanceCeiling) {
+  const auto ceiling = static_cast<Time>(TaskGraph::kMaxTotalInstances);
+  TaskGraph over;
+  over.add_task("dense", 1, 1, 1);
+  over.add_task("sparse", 2 * ceiling, 1, 1);
+  try {
+    over.freeze();
+    FAIL() << "froze with " << over.total_instances() << " instances";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("task dense"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(over.frozen());
+
+  TaskGraph under;  // ceiling / 2 + 1 instances: admitted
+  under.add_task("dense", 2, 1, 1);
+  under.add_task("sparse", ceiling, 1, 1);
+  under.freeze();
+  EXPECT_EQ(under.total_instances(), TaskGraph::kMaxTotalInstances / 2 + 1);
+}
+
+TEST(TaskGraph, TopologicalRankInvertsTheOrder) {
+  TaskGraph g;
+  const TaskId a = g.add_task("a", 4, 1, 1);
+  const TaskId b = g.add_task("b", 4, 1, 1);
+  const TaskId c = g.add_task("c", 4, 1, 1);
+  g.add_dependence(c, a);
+  g.add_dependence(a, b);
+  g.freeze();
+  const std::span<const TaskId> order = g.topological_order();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(g.topological_rank(order[i]), static_cast<std::int32_t>(i));
+  }
+  EXPECT_LT(g.topological_rank(c), g.topological_rank(a));
+  EXPECT_LT(g.topological_rank(a), g.topological_rank(b));
 }
 
 TEST(TaskGraph, TopologicalOrderRespectsEdges) {
