@@ -10,6 +10,32 @@
 
 namespace lbmem {
 
+namespace {
+
+/// CSR adjacency of \p deps keyed by \p end (producer or consumer): a
+/// counting sort in edge order, so each task's edge ids come out
+/// ascending.
+void build_csr(std::span<const Dependence> deps, std::size_t n,
+               TaskId Dependence::*end, std::vector<std::int32_t>& offsets,
+               std::vector<std::int32_t>& ids) {
+  offsets.assign(n + 1, 0);
+  for (const Dependence& d : deps) {
+    ++offsets[static_cast<std::size_t>(d.*end)];
+  }
+  // Inclusive prefix sums leave offsets[t] at the end of t's slice; filling
+  // the slices back to front with descending ids then leaves it at the
+  // start, with each slice ascending.
+  for (std::size_t t = 1; t <= n; ++t) offsets[t] += offsets[t - 1];
+  ids.resize(deps.size());
+  for (std::size_t e = deps.size(); e-- > 0;) {
+    ids[static_cast<std::size_t>(
+        --offsets[static_cast<std::size_t>(deps[e].*end)])] =
+        static_cast<std::int32_t>(e);
+  }
+}
+
+}  // namespace
+
 TaskId TaskGraph::add_task(Task task) {
   require_mutable("add_task");
   if (task.name.empty()) {
@@ -102,37 +128,43 @@ void TaskGraph::freeze() {
   for (const auto& t : tasks_) periods.push_back(t.period);
   hyperperiod_ = lcm_all(periods);
 
-  // Adjacency.
-  in_edges_.assign(tasks_.size(), {});
-  out_edges_.assign(tasks_.size(), {});
-  for (std::size_t e = 0; e < deps_.size(); ++e) {
-    out_edges_[static_cast<std::size_t>(deps_[e].producer)].push_back(
-        static_cast<std::int32_t>(e));
-    in_edges_[static_cast<std::size_t>(deps_[e].consumer)].push_back(
-        static_cast<std::int32_t>(e));
-  }
+  // Adjacency (CSR).
+  const std::size_t n = tasks_.size();
+  build_csr(deps_, n, &Dependence::consumer, in_offsets_, in_ids_);
+  build_csr(deps_, n, &Dependence::producer, out_offsets_, out_ids_);
 
-  // Kahn topological sort; detects cycles.
-  std::vector<std::int32_t> indegree(tasks_.size(), 0);
-  for (const auto& d : deps_) {
-    ++indegree[static_cast<std::size_t>(d.consumer)];
+  // Kahn topological sort, smallest ready id first; detects cycles. The
+  // scan finds the ready ids at or past it; the heap holds those released
+  // behind it. Every heap entry is below the scan, so the heap top, when
+  // there is one, is the smallest ready id.
+  std::vector<std::int32_t> indegree(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    indegree[t] = in_offsets_[t + 1] - in_offsets_[t];
   }
-  std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready;
-  for (TaskId t = 0; t < static_cast<TaskId>(tasks_.size()); ++t) {
-    if (indegree[static_cast<std::size_t>(t)] == 0) ready.push(t);
-  }
+  std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> behind;
+  std::size_t scan = 0;
   topo_order_.clear();
-  topo_order_.reserve(tasks_.size());
-  while (!ready.empty()) {
-    const TaskId t = ready.top();
-    ready.pop();
+  topo_order_.reserve(n);
+  while (true) {
+    TaskId t = 0;
+    if (!behind.empty()) {
+      t = behind.top();
+      behind.pop();
+    } else {
+      while (scan < n && indegree[scan] != 0) ++scan;
+      if (scan == n) break;
+      t = static_cast<TaskId>(scan++);
+    }
     topo_order_.push_back(t);
-    for (const std::int32_t e : out_edges_[static_cast<std::size_t>(t)]) {
+    for (const std::int32_t e : edge_span(out_offsets_, out_ids_, t)) {
       const TaskId c = deps_[static_cast<std::size_t>(e)].consumer;
-      if (--indegree[static_cast<std::size_t>(c)] == 0) ready.push(c);
+      if (--indegree[static_cast<std::size_t>(c)] == 0 &&
+          static_cast<std::size_t>(c) < scan) {
+        behind.push(c);
+      }
     }
   }
-  if (topo_order_.size() != tasks_.size()) {
+  if (topo_order_.size() != n) {
     throw ModelError("task graph contains a dependence cycle");
   }
   topo_rank_.resize(tasks_.size());

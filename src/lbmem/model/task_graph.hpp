@@ -9,6 +9,14 @@
 /// positive WCETs bounded by periods), computes the hyper-period and a
 /// topological order, and builds adjacency indexes. Online edits copy the
 /// survivors into a new, unfrozen graph (without()).
+///
+/// freeze() is O(N + E) (DESIGN.md F10). The adjacency is CSR: offsets
+/// plus edge-id arrays built by a counting sort in edge order, so each
+/// task's deps_in/deps_out list its edge ids ascending. The topological
+/// order is Kahn's with the smallest ready id first; a scan pointer walks
+/// the ids upward and a min-heap holds only the tasks released behind it,
+/// which stays empty when every edge points to a larger id (generated
+/// graphs, arrivals appended last, removals compacted in order).
 
 #include <span>
 #include <string>
@@ -135,22 +143,24 @@ class TaskGraph {
            static_cast<std::size_t>(inst.k);
   }
 
-  /// Dependences entering \p consumer (indices into dependences()).
+  /// Dependences entering \p consumer (indices into dependences()),
+  /// ascending.
   std::span<const std::int32_t> deps_in(TaskId consumer) const {
     require_frozen("deps_in");
     LBMEM_REQUIRE(consumer >= 0 &&
                       consumer < static_cast<TaskId>(tasks_.size()),
                   "task id out of range");
-    return in_edges_[static_cast<std::size_t>(consumer)];
+    return edge_span(in_offsets_, in_ids_, consumer);
   }
 
-  /// Dependences leaving \p producer (indices into dependences()).
+  /// Dependences leaving \p producer (indices into dependences()),
+  /// ascending.
   std::span<const std::int32_t> deps_out(TaskId producer) const {
     require_frozen("deps_out");
     LBMEM_REQUIRE(producer >= 0 &&
                       producer < static_cast<TaskId>(tasks_.size()),
                   "task id out of range");
-    return out_edges_[static_cast<std::size_t>(producer)];
+    return edge_span(out_offsets_, out_ids_, producer);
   }
 
   /// A topological order of task ids (producers before consumers).
@@ -235,6 +245,14 @@ class TaskGraph {
   }
   [[noreturn]] static void throw_not_frozen(const char* what);
   void require_mutable(const char* what) const;
+  /// Task \p t's slice of a CSR edge list.
+  static std::span<const std::int32_t> edge_span(
+      const std::vector<std::int32_t>& offsets,
+      const std::vector<std::int32_t>& ids, TaskId t) {
+    const auto i = static_cast<std::size_t>(t);
+    return {ids.data() + offsets[i],
+            static_cast<std::size_t>(offsets[i + 1] - offsets[i])};
+  }
 
   std::vector<Task> tasks_;
   std::vector<Dependence> deps_;
@@ -247,8 +265,12 @@ class TaskGraph {
   std::vector<std::int32_t> topo_rank_;  // inverse of topo_order_
   std::vector<InstanceIdx> instance_count_;  // per task: H / period
   std::vector<std::size_t> instance_base_;   // CSR offsets, size tasks+1
-  std::vector<std::vector<std::int32_t>> in_edges_;
-  std::vector<std::vector<std::int32_t>> out_edges_;
+  // CSR adjacency: task t's incoming dependence ids are
+  // in_ids_[in_offsets_[t] .. in_offsets_[t+1]), ascending; likewise out.
+  std::vector<std::int32_t> in_offsets_;   // size tasks+1
+  std::vector<std::int32_t> in_ids_;       // size dependences
+  std::vector<std::int32_t> out_offsets_;  // size tasks+1
+  std::vector<std::int32_t> out_ids_;      // size dependences
 };
 
 }  // namespace lbmem

@@ -250,28 +250,67 @@ std::optional<Time> ProcTimeline::earliest_fit(Time lb, Time period, Time wcet,
   LBMEM_REQUIRE(static_cast<Time>(n) * period == h_ ||
                     static_cast<Time>(n) * period <= h_,
                 "earliest_fit: instances exceed hyper-period");
-  Time s = lb;
   const Time limit = lb + period;  // feasibility is periodic in S with period T
-  while (s < limit) {
-    bool ok = true;
+  Time s = lb;
+  while (true) {
+    // Instance 0: walk straight to its first free gap.
+    s = first_free(s, wcet, limit);
+    if (s == limit) return std::nullopt;
     Time jump = 0;
-    for (InstanceIdx k = 0; k < n; ++k) {
+    for (InstanceIdx k = 1; k < n; ++k) {
       const Time inst_start = s + static_cast<Time>(k) * period;
       const Time pos = mod_floor(inst_start, h_);
       if (const Piece* conflict = find_conflict_circular(pos, wcet)) {
-        ok = false;
         // Shift so that this instance lands exactly at the conflicting
         // piece's end (circularly). Strictly positive because they overlap.
-        Time delta = mod_floor(conflict->start + conflict->len - inst_start, h_);
-        if (delta == 0) delta = h_;
-        jump = delta;
+        jump = mod_floor(conflict->start + conflict->len - inst_start, h_);
+        if (jump == 0) jump = h_;
         break;
       }
     }
-    if (ok) return s;
+    if (jump == 0) return s;
     s += jump;
   }
-  return std::nullopt;
+}
+
+Time ProcTimeline::first_free(Time x, Time len, Time limit) const {
+  if (x >= limit) return limit;
+  if (piece_count_ == 0) return x;
+  // Unrolled coordinates relative to the start of x's lap: the pieces of
+  // lap L sit at L*H + start. Pieces are disjoint and never cross H, so
+  // only x's predecessor can reach past it.
+  const Time pos = mod_floor(x, h_);
+  const Time base = x - pos;
+  const Time end = limit - base;
+  Time cur = pos;  // candidate start: no piece passed so far reaches past it
+  if (const Piece* prev = predecessor(pos)) {
+    cur = std::max(cur, prev->start + prev->len);
+  }
+  std::size_t b = bucket_of(pos);
+  const std::vector<Piece>* v = &buckets_[b];
+  std::size_t i = static_cast<std::size_t>(
+      std::lower_bound(v->begin(), v->end(), pos,
+                       [](const Piece& p, Time value) {
+                         return p.start < value;
+                       }) -
+      v->begin());
+  Time lap = 0;
+  while (cur < end) {
+    while (i == v->size()) {
+      b = next_nonempty(b + 1);
+      if (b == npos) {  // past the last piece: continue on the next lap
+        lap += h_;
+        b = next_nonempty(0);
+      }
+      v = &buckets_[b];
+      i = 0;
+    }
+    const Piece& p = (*v)[i++];
+    const Time start = lap + p.start;
+    if (start >= cur + len) break;  // [cur, cur+len) clears every piece
+    cur = start + p.len;  // disjoint pieces in start order: start >= cur
+  }
+  return cur < end ? base + cur : limit;
 }
 
 Time ProcTimeline::busy_time() const {

@@ -112,6 +112,9 @@ class ProcTimeline {
 
   /// Earliest S in [lb, lb+period) such that every instance interval
   /// [S + k*period, +wcet), k in [0, n), fits. std::nullopt if none exists.
+  /// Instance 0 reaches each candidate by a walk over the free gaps
+  /// (first_free); instances 1..n-1 are probed and, on a conflict, jump S
+  /// past the conflicting piece.
   std::optional<Time> earliest_fit(Time lb, Time period, Time wcet,
                                    InstanceIdx n) const;
 
@@ -300,6 +303,11 @@ class ProcTimeline {
     if (const Piece* p = find_conflict(pos, h_, ignore)) return p;
     return find_conflict(0, pos + len - h_, ignore);
   }
+
+  /// Smallest y in [x, limit) such that [y, y+len) (mod H) is free, else
+  /// \p limit: one forward walk over the pieces in start order on the
+  /// unrolled circle (DESIGN.md F37). Requires 0 < len <= H.
+  Time first_free(Time x, Time len, Time limit) const;
 
   void add_impl(Time start, Time len, TaskInstance owner);
   void insert_piece(Piece piece);

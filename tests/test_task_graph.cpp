@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lbmem/model/task_graph.hpp"
 #include "lbmem/util/check.hpp"
+#include "lbmem/util/rng.hpp"
 
 namespace lbmem {
 namespace {
@@ -225,6 +232,133 @@ TEST(TaskGraph, AdjacencySpans) {
   EXPECT_EQ(g.deps_out(a).size(), 2u);
   EXPECT_EQ(g.deps_in(c).size(), 2u);
   EXPECT_EQ(g.deps_in(a).size(), 0u);
+}
+
+/// Reference topological order: Kahn's algorithm with every ready id in
+/// one min-heap, over adjacency lists built edge by edge. Empty when the
+/// graph has a cycle.
+std::vector<TaskId> min_heap_kahn(std::size_t n,
+                                  const std::vector<Dependence>& deps) {
+  std::vector<std::vector<TaskId>> out(n);
+  std::vector<int> indegree(n, 0);
+  for (const Dependence& d : deps) {
+    out[static_cast<std::size_t>(d.producer)].push_back(d.consumer);
+    ++indegree[static_cast<std::size_t>(d.consumer)];
+  }
+  std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready;
+  for (std::size_t t = 0; t < n; ++t) {
+    if (indegree[t] == 0) ready.push(static_cast<TaskId>(t));
+  }
+  std::vector<TaskId> order;
+  while (!ready.empty()) {
+    const TaskId t = ready.top();
+    ready.pop();
+    order.push_back(t);
+    for (const TaskId c : out[static_cast<std::size_t>(t)]) {
+      if (--indegree[static_cast<std::size_t>(c)] == 0) ready.push(c);
+    }
+  }
+  if (order.size() != n) order.clear();
+  return order;
+}
+
+/// A random graph on \p n tasks: edges follow a shuffled hidden order, so
+/// they point both up and down in id and the graph is acyclic.
+std::vector<Dependence> random_dag_edges(Rng& rng, std::size_t n) {
+  std::vector<TaskId> hidden(n);
+  for (std::size_t i = 0; i < n; ++i) hidden[i] = static_cast<TaskId>(i);
+  rng.shuffle(hidden);
+  std::set<std::pair<TaskId, TaskId>> seen;
+  std::vector<Dependence> deps;
+  const auto edges = rng.uniform(0, static_cast<std::int64_t>(2 * n));
+  for (std::int64_t e = 0; e < edges && n > 1; ++e) {
+    auto a = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
+    auto b = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
+    if (a == b) continue;
+    if (a > b) std::swap(a, b);
+    const std::pair<TaskId, TaskId> edge{hidden[a], hidden[b]};
+    if (seen.insert(edge).second) {
+      deps.push_back(Dependence{edge.first, edge.second, 1});
+    }
+  }
+  return deps;
+}
+
+TaskGraph build(std::size_t n, const std::vector<Dependence>& deps) {
+  TaskGraph g;
+  for (std::size_t t = 0; t < n; ++t) {
+    g.add_task("t" + std::to_string(t), 4, 1, 1);
+  }
+  for (const Dependence& d : deps) g.add_dependence(d.producer, d.consumer);
+  return g;
+}
+
+TEST(TaskGraph, FreezeMatchesTheMinHeapKahnOrderAndSortedAdjacency) {
+  // Every repair order depends on the smallest-ready-id-first tie-break:
+  // freeze() must reproduce it exactly, and list each task's edge ids in
+  // ascending order, on graphs whose edges point both ways in id.
+  Rng rng(20);
+  for (int round = 0; round < 300; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 40));
+    const std::vector<Dependence> deps = random_dag_edges(rng, n);
+    SCOPED_TRACE("round " + std::to_string(round));
+    TaskGraph g = build(n, deps);
+    g.freeze();
+    const std::vector<TaskId> expected = min_heap_kahn(n, deps);
+    ASSERT_EQ(expected.size(), n);
+    const std::span<const TaskId> order = g.topological_order();
+    ASSERT_EQ(std::vector<TaskId>(order.begin(), order.end()), expected);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(g.topological_rank(expected[i]), static_cast<std::int32_t>(i));
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+      std::vector<std::int32_t> in;
+      std::vector<std::int32_t> out;
+      for (std::size_t e = 0; e < deps.size(); ++e) {
+        if (deps[e].consumer == static_cast<TaskId>(t)) {
+          in.push_back(static_cast<std::int32_t>(e));
+        }
+        if (deps[e].producer == static_cast<TaskId>(t)) {
+          out.push_back(static_cast<std::int32_t>(e));
+        }
+      }
+      const auto got_in = g.deps_in(static_cast<TaskId>(t));
+      const auto got_out = g.deps_out(static_cast<TaskId>(t));
+      ASSERT_EQ(std::vector<std::int32_t>(got_in.begin(), got_in.end()), in);
+      ASSERT_EQ(std::vector<std::int32_t>(got_out.begin(), got_out.end()),
+                out);
+    }
+  }
+}
+
+TEST(TaskGraph, FreezeRejectsRandomCycles) {
+  // The same random graphs closed into a cycle through two to four tasks
+  // must still throw, wherever in id order the cycle sits.
+  Rng rng(21);
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform(2, 40));
+    std::vector<Dependence> deps = random_dag_edges(rng, n);
+    std::vector<TaskId> ids(n);
+    for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<TaskId>(i);
+    rng.shuffle(ids);
+    const auto len = static_cast<std::size_t>(rng.uniform(
+        2, std::min<std::int64_t>(4, static_cast<std::int64_t>(n))));
+    for (std::size_t i = 0; i < len; ++i) {
+      const TaskId p = ids[i];
+      const TaskId c = ids[(i + 1) % len];
+      const bool present = std::any_of(
+          deps.begin(), deps.end(), [&](const Dependence& d) {
+            return d.producer == p && d.consumer == c;
+          });
+      if (!present) deps.push_back(Dependence{p, c, 1});
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_TRUE(min_heap_kahn(n, deps).empty());
+    TaskGraph g = build(n, deps);
+    EXPECT_THROW(g.freeze(), ModelError);
+  }
 }
 
 TEST(TaskGraph, WithoutCompactsIdsInOrderAndDropsTouchingEdges) {

@@ -153,14 +153,23 @@ void churn(Time h, std::uint64_t seed, int steps) {
       ASSERT_EQ(timeline.conflicting_owner(start, len),
                 naive.conflicting_owner(start, len));
     } else if (h >= 4 && h <= 4096) {
-      // Whole strict-periodic task probe (n instances spaced T apart).
-      // Skipped on giant circles: the reference scans start-by-start.
-      const Time period = (h % 4 == 0) ? h / 4 : ((h % 2 == 0) ? h / 2 : h);
-      const auto n = static_cast<InstanceIdx>(h / period);
-      const Time wcet = rng.uniform(1, std::min<Time>(period, 5));
-      const Time lb = rng.uniform(0, period - 1);
+      // Whole strict-periodic task probe (n instances spaced T apart): lb
+      // on either side of the circle, wcet from a few ticks up to the whole
+      // period. Skipped on giant circles: the reference scans
+      // start-by-start.
+      const InstanceIdx counts[] = {1, 2, 4};
+      InstanceIdx n = counts[rng.uniform(0, 2)];
+      if (h % n != 0) n = 1;
+      const Time period = h / n;
+      const std::int64_t shape = rng.uniform(0, 7);
+      const Time wcet = shape == 0  ? period
+                        : shape < 3 ? rng.uniform(1, period)
+                                    : rng.uniform(1, std::min<Time>(period, 5));
+      const Time lb = rng.uniform(-2 * h, 2 * h - 1);
       ASSERT_EQ(timeline.earliest_fit(lb, period, wcet, n),
-                naive.earliest_fit(lb, period, wcet, n));
+                naive.earliest_fit(lb, period, wcet, n))
+          << "lb=" << lb << " period=" << period << " wcet=" << wcet
+          << " n=" << n;
     }
     ASSERT_TRUE(timeline.check_index_integrity());
     ASSERT_EQ(timeline.piece_count(), naive.piece_count());
@@ -188,6 +197,121 @@ TEST(ProcTimelineBuckets, SparseGiantCircle) {
 TEST(ProcTimelineBuckets, DenseSmallCircle) {
   // High occupancy forces long probe chains and frequent rejects.
   churn(/*h=*/48, /*seed=*/6, /*steps=*/800);
+}
+
+/// Every (lb, n, wcet) probe of \p timeline against \p naive: lb over
+/// [-2H, 2H), n in {1, 2, 4} where it divides H, wcet in [1, period].
+void expect_every_fit_matches(const ProcTimeline& timeline,
+                              const NaiveTimeline& naive, Time h) {
+  for (const InstanceIdx n : {1, 2, 4}) {
+    if (h % n != 0) continue;
+    const Time period = h / n;
+    for (Time wcet = 1; wcet <= period; ++wcet) {
+      for (Time lb = -2 * h; lb < 2 * h; ++lb) {
+        ASSERT_EQ(timeline.earliest_fit(lb, period, wcet, n),
+                  naive.earliest_fit(lb, period, wcet, n))
+            << "lb=" << lb << " period=" << period << " wcet=" << wcet
+            << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(ProcTimelineBuckets, EveryProbeOnSmallCircles) {
+  // Random fills of small circles, then every probe shape: the gap walk
+  // and the instance jumps against the start-by-start reference.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Time h = seed % 2 == 0 ? 24 : 20;
+    SCOPED_TRACE("H=" + std::to_string(h) + " seed=" + std::to_string(seed));
+    ProcTimeline timeline(h);
+    NaiveTimeline naive(h);
+    Rng rng(seed);
+    for (TaskId t = 0; t < 8; ++t) {
+      const Time len = rng.uniform(1, 4);
+      const Time start = rng.uniform(0, h - 1);
+      if (!naive.fits(start, len)) continue;
+      timeline.add(start, len, TaskInstance{t, 0});
+      naive.add(start, len, TaskInstance{t, 0});
+    }
+    expect_every_fit_matches(timeline, naive, /*h=*/h);
+  }
+}
+
+TEST(ProcTimelineBuckets, NearFullCircleHasNoFit) {
+  // Pieces of 3 with gaps of 2 all round the circle (one of them wraps):
+  // nothing longer than 2 fits anywhere, from any lb.
+  const Time h = 240;
+  ProcTimeline timeline(h);
+  NaiveTimeline naive(h);
+  for (TaskId t = 0; t < 48; ++t) {
+    timeline.add(5 * t + 239, 3, TaskInstance{t, 0});
+    naive.add(5 * t + 239, 3, TaskInstance{t, 0});
+  }
+  for (const InstanceIdx n : {1, 2, 4}) {
+    const Time period = h / n;
+    for (const Time lb : {Time{-480}, Time{-1}, Time{0}, Time{7}, Time{239}}) {
+      EXPECT_EQ(timeline.earliest_fit(lb, period, 3, n), std::nullopt);
+      EXPECT_EQ(timeline.earliest_fit(lb, period, period, n), std::nullopt);
+      ASSERT_EQ(timeline.earliest_fit(lb, period, 2, n),
+                naive.earliest_fit(lb, period, 2, n));
+    }
+  }
+  EXPECT_EQ(timeline.earliest_fit(0, h, 2, 1), 2);
+}
+
+TEST(ProcTimelineBuckets, OnlyFittingGapStraddlesTheWrap) {
+  // Pieces of 5 with gaps of 1 cover [5, 94); the one gap of 11 is
+  // [94, 105) mod 100, split across H. A wcet-11 task fits only there.
+  const Time h = 100;
+  ProcTimeline timeline(h);
+  NaiveTimeline naive(h);
+  for (TaskId t = 0; t < 15; ++t) {
+    timeline.add(5 + 6 * t, 5, TaskInstance{t, 0});
+    naive.add(5 + 6 * t, 5, TaskInstance{t, 0});
+  }
+  EXPECT_EQ(timeline.earliest_fit(0, h, 11, 1), 94);
+  EXPECT_EQ(timeline.earliest_fit(-150, h, 11, 1), -106);
+  EXPECT_EQ(timeline.earliest_fit(95, h, 11, 1), 194);
+  EXPECT_EQ(timeline.earliest_fit(94, h, 11, 1), 94);
+  EXPECT_EQ(timeline.earliest_fit(95, h, 10, 1), 95);
+  EXPECT_EQ(timeline.earliest_fit(0, h, 12, 1), std::nullopt);
+  for (Time lb = -2 * h; lb < 2 * h; ++lb) {
+    for (const Time wcet : {Time{1}, Time{2}, Time{10}, Time{11}}) {
+      ASSERT_EQ(timeline.earliest_fit(lb, h, wcet, 1),
+                naive.earliest_fit(lb, h, wcet, 1))
+          << "lb=" << lb << " wcet=" << wcet;
+    }
+  }
+}
+
+TEST(ProcTimelineBuckets, DenseSmallGapsWalkTheWholeCircle) {
+  // 400 pieces of 2 with gaps of 1, then one piece removed near the end:
+  // a wcet-2 probe from the start of the circle walks hundreds of pieces
+  // to reach the one gap of 4.
+  const Time h = 1200;
+  ProcTimeline timeline(h);
+  NaiveTimeline naive(h);
+  for (TaskId t = 0; t < 400; ++t) {
+    timeline.add(3 * t, 2, TaskInstance{t, 0});
+    naive.add(3 * t, 2, TaskInstance{t, 0});
+  }
+  EXPECT_EQ(timeline.earliest_fit(0, h, 2, 1), std::nullopt);
+  EXPECT_EQ(timeline.earliest_fit(0, h, 1, 1), 2);
+  timeline.remove(TaskInstance{350, 0});
+  naive.remove(TaskInstance{350, 0});
+  ASSERT_TRUE(timeline.check_index_integrity());
+  EXPECT_EQ(timeline.earliest_fit(0, h, 2, 1), 1049);
+  EXPECT_EQ(timeline.earliest_fit(0, h, 4, 1), 1049);
+  EXPECT_EQ(timeline.earliest_fit(0, h, 5, 1), std::nullopt);
+  EXPECT_EQ(timeline.earliest_fit(1051, h, 2, 1), 1051);
+  EXPECT_EQ(timeline.earliest_fit(1052, h, 2, 1), 1049 + h);
+  for (const Time lb : {Time{-2400}, Time{0}, Time{1050}, Time{1199}}) {
+    for (const InstanceIdx n : {1, 2, 4}) {
+      ASSERT_EQ(timeline.earliest_fit(lb, h / n, 2, n),
+                naive.earliest_fit(lb, h / n, 2, n))
+          << "lb=" << lb << " n=" << n;
+    }
+  }
 }
 
 TEST(ProcTimelineBuckets, WrapHeavy) {
