@@ -179,10 +179,11 @@ void BM_OnlineFailure(benchmark::State& state) {
 
 }  // namespace
 
-// The latency sweep: incremental event handling across system sizes, plus
-// the from-scratch comparator at the acceptance point N=4000/M=8.
+// The latency sweep: incremental event handling across system sizes (to
+// N=8000, perfbench serve-local's size), plus the from-scratch comparator
+// up to the acceptance point N=4000/M=8.
 BENCHMARK(BM_OnlineWcet)
-    ->ArgsProduct({{250, 1000, 4000}, {8}})
+    ->ArgsProduct({{250, 1000, 4000, 8000}, {8}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FullWcet)
     ->ArgsProduct({{250, 1000, 4000}, {8}})

@@ -40,6 +40,17 @@ bool mirrors(const std::vector<ProcTimeline>& occ, const Schedule& sched) {
                       return a.same_pieces(b);
                     });
 }
+
+/// The makespan as a scan over every task's last instance: the reference
+/// for Schedule's maintained one (DESIGN.md F38).
+Time scanned_makespan(const Schedule& sched) {
+  const TaskGraph& graph = sched.graph();
+  Time m = 0;
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    m = std::max(m, sched.end(TaskInstance{t, graph.instance_count(t) - 1}));
+  }
+  return m;
+}
 #endif
 
 /// Every task id in order: the id remap of an event that keeps the graph.
@@ -175,6 +186,7 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
   // Scratch hoisted out of the loop: a full-replace escalation re-places
   // every task, and a fresh allocation per task adds up.
   std::vector<Mem> resident;
+  std::vector<Time> bounds;
   while (!dirty.empty()) {
     const TaskId t = dirty.begin()->second;
     dirty.erase(dirty.begin());
@@ -196,6 +208,7 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
       }
     }
 
+    precedence_lower_bounds(work, t, bounds);
     ProcId best_proc = kNoProc;
     Time best_start = 0;
     for (ProcId p = 0;
@@ -207,10 +220,9 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
               work.architecture().memory_capacity()) {
         continue;  // admitting t whole on p would overrun the capacity
       }
-      const Time lb = precedence_lower_bound(work, t, p);
       const auto start =
           edits.occupancy()[static_cast<std::size_t>(p)].earliest_fit(
-              lb, task.period, task.wcet, n);
+              bounds[static_cast<std::size_t>(p)], task.period, task.wcet, n);
       if (!start) continue;
       bool better = false;
       if (best_proc == kNoProc) {
@@ -438,6 +450,9 @@ EventOutcome Rebalancer::apply(const Event& event) {
     // validation trusts it to mirror the schedule (DESIGN.md F12, F35).
     LBMEM_REQUIRE(mirrors(occ_, *sched_),
                   "occupancy diverged from the schedule");
+    // Every event's reported makespan is the maintained one.
+    LBMEM_REQUIRE(sched_->makespan() == scanned_makespan(*sched_),
+                  "maintained makespan diverged from a scan");
 #endif
     out.makespan = sched_->makespan();
     out.max_memory = sched_->max_memory();

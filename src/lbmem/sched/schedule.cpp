@@ -17,6 +17,7 @@ Schedule::Schedule(const TaskGraph& graph, Architecture arch, CommModel comm)
   mem_on_.assign(static_cast<std::size_t>(arch_.processor_count()), Mem{0});
   busy_time_on_.assign(static_cast<std::size_t>(arch_.processor_count()),
                        Time{0});
+  chunk_end_.assign((graph.task_count() + kChunk - 1) / kChunk, Time{0});
 }
 
 void Schedule::set_first_start(TaskId t, Time start) {
@@ -24,8 +25,31 @@ void Schedule::set_first_start(TaskId t, Time start) {
                 "task id out of range");
   LBMEM_REQUIRE(start >= 0, "start times must be non-negative");
   Time& slot = first_start_[static_cast<std::size_t>(t)];
+  const Time offset = last_end_offset(t);
+  const Time old_end = slot < 0 ? Time{-1} : slot + offset;
   if (slot < 0) --unset_starts_;
   slot = start;
+  last_end_moved(t, old_end, start + offset);
+}
+
+void Schedule::last_end_moved(TaskId t, Time old_end, Time new_end) {
+  const std::size_t c = static_cast<std::size_t>(t) / kChunk;
+  Time& top = chunk_end_[c];
+  if (new_end >= top) {
+    top = new_end;
+    return;
+  }
+  if (old_end != top) return;  // t was not the chunk's latest task
+  // The chunk's latest task moved earlier: re-fold the chunk.
+  top = 0;
+  const std::size_t limit =
+      std::min((c + 1) * kChunk, first_start_.size());
+  for (std::size_t u = c * kChunk; u < limit; ++u) {
+    const Time s = first_start_[u];
+    if (s >= 0) {
+      top = std::max(top, s + last_end_offset(static_cast<TaskId>(u)));
+    }
+  }
 }
 
 void Schedule::assign(TaskInstance inst, ProcId p) {
@@ -61,15 +85,17 @@ void Schedule::wcet_changed(TaskId t, Time old_wcet) {
     const ProcId p = instance_proc_[i];
     if (p != kNoProc) busy_time_on_[static_cast<std::size_t>(p)] += delta;
   }
+  const Time s = first_start_[static_cast<std::size_t>(t)];
+  if (s >= 0) {
+    const Time offset = last_end_offset(t);
+    last_end_moved(t, s + offset - delta, s + offset);
+  }
 }
 
 Time Schedule::makespan() const {
+  LBMEM_REQUIRE(unset_starts_ == 0, "task has no start time yet");
   Time m = 0;
-  for (TaskId t = 0; t < static_cast<TaskId>(graph_->task_count()); ++t) {
-    const InstanceIdx n = graph_->instance_count(t);
-    // The latest instance of a task is its last one.
-    m = std::max(m, end(TaskInstance{t, n - 1}));
-  }
+  for (const Time end : chunk_end_) m = std::max(m, end);
   return m;
 }
 

@@ -46,10 +46,10 @@ class Schedule {
   /// Assign every instance of \p t to \p p (initial whole-task placement).
   void assign_all(TaskId t, ProcId p);
 
-  /// Correct busy_on after TaskGraph::set_wcet changed the WCET of \p t
-  /// from \p old_wcet: assign() accumulates busy time with the WCET current
-  /// at assignment time, so only t's placed instances are stale. O(instances
-  /// of t).
+  /// Correct busy_on and the makespan after TaskGraph::set_wcet changed the
+  /// WCET of \p t from \p old_wcet: assign() accumulates busy time with the
+  /// WCET current at assignment time, so only t's placed instances are
+  /// stale. O(instances of t).
   void wcet_changed(TaskId t, Time old_wcet);
 
   // ---- timing queries (inline: the balancer's innermost reads) -----------
@@ -76,7 +76,9 @@ class Schedule {
   ProcId proc(TaskInstance inst) const { return instance_proc_[slot(inst)]; }
 
   /// Completion time of the last instance — the paper's "total execution
-  /// time" (makespan). Requires a complete schedule.
+  /// time" (makespan). Requires every task's start. O(N/64): a fold over
+  /// the per-chunk maxima set_first_start() and wcet_changed() maintain
+  /// (DESIGN.md F38).
   Time makespan() const;
 
   /// Earliest time instance \p inst could begin on processor \p p given the
@@ -126,6 +128,19 @@ class Schedule {
     return graph_->dense_index(inst);
   }
 
+  /// Task ids per makespan chunk (DESIGN.md F38).
+  static constexpr std::size_t kChunk = 64;
+  /// Distance from t's first start to the end of its last instance.
+  Time last_end_offset(TaskId t) const {
+    return graph_->task(t).period *
+               static_cast<Time>(graph_->instance_count(t) - 1) +
+           graph_->task(t).wcet;
+  }
+  /// Task \p t's last instance now ends at \p new_end instead of
+  /// \p old_end (-1: t had no start). O(1) unless t held its chunk's
+  /// maximum and moved earlier; then O(kChunk). Allocates nothing.
+  void last_end_moved(TaskId t, Time old_end, Time new_end);
+
   const TaskGraph* graph_;
   Architecture arch_;
   CommModel comm_;
@@ -137,6 +152,9 @@ class Schedule {
   // instances (kNoProc) contribute nowhere.
   std::vector<Mem> mem_on_;
   std::vector<Time> busy_time_on_;
+  // Per chunk of kChunk task ids, the latest last-instance end among its
+  // started tasks (0 when none): makespan() folds these.
+  std::vector<Time> chunk_end_;
   std::size_t unassigned_instances_ = 0;
   std::size_t unset_starts_ = 0;
 };

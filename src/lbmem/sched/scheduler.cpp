@@ -8,16 +8,51 @@
 
 namespace lbmem {
 
-Time precedence_lower_bound(const Schedule& sched, TaskId t, ProcId p) {
+void precedence_lower_bounds(const Schedule& sched, TaskId t,
+                             std::vector<Time>& bounds) {
   const TaskGraph& graph = sched.graph();
   const Time period = graph.task(t).period;
   const InstanceIdx n = graph.instance_count(t);
-  Time lb = 0;
+  const ProcId procs = sched.architecture().processor_count();
+  bounds.assign(static_cast<std::size_t>(procs), 0);
   for (InstanceIdx k = 0; k < n; ++k) {
-    const Time ready = sched.data_ready(TaskInstance{t, k}, p);
-    lb = std::max(lb, ready - period * static_cast<Time>(k));
+    const Time shift = period * static_cast<Time>(k);
+    // data_ready(t_k, p) is the largest of p's colocated producer ends and
+    // the end + C arrivals from other processors; the top two arrivals on
+    // distinct processors hold the latter for every p.
+    Time top1 = 0;
+    ProcId top1_proc = kNoProc;
+    Time top2 = 0;
+    for (const std::int32_t e : graph.deps_in(t)) {
+      const Dependence& dep =
+          graph.dependences()[static_cast<std::size_t>(e)];
+      const Time comm = sched.comm().transfer_time(dep.data_size);
+      const ConsumedRange range = graph.consumed_range(e, k);
+      for (InstanceIdx i = 0; i < range.count; ++i) {
+        const TaskInstance producer{dep.producer, range.first + i};
+        const ProcId pp = sched.proc(producer);
+        LBMEM_REQUIRE(pp != kNoProc, "producer instance not yet placed");
+        const Time end = sched.end(producer);
+        Time& colocated = bounds[static_cast<std::size_t>(pp)];
+        colocated = std::max(colocated, end - shift);
+        const Time remote = end + comm;
+        if (pp == top1_proc) {
+          top1 = std::max(top1, remote);
+        } else if (remote > top1) {
+          top2 = top1;
+          top1 = remote;
+          top1_proc = pp;
+        } else {
+          top2 = std::max(top2, remote);
+        }
+      }
+    }
+    if (top1_proc == kNoProc) continue;  // no producer: ready at 0
+    for (ProcId p = 0; p < procs; ++p) {
+      Time& bound = bounds[static_cast<std::size_t>(p)];
+      bound = std::max(bound, (p == top1_proc ? top2 : top1) - shift);
+    }
   }
-  return std::max<Time>(lb, 0);
 }
 
 void commit_whole_task(ScheduleJournal& edits, TaskId t, ProcId p,
@@ -43,13 +78,12 @@ struct Candidate {
   Time start;
 };
 
-/// Earliest feasible placement of whole task \p t on processor \p p.
-std::optional<Time> earliest_on(const Schedule& sched,
+/// Earliest feasible placement of whole task \p t on a processor whose
+/// precedence lower bound is \p lb.
+std::optional<Time> earliest_on(const TaskGraph& graph,
                                 const ProcTimeline& timeline, TaskId t,
-                                ProcId p) {
-  const TaskGraph& graph = sched.graph();
+                                Time lb) {
   const Task& task = graph.task(t);
-  const Time lb = precedence_lower_bound(sched, t, p);
   return timeline.earliest_fit(lb, task.period, task.wcet,
                                graph.instance_count(t));
 }
@@ -89,13 +123,16 @@ Schedule build_initial_schedule(const TaskGraph& graph,
           ? cluster_assignment(graph, arch)
           : std::map<Time, ProcId>{};
 
+  std::vector<Time> bounds;
   for (const TaskId t : graph.topological_order()) {
     std::optional<Candidate> chosen;
+    precedence_lower_bounds(sched, t, bounds);
 
     if (options.policy == PlacementPolicy::PeriodCluster) {
       const ProcId home = clusters.at(graph.task(t).period);
-      if (const auto s = earliest_on(
-              sched, timelines[static_cast<std::size_t>(home)], t, home)) {
+      if (const auto s =
+              earliest_on(graph, timelines[static_cast<std::size_t>(home)],
+                          t, bounds[static_cast<std::size_t>(home)])) {
         chosen = Candidate{home, *s};
       } else if (!options.cluster_fallback) {
         throw ScheduleError("task " + graph.task(t).name +
@@ -108,7 +145,8 @@ Schedule build_initial_schedule(const TaskGraph& graph,
       // processors; ties broken by lower memory load, then index.
       for (ProcId p = 0; p < arch.processor_count(); ++p) {
         const auto s =
-            earliest_on(sched, timelines[static_cast<std::size_t>(p)], t, p);
+            earliest_on(graph, timelines[static_cast<std::size_t>(p)], t,
+                        bounds[static_cast<std::size_t>(p)]);
         if (!s) continue;
         if (!chosen || *s < chosen->start ||
             (*s == chosen->start &&
@@ -139,12 +177,14 @@ Schedule build_forced_schedule(const TaskGraph& graph,
       static_cast<std::size_t>(arch.processor_count()),
       ProcTimeline(graph.hyperperiod()));
   ScheduleJournal edits(sched, timelines, /*record=*/false);
+  std::vector<Time> bounds;
   for (const TaskId t : graph.topological_order()) {
     const ProcId p = assignment[static_cast<std::size_t>(t)];
     LBMEM_REQUIRE(p >= 0 && p < arch.processor_count(),
                   "assignment references an unknown processor");
-    const auto s =
-        earliest_on(sched, timelines[static_cast<std::size_t>(p)], t, p);
+    precedence_lower_bounds(sched, t, bounds);
+    const auto s = earliest_on(graph, timelines[static_cast<std::size_t>(p)],
+                               t, bounds[static_cast<std::size_t>(p)]);
     if (!s) {
       throw ScheduleError("forced assignment unschedulable at task " +
                           graph.task(t).name);

@@ -22,6 +22,8 @@
 /// find the earliest strict-periodically feasible start on the candidate
 /// processor's hyper-period circle.
 
+#include <vector>
+
 #include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/schedule.hpp"
 #include "lbmem/sched/timeline.hpp"
@@ -49,10 +51,15 @@ Schedule build_initial_schedule(const TaskGraph& graph,
                                 const CommModel& comm,
                                 const SchedulerOptions& options = {});
 
-/// Lower bound on the first-instance start of \p t on processor \p p given
-/// producers already placed in \p sched: max over instances k of
-/// (data_ready(t_k, p) - k*T). Exposed for tests.
-Time precedence_lower_bound(const Schedule& sched, TaskId t, ProcId p);
+/// Lower bounds on the first-instance start of \p t on every processor,
+/// given producers already placed in \p sched: bounds[p] = max(0, max over
+/// instances k of data_ready(t_k, p) - k*T). One pass over t's producer
+/// instances (DESIGN.md F38): per instance, the top two end + C arrivals on
+/// distinct processors give every processor's remote term, and a producer's
+/// plain end is its own processor's colocated term. \p bounds is resized to
+/// the processor count; reusing it across tasks allocates once.
+void precedence_lower_bounds(const Schedule& sched, TaskId t,
+                             std::vector<Time>& bounds);
 
 /// Place whole task \p t on \p p with first start \p start through
 /// \p edits: set the start, assign every instance, and occupy the

@@ -1,17 +1,19 @@
-/// Property test for Schedule's incrementally maintained per-processor
-/// aggregates (memory_on / busy_on / max_memory / complete): after any
+/// Property test for Schedule's incrementally maintained aggregates
+/// (memory_on / busy_on / max_memory / complete / makespan): after any
 /// randomized sequence of assign and set_first_start calls — including
 /// reassignments that move instances between processors — every aggregate
 /// must equal the value recomputed from scratch through the public
 /// per-instance API. Guards the cache-invalidation logic introduced with
-/// the flat CSR storage.
+/// the flat CSR storage and the per-chunk makespan (DESIGN.md F38).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "lbmem/gen/random_graph.hpp"
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/schedule.hpp"
+#include "lbmem/util/check.hpp"
 #include "lbmem/util/rng.hpp"
 
 namespace lbmem {
@@ -125,6 +127,97 @@ TEST(ScheduleAggregates, CopiesPreserveAggregates) {
   expect_aggregates_match(sched, 42, 0);
   expect_aggregates_match(copy, 42, 1);
   EXPECT_NE(copy.memory_on(0), sched.memory_on(0));
+}
+
+/// Reference makespan: the latest last-instance end over every task.
+Time scanned_makespan(const Schedule& sched) {
+  const TaskGraph& graph = sched.graph();
+  Time m = 0;
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    m = std::max(m, sched.end(TaskInstance{t, graph.instance_count(t) - 1}));
+  }
+  return m;
+}
+
+/// The lowest-id task whose last instance ends at the makespan.
+TaskId latest_task(const Schedule& sched) {
+  const TaskGraph& graph = sched.graph();
+  const Time m = sched.makespan();
+  for (TaskId t = 0;; ++t) {
+    if (sched.end(TaskInstance{t, graph.instance_count(t) - 1}) == m) {
+      return t;
+    }
+  }
+}
+
+/// The maintained makespan (DESIGN.md F38) under journaled start and WCET
+/// edits, rollbacks to random marks and diverging copies, on graphs one
+/// chunk of task ids wide or less, exactly one, just over one, and about
+/// three. The latest task moves earlier (forcing a chunk re-fold) and later.
+TEST(ScheduleAggregates, MaintainedMakespanMatchesAScan) {
+  for (const int tasks : {1, 63, 64, 65, 200}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      RandomGraphParams params;
+      params.tasks = tasks;
+      params.period_levels = 3;
+      TaskGraph graph = random_task_graph(params, seed);  // set_wcet edits it
+      const auto n = static_cast<TaskId>(graph.task_count());
+      Schedule sched(graph, Architecture(3), CommModel::flat(1));
+      Rng rng(seed * 104729 + static_cast<std::uint64_t>(tasks));
+
+      // An incomplete schedule has no makespan.
+      for (TaskId t = 0; t < n; ++t) {
+        EXPECT_THROW(sched.makespan(), PreconditionError) << "task " << t;
+        sched.set_first_start(t, rng.uniform(0, 40));
+        sched.assign_all(t, static_cast<ProcId>(t % 3));
+      }
+      const Time initial = sched.makespan();
+      ASSERT_EQ(initial, scanned_makespan(sched)) << "tasks " << tasks;
+
+      std::vector<ProcTimeline> occ;  // schedule edits only
+      ScheduleJournal journal(sched, occ);
+      std::vector<ScheduleJournal::Mark> marks;
+      for (int step = 0; step < 300; ++step) {
+        const double roll = rng.uniform01();
+        if (roll < 0.3) {
+          const TaskId t = latest_task(sched);
+          const Time start = sched.first_start(t);
+          journal.set_first_start(
+              t, rng.chance(0.6) ? rng.uniform(0, start)
+                                 : start + rng.uniform(1, 20));
+        } else if (roll < 0.55) {
+          journal.set_first_start(
+              static_cast<TaskId>(rng.uniform(0, n - 1)), rng.uniform(0, 60));
+        } else if (roll < 0.8) {
+          const TaskId t = rng.chance(0.5)
+                               ? latest_task(sched)
+                               : static_cast<TaskId>(rng.uniform(0, n - 1));
+          journal.set_wcet(graph, t, rng.uniform(1, graph.task(t).period));
+        } else if (roll < 0.9) {
+          marks.push_back(journal.mark());
+        } else if (!marks.empty()) {
+          const auto i = static_cast<std::size_t>(
+              rng.uniform(0, static_cast<std::int64_t>(marks.size()) - 1));
+          journal.rollback(marks[i]);
+          marks.resize(i);
+        }
+        ASSERT_EQ(sched.makespan(), scanned_makespan(sched))
+            << "tasks " << tasks << " seed " << seed << " step " << step;
+
+        if (step % 50 == 0) {
+          // A copy carries the aggregate, and the two then diverge.
+          Schedule copy = sched;
+          EXPECT_EQ(copy.makespan(), sched.makespan());
+          const TaskId t = latest_task(copy);
+          copy.set_first_start(t, 0);
+          EXPECT_EQ(copy.makespan(), scanned_makespan(copy));
+          EXPECT_EQ(sched.makespan(), scanned_makespan(sched));
+        }
+      }
+      journal.rollback(0);
+      EXPECT_EQ(sched.makespan(), initial) << "tasks " << tasks;
+    }
+  }
 }
 
 }  // namespace

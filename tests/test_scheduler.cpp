@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "lbmem/gen/paper_example.hpp"
 #include "lbmem/gen/random_graph.hpp"
 #include "lbmem/sched/scheduler.hpp"
 #include "lbmem/util/check.hpp"
+#include "lbmem/util/rng.hpp"
 #include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
@@ -102,8 +106,79 @@ TEST(Scheduler, PrecedenceLowerBoundMultiRate) {
   // b0 needs a0,a1 (ready 4 local / 5 remote); b1 needs a2,a3 (ready 10
   // local / 11 remote). Lower bound on the first start of b:
   // max(ready_k - k*T_b).
-  EXPECT_EQ(precedence_lower_bound(s, b, 0), 4);
-  EXPECT_EQ(precedence_lower_bound(s, b, 1), 5);
+  std::vector<Time> bounds;
+  precedence_lower_bounds(s, b, bounds);
+  EXPECT_EQ(bounds, (std::vector<Time>{4, 5, 5}));
+}
+
+/// The definition precedence_lower_bounds() computes in one pass: per
+/// processor, the latest data_ready of an instance less its offset k*T.
+Time bound_by_data_ready(const Schedule& s, TaskId t, ProcId p) {
+  const TaskGraph& g = s.graph();
+  Time lb = 0;
+  for (InstanceIdx k = 0; k < g.instance_count(t); ++k) {
+    lb = std::max(lb, s.data_ready(TaskInstance{t, k}, p) -
+                          g.task(t).period * static_cast<Time>(k));
+  }
+  return lb;
+}
+
+TEST(Scheduler, OnePassBoundsMatchTheDataReadyReference) {
+  // Multi-rate graphs with data sizes 1..8 under an affine model (and a
+  // flat one), every instance on its own random processor, and starts in
+  // a narrow window so that equal arrivals are common.
+  int tied = 0;       // consumer instances whose two latest remote
+                      // arrivals, on distinct processors, are equal
+  int colocated = 0;  // consumer instances with two producers on one proc
+  std::vector<Time> bounds;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    RandomGraphParams params;
+    params.tasks = 30;
+    params.edge_probability = 0.4;
+    const TaskGraph g = random_task_graph(params, seed);
+    const int procs = 2 + static_cast<int>(seed % 3);
+    const CommModel comm =
+        seed % 2 == 0 ? CommModel::affine(1, 2) : CommModel::flat(2);
+    Schedule s(g, Architecture(procs), comm);
+    Rng rng(seed);
+    for (TaskId t = 0; t < static_cast<TaskId>(g.task_count()); ++t) {
+      s.set_first_start(t, rng.uniform(0, 3));
+      for (InstanceIdx k = 0; k < g.instance_count(t); ++k) {
+        s.assign(TaskInstance{t, k},
+                 static_cast<ProcId>(rng.uniform(0, procs - 1)));
+      }
+    }
+    for (TaskId t = 0; t < static_cast<TaskId>(g.task_count()); ++t) {
+      precedence_lower_bounds(s, t, bounds);
+      ASSERT_EQ(bounds.size(), static_cast<std::size_t>(procs));
+      for (ProcId p = 0; p < procs; ++p) {
+        EXPECT_EQ(bounds[static_cast<std::size_t>(p)],
+                  bound_by_data_ready(s, t, p))
+            << "seed " << seed << " task " << t << " proc " << p;
+      }
+      for (InstanceIdx k = 0; k < g.instance_count(t); ++k) {
+        std::vector<Time> arrival(static_cast<std::size_t>(procs), -1);
+        int producers = 0;
+        for (const std::int32_t e : g.deps_in(t)) {
+          const Dependence& dep = g.dependences()[static_cast<std::size_t>(e)];
+          const ConsumedRange range = g.consumed_range(e, k);
+          for (InstanceIdx i = 0; i < range.count; ++i) {
+            const TaskInstance producer{dep.producer, range.first + i};
+            Time& a = arrival[static_cast<std::size_t>(s.proc(producer))];
+            a = std::max(a, s.end(producer) + comm.transfer_time(dep.data_size));
+            ++producers;
+          }
+        }
+        const auto distinct = std::count_if(
+            arrival.begin(), arrival.end(), [](Time a) { return a >= 0; });
+        if (producers > distinct) ++colocated;
+        std::sort(arrival.rbegin(), arrival.rend());
+        if (distinct >= 2 && arrival[0] == arrival[1]) ++tied;
+      }
+    }
+  }
+  EXPECT_GT(tied, 0);
+  EXPECT_GT(colocated, 0);
 }
 
 TEST(Scheduler, ForcedScheduleHonoursAssignment) {
