@@ -41,10 +41,8 @@ TaskId TaskGraph::add_task(Task task) {
   if (task.name.empty()) {
     throw ModelError("task name must not be empty");
   }
-  for (const auto& existing : tasks_) {
-    if (existing.name == task.name) {
-      throw ModelError("duplicate task name: " + task.name);
-    }
+  if (try_find(task.name) >= 0) {
+    throw ModelError("duplicate task name: " + task.name);
   }
   if (task.period <= 0) {
     throw ModelError("task " + task.name + ": period must be positive");
@@ -227,10 +225,15 @@ TaskGraph TaskGraph::without(std::span<const TaskId> drop,
 }
 
 TaskId TaskGraph::find(const std::string& name) const {
-  for (TaskId t = 0; t < static_cast<TaskId>(tasks_.size()); ++t) {
-    if (tasks_[static_cast<std::size_t>(t)].name == name) return t;
-  }
-  throw ModelError("no task named " + name);
+  const TaskId t = try_find(name);
+  if (t < 0) throw ModelError("no task named " + name);
+  return t;
+}
+
+TaskId TaskGraph::try_find(const std::string& name) const {
+  const auto it = std::find_if(tasks_.begin(), tasks_.end(),
+                               [&](const Task& t) { return t.name == name; });
+  return it == tasks_.end() ? -1 : static_cast<TaskId>(it - tasks_.begin());
 }
 
 std::span<const TaskId> TaskGraph::topological_order() const {

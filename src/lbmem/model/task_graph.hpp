@@ -95,6 +95,8 @@ class TaskGraph {
 
   /// Find a task id by name; throws ModelError if absent.
   TaskId find(const std::string& name) const;
+  /// Task id by name, or -1 if absent. O(N): a linear scan.
+  TaskId try_find(const std::string& name) const;
 
   /// Hyper-period H = lcm of all task periods (paper Section 3.1, ref [13]).
   Time hyperperiod() const {

@@ -215,6 +215,14 @@ void Registry::record(MetricId id, std::int64_t value) {
   shard.histograms[id.slot].record(value);
 }
 
+void Registry::merge(MetricId id, const LatencyHistogram& values) {
+  LBMEM_REQUIRE(id.valid() && id.kind == MetricKind::Histogram,
+                "merge() takes a histogram id");
+  Shard& shard = local_shard();
+  if (id.slot >= shard.histograms.size()) shard.histograms.resize(id.slot + 1);
+  shard.histograms[id.slot].merge(values);
+}
+
 std::size_t Registry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return descs_.size();

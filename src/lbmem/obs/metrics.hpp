@@ -145,6 +145,9 @@ class Registry {
   void raise(MetricId id, std::int64_t value);
   /// Record \p value into a histogram.
   void record(MetricId id, std::int64_t value);
+  /// Fold a histogram recorded elsewhere into a histogram metric: the same
+  /// result as recording each of its values.
+  void merge(MetricId id, const LatencyHistogram& values);
 
   /// Merge every shard into a name-sorted snapshot. Must not race with
   /// recording (quiesce first).

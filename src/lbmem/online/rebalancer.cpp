@@ -1,7 +1,6 @@
 #include "lbmem/online/rebalancer.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -22,14 +21,6 @@ namespace {
 /// (rung 1) and the most tasks the shed rung (rung 3) may drop per event.
 constexpr int kMaxRetries = 2;
 constexpr int kMaxShed = 4;
-
-/// Task id by name, or -1 (events identify tasks by name; DESIGN.md F10).
-TaskId maybe_find(const TaskGraph& graph, const std::string& name) {
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (graph.task(t).name == name) return t;
-  }
-  return -1;
-}
 
 #if LBMEM_TIMELINE_VERIFY
 /// Does \p occ hold exactly the pieces of build_occupancy(\p sched)?
@@ -268,45 +259,6 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
   return {};
 }
 
-/// A state that replaces the engine's instead of editing it (DESIGN.md
-/// F14): arrivals and removals carry the placements onto a new graph, and
-/// a full re-place starts from an empty schedule, so their state is new
-/// anyway. It is swapped in only once its repair succeeded.
-struct Candidate {
-  explicit Candidate(Schedule s) : sched(std::move(s)) {}
-
-  Schedule sched;
-  std::vector<ProcTimeline> occ;
-  std::vector<TaskId> dirty;      ///< initial dirty tasks (post-event ids)
-  std::vector<ProcId> preferred;  ///< full re-place: preference per task
-  std::vector<TaskId> repaired;
-  std::vector<TaskId> seeds;      ///< balance-stage seed tasks
-  bool full_replace = false;
-};
-
-/// Fresh candidate that re-places *every* task (hyper-period changes and
-/// the escalation path when a local repair is infeasible; DESIGN.md F13).
-/// Placement preferences come from the pre-event schedule through \p remap
-/// (\p pre's task id -> \p graph's).
-Candidate full_replace_candidate(const TaskGraph& graph, const Schedule& pre,
-                                 std::span<const TaskId> remap) {
-  Candidate candidate{Schedule(graph, pre.architecture(), pre.comm())};
-  candidate.full_replace = true;
-  candidate.occ.assign(
-      static_cast<std::size_t>(pre.architecture().processor_count()),
-      ProcTimeline(graph.hyperperiod()));
-  candidate.dirty = task_ids(graph);
-  candidate.preferred.assign(graph.task_count(), kNoProc);
-  for (TaskId t = 0; t < static_cast<TaskId>(remap.size()); ++t) {
-    const TaskId nt = remap[static_cast<std::size_t>(t)];
-    if (nt >= 0) {
-      candidate.preferred[static_cast<std::size_t>(nt)] =
-          pre.proc(TaskInstance{t, 0});
-    }
-  }
-  return candidate;
-}
-
 }  // namespace
 
 Rebalancer::Rebalancer(std::unique_ptr<TaskGraph> graph, Schedule schedule,
@@ -463,27 +415,29 @@ EventOutcome Rebalancer::apply(const Event& event) {
   };
 
   // Strong exception guarantee (DESIGN.md F14, F36): every change below is
-  // undone unless the event commits as apply()'s last step. Graph-keeping
-  // repairs and every balance stage edit *sched_ and occ_ in place through
-  // `journal`. A candidate that replaces the state (a new graph, a full
-  // re-place, a shed) is swapped in, and the state it replaced waits in
-  // `prior` until apply() returns.
+  // undone unless the event commits as apply()'s last step. Every repair
+  // rung and the balance stage edit *sched_ and occ_ in place through
+  // `journal`. A state that is new anyway (placements carried onto a new
+  // graph, a full re-place, a shed) is swapped in before it is repaired, and
+  // the pre-event graph, schedule and occupancy wait in `prior` until
+  // apply() returns.
   ScheduleJournal journal(*sched_, occ_);
   struct Prior {
-    std::unique_ptr<TaskGraph> graph;  // null: the graph was kept
-    std::optional<Schedule> sched;     // engaged once a candidate swapped in
-    std::vector<ProcTimeline> occ;
-    ScheduleJournal::Mark mark = 0;    // journal length at the swap
+    std::unique_ptr<TaskGraph> graph;  // set once graph_ was replaced
+    std::optional<Schedule> sched;     // engaged once a state swapped in
+    std::optional<std::vector<ProcTimeline>> occ;  // once occ_ was replaced
+    ScheduleJournal::Mark mark = 0;    // journal length at the first swap
   } prior;
   ProcId failed_proc = kNoProc;
   const std::size_t shed_before = shed_.size();
   Rollback undo([&]() noexcept {
-    if (prior.sched) {
-      journal.rollback(prior.mark);  // the candidate's balance stage
-      if (prior.graph) graph_.swap(prior.graph);
-      sched_.swap(prior.sched);
-      occ_.swap(prior.occ);
-    }
+    // The swapped-in state's edits first (a kept occ_ has some), then the
+    // swap, then the edits before it (the WCET and its busy-time
+    // correction included).
+    journal.rollback(prior.mark);
+    if (prior.graph) graph_.swap(prior.graph);
+    if (prior.sched) sched_.swap(prior.sched);
+    if (prior.occ) occ_.swap(*prior.occ);
     journal.rollback(0);
     if (failed_proc != kNoProc) {
       failed_[static_cast<std::size_t>(failed_proc)] = 0;
@@ -494,45 +448,78 @@ EventOutcome Rebalancer::apply(const Event& event) {
 
   std::string reject;
   // Pre-event task id -> post-event id (-1: removed or shed). Filled by a
-  // graph edit, or as the identity once a graph-keeping event escalates.
+  // graph edit, or as the identity once a graph-keeping event re-places
+  // every task.
   std::vector<TaskId> remap;
-  std::unique_ptr<TaskGraph> new_graph;   // null = graph kept
-  std::unique_ptr<TaskGraph> shed_graph;  // rung 3 shrank the graph
-  std::optional<Candidate> patched;       // state to swap in
-  // In-place repair: the balance seeds and the tasks re-placed.
+  // Balance seeds besides the repaired tasks, and the tasks re-placed.
   std::vector<TaskId> seeds;
   std::vector<TaskId> repaired;
   const bool degraded = options_.degraded;
 
-  const auto repair_candidate = [&](Candidate& c) {
-    ScheduleJournal edits(c.sched, c.occ, /*record=*/false);
-    return repair(edits, c.dirty, c.preferred, failed_, c.repaired);
+  // Swap in a state that is new anyway, by moves only (nothing can throw
+  // half way): \p graph (null: keep graph_), \p sched and \p occ (nullopt:
+  // keep occ_). The first replacement of each part moves the pre-event one
+  // into `prior`; a later one drops a state nobody keeps.
+  const auto swap_in = [&](std::unique_ptr<TaskGraph> graph, Schedule sched,
+                           std::optional<std::vector<ProcTimeline>> occ) {
+    if (!prior.sched) {
+      prior.mark = journal.mark();
+      prior.sched.emplace(std::move(*sched_));
+    }
+    *sched_ = std::move(sched);
+    if (occ) {
+      if (!prior.occ) prior.occ.emplace(std::move(occ_));
+      occ_ = std::move(*occ);
+    }
+    if (graph) {
+      if (!prior.graph) prior.graph = std::move(graph_);
+      graph_ = std::move(graph);
+    }
   };
 
-  // The repair ladder (DESIGN.md F28). Rung 0 is the plain dirty-set
-  // repair; without degraded mode a failure escalates once to a full
-  // re-place and then rejects (the historic F11/F13 behavior). With
-  // degraded mode the failure climbs: widened-scope retries, the
-  // constructive full re-place, and finally load shedding. A failed rung
-  // leaks nothing into the next: in-place attempts roll back to the
-  // event's mark, and candidates start from the pre-event placements.
-  //
-  // Rungs 2 and 3: fresh candidates over \p graph, preferring the
-  // pre-event placements of *sched_ (by now rolled back to them).
-  const auto escalate = [&](const TaskGraph& graph, const std::string& err,
-                            bool replace) -> std::string {
-    if (replace) {
-      Candidate full = full_replace_candidate(graph, *sched_, remap);
-      if (repair_candidate(full).empty()) {
-        full.seeds = full.repaired;
-        if (degraded) out.degraded_rung = 2;
-        patched.emplace(std::move(full));
-        return {};
+  // A full re-place (DESIGN.md F13): swap in an empty schedule over \p graph
+  // (null: graph_) and repair every task, preferring its pre-event
+  // processor through \p ids (pre-event task id -> graph's id). The balance
+  // stage is then seeded with the repaired tasks only. A failed attempt's
+  // edits are discarded, not undone: nobody keeps that state.
+  const auto full_replace = [&](std::unique_ptr<TaskGraph> graph,
+                                std::span<const TaskId> ids) -> std::string {
+    const Schedule& pre = prior.sched ? *prior.sched : *sched_;
+    const TaskGraph& g = graph ? *graph : *graph_;
+    std::vector<ProcId> preferred(g.task_count(), kNoProc);
+    for (TaskId t = 0; t < static_cast<TaskId>(ids.size()); ++t) {
+      const TaskId nt = ids[static_cast<std::size_t>(t)];
+      if (nt >= 0) {
+        preferred[static_cast<std::size_t>(nt)] = pre.proc(TaskInstance{t, 0});
       }
     }
+    std::vector<ProcTimeline> occ(
+        static_cast<std::size_t>(pre.architecture().processor_count()),
+        ProcTimeline(g.hyperperiod()));
+    swap_in(std::move(graph), Schedule(g, pre.architecture(), pre.comm()),
+            std::move(occ));
+    seeds.clear();
+    repaired.clear();
+    std::string err =
+        repair(journal, task_ids(*graph_), preferred, failed_, repaired);
+    if (err.empty()) {
+      out.full_replace = true;
+    } else {
+      journal.discard(prior.mark);
+    }
+    return err;
+  };
+
+  // Rung 3: shed the lowest-priority tasks (longest period first) until a
+  // full re-place of the survivors fits, bounded by kMaxShed. Each attempt
+  // shrinks the unshrunk post-event graph, which leaves graph_ first: into
+  // `prior` when the event kept its graph (then also the pre-event one),
+  // else into `post`.
+  const auto shed = [&](const std::string& err) -> std::string {
     if (!degraded) return err;  // historic behavior: reject
-    // Rung 3: shed the lowest-priority tasks (longest period first) until
-    // a full re-place of the survivors fits, bounded by kMaxShed.
+    std::unique_ptr<TaskGraph> post = std::move(graph_);
+    if (!prior.graph) prior.graph.swap(post);
+    const TaskGraph& graph = post ? *post : *prior.graph;
     const std::vector<TaskId> order = shed_order(graph);
     const int cap =
         std::min(kMaxShed, static_cast<int>(graph.task_count()) - 1);
@@ -546,84 +533,55 @@ EventOutcome Rebalancer::apply(const Event& event) {
       for (TaskId& id : composed) {
         if (id >= 0) id = shed_remap[static_cast<std::size_t>(id)];
       }
-      Candidate cand = full_replace_candidate(*shrunk, *sched_, composed);
-      if (!repair_candidate(cand).empty()) continue;
-      cand.seeds = cand.repaired;
+      if (!full_replace(std::move(shrunk), composed).empty()) continue;
       out.degraded_rung = 3;
       for (const TaskId v : victims) out.shed.push_back(graph.task(v).name);
       remap = std::move(composed);
-      shed_graph = std::move(shrunk);
-      patched.emplace(std::move(cand));
       return {};
     }
     return err;  // the whole ladder failed: report the rung-0 reason
   };
 
-  // Rungs 0 and 1 of a graph-keeping event, in place through the journal;
-  // a failed attempt rolls back to `base` (the event's own edit stays).
-  const auto repair_in_place =
-      [&](const std::vector<TaskId>& base_dirty) -> std::string {
-    LBMEM_TRACE_SPAN("online.repair");
+  // The repair ladder (DESIGN.md F28) on the live state. Rung 0 repairs
+  // \p dirty; without degraded mode a failure escalates once to a full
+  // re-place and then rejects (the historic F11/F13 behavior). With
+  // degraded mode the failure climbs: widened-scope retries, the full
+  // re-place, and finally load shedding. A failed rung leaks nothing into
+  // the next: a retry rolls back to the state before rung 0, and a full
+  // re-place starts from an empty schedule.
+  const auto climb = [&](std::vector<TaskId> dirty) -> std::string {
     const ScheduleJournal::Mark base = journal.mark();
-    const auto attempt = [&](const std::vector<TaskId>& initial) {
+    const auto attempt = [&] {
       repaired.clear();
-      std::string err = repair(journal, initial, {}, failed_, repaired);
+      std::string err = repair(journal, dirty, {}, failed_, repaired);
       if (!err.empty()) journal.rollback(base);
       return err;
     };
-    const std::string err = attempt(base_dirty);
+    const std::string err = attempt();
     if (err.empty()) return {};
     if (degraded) {
       // Rung 1: re-attempt with the dirty set widened by one dependency
-      // ring per retry.
-      std::vector<TaskId> dirty = base_dirty;
-      for (int r = 0; r < kMaxRetries; ++r) {
-        if (!widen_by_ring(*graph_, dirty)) break;  // fixpoint: no new scope
+      // ring per retry, until widening adds nothing.
+      for (int r = 0; r < kMaxRetries && widen_by_ring(*graph_, dirty); ++r) {
         ++out.degraded_retries;
-        if (attempt(dirty).empty()) {
+        if (attempt().empty()) {
           out.degraded_rung = 1;
           return {};
         }
       }
     }
-    remap = task_ids(*graph_);
-    return escalate(*graph_, err, /*replace=*/true);
-  };
-
-  // The same ladder for arrivals and removals, on candidates from
-  // \p make_base.
-  const auto repair_candidates =
-      [&](const std::function<Candidate()>& make_base,
-          const TaskGraph& graph) -> std::string {
-    LBMEM_TRACE_SPAN("online.repair");
-    Candidate candidate = make_base();
-    const std::string err = repair_candidate(candidate);
-    if (err.empty()) {
-      patched.emplace(std::move(candidate));
+    if (remap.empty()) remap = task_ids(*graph_);  // the graph was kept
+    if (full_replace(nullptr, remap).empty()) {
+      if (degraded) out.degraded_rung = 2;
       return {};
     }
-    if (candidate.full_replace) return escalate(graph, err, false);
-    if (degraded) {
-      std::vector<TaskId> dirty = candidate.dirty;
-      for (int r = 0; r < kMaxRetries; ++r) {
-        if (!widen_by_ring(graph, dirty)) break;  // fixpoint: no new scope
-        Candidate retry = make_base();
-        retry.dirty = dirty;
-        ++out.degraded_retries;
-        if (repair_candidate(retry).empty()) {
-          out.degraded_rung = 1;
-          patched.emplace(std::move(retry));
-          return {};
-        }
-      }
-    }
-    return escalate(graph, err, true);
+    return shed(err);
   };
 
   switch (event.kind()) {
     case EventKind::WcetChange: {
       const WcetChange& change = std::get<WcetChange>(event.payload);
-      const TaskId t = maybe_find(*graph_, change.task);
+      const TaskId t = graph_->try_find(change.task);
       if (t < 0) {
         reject = "wcet change for unknown task " + change.task;
         break;
@@ -645,7 +603,8 @@ EventOutcome Rebalancer::apply(const Event& event) {
       // re-places t, so its pieces then carry the new WCET.
       seeds.push_back(t);
       add_consumers(*graph_, t, seeds);
-      reject = repair_in_place({t});
+      LBMEM_TRACE_SPAN("online.repair");
+      reject = climb({t});
       break;
     }
 
@@ -671,7 +630,8 @@ EventOutcome Rebalancer::apply(const Event& event) {
       }
       std::sort(dirty.begin(), dirty.end());
       dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-      reject = repair_in_place(dirty);
+      LBMEM_TRACE_SPAN("online.repair");
+      reject = climb(std::move(dirty));
       break;
     }
 
@@ -682,7 +642,7 @@ EventOutcome Rebalancer::apply(const Event& event) {
         const TaskId nid = rebuilt->add_task(
             Task{spec.name, spec.period, spec.wcet, spec.memory});
         for (const NewTaskSpec::Producer& producer : spec.producers) {
-          const TaskId pid = maybe_find(*rebuilt, producer.task);
+          const TaskId pid = rebuilt->try_find(producer.task);
           if (pid < 0) {
             throw ModelError("arrival references unknown producer " +
                              producer.task);
@@ -691,25 +651,25 @@ EventOutcome Rebalancer::apply(const Event& event) {
         }
         rebuilt->freeze();
 
-        // Existing ids are stable (the new task is appended last), so the
-        // occupancy owners still match when the hyper-period held.
+        LBMEM_TRACE_SPAN("online.repair");
+        // Existing ids are stable (the new task is appended last), so occ_'s
+        // owners still match when the hyper-period held.
         const bool same_h = rebuilt->hyperperiod() == graph_->hyperperiod();
-        const auto make_base = [&] {
-          Candidate candidate{carry_over(*sched_, *rebuilt, remap)};
-          const Architecture& arch = candidate.sched.architecture();
-          if (!same_h && arch.has_memory_limit() &&
-              candidate.sched.max_memory() > arch.memory_capacity()) {
-            // A grown hyper-period multiplies every processor's resident
-            // memory; past the capacity, re-place every task (DESIGN.md F13).
-            return full_replace_candidate(*rebuilt, *sched_, remap);
-          }
-          candidate.occ = same_h ? occ_ : build_occupancy(candidate.sched);
-          candidate.dirty.push_back(nid);
-          candidate.seeds.push_back(nid);
-          return candidate;
-        };
-        reject = repair_candidates(make_base, *rebuilt);
-        if (reject.empty()) new_graph = std::move(rebuilt);
+        Schedule carried = carry_over(*sched_, *rebuilt, remap);
+        const Architecture& arch = carried.architecture();
+        if (!same_h && arch.has_memory_limit() &&
+            carried.max_memory() > arch.memory_capacity()) {
+          // A grown hyper-period multiplies every processor's resident
+          // memory; past the capacity, re-place every task (DESIGN.md F13).
+          reject = full_replace(std::move(rebuilt), remap);
+          if (!reject.empty()) reject = shed(reject);
+          break;
+        }
+        std::optional<std::vector<ProcTimeline>> occ;
+        if (!same_h) occ = build_occupancy(carried);
+        swap_in(std::move(rebuilt), std::move(carried), std::move(occ));
+        seeds.push_back(nid);
+        reject = climb({nid});
       } catch (const ModelError& e) {
         reject = e.what();
       }
@@ -718,7 +678,7 @@ EventOutcome Rebalancer::apply(const Event& event) {
 
     case EventKind::TaskRemoval: {
       const std::string& name = std::get<TaskRemoval>(event.payload).task;
-      const TaskId victim = maybe_find(*graph_, name);
+      const TaskId victim = graph_->try_find(name);
       if (victim < 0) {
         reject = "removal of unknown task " + name;
         break;
@@ -730,28 +690,27 @@ EventOutcome Rebalancer::apply(const Event& event) {
       auto rebuilt = std::make_unique<TaskGraph>(
           graph_->without(std::span<const TaskId>(&victim, 1), remap));
       rebuilt->freeze();
-      const auto make_base = [&] {
-        if (rebuilt->hyperperiod() != graph_->hyperperiod()) {
-          // The victim's period was load-bearing for the hyper-period;
-          // folding the old circle onto the smaller one is not validity-
-          // preserving, so every task is re-placed (DESIGN.md F13). Every
-          // task is then repaired and seeds the balance stage.
-          return full_replace_candidate(*rebuilt, *sched_, remap);
-        }
-        Candidate candidate{carry_over(*sched_, *rebuilt, remap)};
-        // Ids shifted, so the occupancy owners must be rebuilt.
-        candidate.occ = build_occupancy(candidate.sched);
-        // Seed the balance around the hole the victim left.
-        for (const Dependence& dep : graph_->dependences()) {
-          if (dep.producer != victim && dep.consumer != victim) continue;
-          const TaskId other =
-              dep.producer == victim ? dep.consumer : dep.producer;
-          candidate.seeds.push_back(remap[static_cast<std::size_t>(other)]);
-        }
-        return candidate;
-      };
-      reject = repair_candidates(make_base, *rebuilt);
-      if (reject.empty()) new_graph = std::move(rebuilt);
+      LBMEM_TRACE_SPAN("online.repair");
+      if (rebuilt->hyperperiod() != graph_->hyperperiod()) {
+        // The victim's period was load-bearing for the hyper-period;
+        // folding the old circle onto the smaller one is not validity-
+        // preserving, so every task is re-placed (DESIGN.md F13).
+        reject = full_replace(std::move(rebuilt), remap);
+        if (!reject.empty()) reject = shed(reject);
+        break;
+      }
+      // Seed the balance around the hole the victim left.
+      for (const Dependence& dep : graph_->dependences()) {
+        if (dep.producer != victim && dep.consumer != victim) continue;
+        const TaskId other =
+            dep.producer == victim ? dep.consumer : dep.producer;
+        seeds.push_back(remap[static_cast<std::size_t>(other)]);
+      }
+      Schedule carried = carry_over(*sched_, *rebuilt, remap);
+      // Ids shifted, so the occupancy owners must be rebuilt.
+      std::vector<ProcTimeline> occ = build_occupancy(carried);
+      swap_in(std::move(rebuilt), std::move(carried), std::move(occ));
+      reject = climb({});  // fewer tasks constrain nothing: none is dirty
       break;
     }
   }
@@ -764,29 +723,9 @@ EventOutcome Rebalancer::apply(const Event& event) {
     return out;
   }
 
-  // The shed rung shrank the task graph — even for events that normally
-  // keep it (WcetChange, ProcessorFailure).
-  if (shed_graph) new_graph = std::move(shed_graph);
   shed_.insert(shed_.end(), out.shed.begin(), out.shed.end());
-
   out.applied = true;
-  out.graph_rebuilt = (new_graph != nullptr);
-  if (patched) {
-    out.full_replace = patched->full_replace;
-    seeds = std::move(patched->seeds);
-    repaired = std::move(patched->repaired);
-    // Swap the candidate in (moves only, so nothing can throw half way);
-    // the pre-event graph, schedule and occupancy wait in `prior`.
-    prior.mark = journal.mark();
-    prior.occ = std::move(patched->occ);
-    prior.sched.emplace(std::move(patched->sched));
-    if (new_graph) {
-      graph_.swap(new_graph);
-      prior.graph = std::move(new_graph);
-    }
-    sched_.swap(prior.sched);
-    occ_.swap(prior.occ);
-  }
+  out.graph_rebuilt = prior.graph != nullptr;
   out.repaired_tasks = static_cast<int>(repaired.size());
   seeds.insert(seeds.end(), repaired.begin(), repaired.end());
   run_balance_stage(journal, std::move(seeds), out);

@@ -20,10 +20,10 @@
 ///     occupancy, pricing migrations through
 ///     BalanceOptions::migration_penalty (DESIGN.md F9/F12).
 ///
-/// WCET changes and processor failures keep the graph, so their repair and
-/// every balance stage edit the live state through one ScheduleJournal per
-/// event (DESIGN.md F36); arrivals, removals and full re-places build a
-/// fresh candidate state and swap it in.
+/// Every repair rung and every balance stage edit the live state through
+/// one ScheduleJournal per event (DESIGN.md F36). A state that is new
+/// anyway (an arrival's or a removal's carried-over placements, a full
+/// re-place, a shed) is swapped in by moves before it is repaired.
 ///
 /// Every applied event leaves a schedule that passes validate/ — events
 /// whose repair is infeasible are *rejected*: the pre-event state is kept
@@ -144,6 +144,8 @@ class Rebalancer {
 
   const TaskGraph& graph() const { return *graph_; }
   const Schedule& schedule() const { return *sched_; }
+  /// The warm all-instances occupancy; mirrors schedule() between events.
+  const std::vector<ProcTimeline>& occupancy() const { return occ_; }
   const RebalancerOptions& options() const { return options_; }
 
   /// Per-processor failed flags (size M).

@@ -33,7 +33,6 @@ void ScheduleJournal::assign(TaskInstance inst, ProcId p) {
   if (record_) {
     const ProcId old = sched_->proc(inst);
     if (old == p) return;
-    LBMEM_REQUIRE(old != kNoProc, "journaled schedules must be complete");
     log_.push_back(Entry{Kind::Assign, old, inst, 0, 0});
   }
   sched_->assign(inst, p);
@@ -41,7 +40,7 @@ void ScheduleJournal::assign(TaskInstance inst, ProcId p) {
 
 void ScheduleJournal::set_first_start(TaskId t, Time start) {
   if (record_) {
-    const Time old = sched_->first_start(t);  // throws when unset
+    const Time old = sched_->raw_first_start(t);
     if (old == start) return;
     log_.push_back(Entry{Kind::FirstStart, kNoProc, TaskInstance{t, 0}, old,
                          0});
@@ -100,10 +99,10 @@ void ScheduleJournal::set_wcet(TaskGraph& graph, TaskId t, Time wcet) {
 void ScheduleJournal::undo(const Entry& e) noexcept {
   switch (e.kind) {
     case Kind::Assign:
-      sched_->assign(e.inst, e.proc);
+      sched_->write_proc(sched_->slot(e.inst), e.inst.task, e.proc);
       break;
     case Kind::FirstStart:
-      sched_->set_first_start(e.inst.task, e.a);
+      sched_->write_first_start(e.inst.task, e.a);
       break;
     case Kind::Add:
       (*occ_)[static_cast<std::size_t>(e.proc)].remove(e.inst);
@@ -130,7 +129,8 @@ void ScheduleJournal::rollback(Mark m) noexcept {
 
 int ScheduleJournal::migrations() const {
   // The first Assign entry of an instance holds its processor before any
-  // journaled edit; compare it with the current one.
+  // journaled edit (kNoProc: not placed before, so not a migration);
+  // compare it with the current one.
   struct First {
     std::size_t dense;
     std::size_t order;
@@ -150,7 +150,10 @@ int ScheduleJournal::migrations() const {
   int migrations = 0;
   for (std::size_t i = 0; i < firsts.size(); ++i) {
     if (i > 0 && firsts[i].dense == firsts[i - 1].dense) continue;
-    if (sched_->proc(firsts[i].inst) != firsts[i].proc) ++migrations;
+    if (firsts[i].proc != kNoProc &&
+        sched_->proc(firsts[i].inst) != firsts[i].proc) {
+      ++migrations;
+    }
   }
   return migrations;
 }

@@ -3,19 +3,21 @@
 /// \brief In-place edits of a schedule and its all-instances occupancy,
 /// with an undo log (DESIGN.md F36).
 ///
-/// The balancer's attempts and the online engine's local repairs change the
-/// live state instead of a copy of it. Every change goes through a
+/// The balancer's attempts and the online engine's repairs change the live
+/// state instead of a copy of it. Every change goes through a
 /// ScheduleJournal, which records what the change overwrote: a processor
-/// assignment, a first start, an occupancy piece added or removed, a WCET.
+/// assignment, a first start (either may be the unplaced value of a first
+/// placement), an occupancy piece added or removed, a WCET.
 /// rollback(mark) undoes everything recorded after the mark, newest first.
 /// A failed balance attempt, a widened repair retry and a rejected event
 /// therefore cost what they touched, not a copy of the whole state.
 ///
 /// rollback() cannot throw and does not allocate, so it is safe on every
 /// unwinding path: each undo writes back a value the structure held before
-/// (Schedule::assign and set_first_start write into existing slots), and a
-/// removed occupancy piece returns through ProcTimeline::restore, which
-/// re-inserts into a bucket that kept its capacity.
+/// (Schedule's unchecked writes fill existing slots, unplaced values
+/// included), and a removed occupancy piece returns through
+/// ProcTimeline::restore, which re-inserts into a bucket that kept its
+/// capacity.
 
 #include <cstdint>
 #include <deque>
@@ -42,7 +44,7 @@ class ScheduleJournal {
   /// mirroring \p sched, or empty when the caller keeps no occupancy). Both
   /// must outlive the journal. With \p record false edits apply directly
   /// and nothing can be undone: for state the caller throws away on
-  /// failure anyway (a fresh candidate schedule, an initial schedule).
+  /// failure anyway (an initial schedule under construction).
   ScheduleJournal(Schedule& sched, std::vector<ProcTimeline>& occupancy,
                   bool record = true);
   /// Rolls back every edit still in the log unless commit() ran.
@@ -58,11 +60,13 @@ class ScheduleJournal {
   void rollback(Mark m) noexcept;
   /// Keep every edit: empty the log.
   void commit() noexcept { log_.clear(); }
+  /// Forget the edits recorded after \p m without undoing them: for a state
+  /// the caller throws away.
+  void discard(Mark m) noexcept {
+    while (log_.size() > m) log_.pop_back();
+  }
 
   // ---- edits (each recorded before it applies) ---------------------------
-  // A recording journal requires a complete schedule: the undo of an
-  // assignment or a start writes the old value back through the checked
-  // setters.
 
   /// Schedule::assign.
   void assign(TaskInstance inst, ProcId p);
@@ -78,7 +82,8 @@ class ScheduleJournal {
   void set_wcet(TaskGraph& graph, TaskId t, Time wcet);
 
   /// Instances whose processor now differs from the first one the log
-  /// recorded for them: the migrations of every edit since mark 0.
+  /// recorded for them: the migrations of every edit since mark 0. A first
+  /// placement is none.
   int migrations() const;
 
  private:
@@ -86,9 +91,10 @@ class ScheduleJournal {
   /// 32 bytes: a full balance() at N=8000 logs about 30k of them.
   struct Entry {
     Kind kind;
-    ProcId proc;        // Assign: old processor; Add/Remove: timeline
+    ProcId proc;        // Assign: old processor, kNoProc if unplaced;
+                        // Add/Remove: timeline
     TaskInstance inst;  // instance or owner; FirstStart/Wcet: inst.task
-    Time a;  // FirstStart: old start; Wcet: old WCET; Remove: start
+    Time a;  // FirstStart: old start (or -1); Wcet: old WCET; Remove: start
     Time b;  // Remove: length of the released interval
   };
 

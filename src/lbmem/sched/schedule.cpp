@@ -1,7 +1,6 @@
 #include "lbmem/sched/schedule.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "lbmem/util/check.hpp"
 
@@ -24,12 +23,17 @@ void Schedule::set_first_start(TaskId t, Time start) {
   LBMEM_REQUIRE(t >= 0 && t < static_cast<TaskId>(graph_->task_count()),
                 "task id out of range");
   LBMEM_REQUIRE(start >= 0, "start times must be non-negative");
+  write_first_start(t, start);
+}
+
+void Schedule::write_first_start(TaskId t, Time start) noexcept {
   Time& slot = first_start_[static_cast<std::size_t>(t)];
   const Time offset = last_end_offset(t);
   const Time old_end = slot < 0 ? Time{-1} : slot + offset;
   if (slot < 0) --unset_starts_;
+  if (start < 0) ++unset_starts_;
   slot = start;
-  last_end_moved(t, old_end, start + offset);
+  last_end_moved(t, old_end, start < 0 ? Time{-1} : start + offset);
 }
 
 void Schedule::last_end_moved(TaskId t, Time old_end, Time new_end) {
@@ -56,17 +60,25 @@ void Schedule::assign(TaskInstance inst, ProcId p) {
   const std::size_t i = slot(inst);
   LBMEM_REQUIRE(p >= 0 && p < arch_.processor_count(),
                 "processor id out of range");
+  write_proc(i, inst.task, p);
+}
+
+void Schedule::write_proc(std::size_t i, TaskId t, ProcId p) noexcept {
   const ProcId old = instance_proc_[i];
   if (old == p) return;
-  const Task& task = graph_->task(inst.task);
+  const Task& task = graph_->task(t);
   if (old == kNoProc) {
     --unassigned_instances_;
   } else {
     mem_on_[static_cast<std::size_t>(old)] -= task.memory;
     busy_time_on_[static_cast<std::size_t>(old)] -= task.wcet;
   }
-  mem_on_[static_cast<std::size_t>(p)] += task.memory;
-  busy_time_on_[static_cast<std::size_t>(p)] += task.wcet;
+  if (p == kNoProc) {
+    ++unassigned_instances_;
+  } else {
+    mem_on_[static_cast<std::size_t>(p)] += task.memory;
+    busy_time_on_[static_cast<std::size_t>(p)] += task.wcet;
+  }
   instance_proc_[i] = p;
 }
 
@@ -115,14 +127,6 @@ Time Schedule::data_ready(TaskInstance inst, ProcId p) const {
     }
   }
   return ready;
-}
-
-Time Schedule::min_data_ready(TaskInstance inst) const {
-  Time best = std::numeric_limits<Time>::max();
-  for (ProcId p = 0; p < arch_.processor_count(); ++p) {
-    best = std::min(best, data_ready(inst, p));
-  }
-  return best;
 }
 
 std::vector<TaskInstance> Schedule::instances_on(ProcId p) const {

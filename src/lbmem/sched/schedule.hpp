@@ -87,10 +87,6 @@ class Schedule {
   /// on \p p, else CommModel::transfer_time of the edge's data size).
   Time data_ready(TaskInstance inst, ProcId p) const;
 
-  /// data_ready minimized over all processors — a lower bound no placement
-  /// can beat (used for the F5 gain cap).
-  Time min_data_ready(TaskInstance inst) const;
-
   // ---- memory & distribution queries --------------------------------------
 
   /// Sum of required memory of instances assigned to \p p (paper counts
@@ -123,6 +119,24 @@ class Schedule {
   Mem max_memory() const;
 
  private:
+  friend class ScheduleJournal;
+
+  // ---- unchecked writes: assign() and set_first_start() after their checks,
+  // and ScheduleJournal's undo (DESIGN.md F36). They also write back the
+  // unplaced values (kNoProc, -1) that a first placement overwrote, keeping
+  // complete(), memory_on/busy_on and the makespan chunks exact, and cannot
+  // throw for an instance slot or a task of the graph.
+
+  /// t's first start, or -1 while unset.
+  Time raw_first_start(TaskId t) const {
+    LBMEM_REQUIRE(t >= 0 && t < static_cast<TaskId>(graph_->task_count()),
+                  "task id out of range");
+    return first_start_[static_cast<std::size_t>(t)];
+  }
+  /// Instance slot \p i (of task \p t) now runs on \p p.
+  void write_proc(std::size_t i, TaskId t, ProcId p) noexcept;
+  void write_first_start(TaskId t, Time start) noexcept;
+
   /// Dense index of (t, k) into instance_proc_, with bounds checks.
   std::size_t slot(TaskInstance inst) const {
     return graph_->dense_index(inst);
@@ -137,8 +151,9 @@ class Schedule {
            graph_->task(t).wcet;
   }
   /// Task \p t's last instance now ends at \p new_end instead of
-  /// \p old_end (-1: t had no start). O(1) unless t held its chunk's
-  /// maximum and moved earlier; then O(kChunk). Allocates nothing.
+  /// \p old_end (-1: no start before, or none after). O(1) unless t held
+  /// its chunk's maximum and moved earlier; then O(kChunk). Allocates
+  /// nothing.
   void last_end_moved(TaskId t, Time old_end, Time new_end);
 
   const TaskGraph* graph_;

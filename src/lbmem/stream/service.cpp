@@ -22,28 +22,26 @@ struct Pending {
   std::int64_t admit_cycle = 0;
 };
 
-/// The stream.* metric ids, registered idempotently against the caller's
-/// registry (DESIGN.md F25 naming + class split).
-struct StreamMetrics {
-  explicit StreamMetrics(obs::Registry& reg)
-      : events_in(reg.counter("stream.events_in")),
-        admitted(reg.counter("stream.admitted")),
-        coalesced(reg.counter("stream.coalesced")),
-        batches(reg.counter("stream.batches")),
-        shed_on_overflow(reg.counter("stream.shed_on_overflow")),
-        cycles(reg.counter("stream.cycles")),
-        escalations(reg.counter("stream.escalations")),
-        batch_events(reg.histogram("stream.batch_events")),
-        queue_delay_cycles(reg.histogram("stream.queue_delay_cycles")),
-        queue_delay_us(reg.histogram("stream.queue_delay_us",
-                                     obs::MetricClass::Timing)),
-        batch_repair_us(reg.histogram("stream.batch_repair_us",
-                                      obs::MetricClass::Timing)) {}
-
-  obs::MetricId events_in, admitted, coalesced, batches, shed_on_overflow,
-      cycles, escalations, batch_events, queue_delay_cycles, queue_delay_us,
-      batch_repair_us;
-};
+/// One fold per serve() (DESIGN.md F25 naming + class split), as the
+/// balancer, the simulator and the online engine fold theirs: the report
+/// counts every stream.* figure, and the registry receives them here.
+void fold_stream(obs::Registry& reg, const StreamReport& report) {
+  reg.add(reg.counter("stream.events_in"), report.events_in);
+  reg.add(reg.counter("stream.admitted"), report.admitted);
+  reg.add(reg.counter("stream.coalesced"), report.coalesced);
+  reg.add(reg.counter("stream.batches"), report.batches);
+  reg.add(reg.counter("stream.shed_on_overflow"), report.shed_overflow);
+  reg.add(reg.counter("stream.cycles"), report.cycles);
+  reg.add(reg.counter("stream.escalations"), report.escalations);
+  reg.merge(reg.histogram("stream.batch_events"), report.batch_events);
+  reg.merge(reg.histogram("stream.queue_delay_cycles"),
+            report.queue_delay_cycles);
+  reg.merge(reg.histogram("stream.queue_delay_us", obs::MetricClass::Timing),
+            report.queue_delay_us);
+  reg.merge(
+      reg.histogram("stream.batch_repair_us", obs::MetricClass::Timing),
+      report.batch_repair_us);
+}
 
 }  // namespace
 
@@ -78,10 +76,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
   }
 
   StreamReport report;
-  std::unique_ptr<StreamMetrics> metrics;
-  if (options_.metrics != nullptr) {
-    metrics = std::make_unique<StreamMetrics>(*options_.metrics);
-  }
 
   const std::size_t shed_before = system.shed_tasks().size();
   const bool degraded_configured = system.degraded_enabled();
@@ -112,7 +106,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
       const Event& event = trace[next];
       ++next;
       ++report.events_in;
-      if (metrics) options_.metrics->add(metrics->events_in);
       const bool is_failure = event.kind() == EventKind::ProcessorFailure;
       if (options_.queue_capacity > 0 &&
           static_cast<int>(pending.size()) >= options_.queue_capacity &&
@@ -121,13 +114,11 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
         // reorders the queue, so shedding is deterministic). Failures are
         // exempt — a hardware fault cannot be dropped.
         ++report.shed_overflow;
-        if (metrics) options_.metrics->add(metrics->shed_on_overflow);
         continue;
       }
       if (is_failure) ++failures_pending;
       pending.push_back(Pending{event, wall.micros(), report.cycles});
       ++report.admitted;
-      if (metrics) options_.metrics->add(metrics->admitted);
     }
 
     // ---- overload escalation (DESIGN.md F33) ----------------------------
@@ -137,7 +128,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
       system.set_degraded_enabled(true);
       degraded_armed = true;
       ++report.escalations;
-      if (metrics) options_.metrics->add(metrics->escalations);
     }
 
     // ---- coalescing -----------------------------------------------------
@@ -158,7 +148,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
                           static_cast<std::ptrdiff_t>(survivors.size()),
                       pending.end());
         report.coalesced += dropped;
-        if (metrics) options_.metrics->add(metrics->coalesced, dropped);
         // Coalescing only drops WcetChanges, so failures_pending is
         // unchanged.
       }
@@ -202,10 +191,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
       const std::int64_t delay_cycles = report.cycles - front.admit_cycle;
       report.queue_delay_us.record(delay_us);
       report.queue_delay_cycles.record(delay_cycles);
-      if (metrics) {
-        options_.metrics->record(metrics->queue_delay_us, delay_us);
-        options_.metrics->record(metrics->queue_delay_cycles, delay_cycles);
-      }
     }
     if (head > 0) {
       pending.erase(pending.begin(),
@@ -215,12 +200,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
       ++report.batches;
       report.batch_events.record(drained);
       report.batch_repair_us.record(static_cast<std::int64_t>(batch_us));
-      if (metrics) {
-        options_.metrics->add(metrics->batches);
-        options_.metrics->record(metrics->batch_events, drained);
-        options_.metrics->record(metrics->batch_repair_us,
-                                 static_cast<std::int64_t>(batch_us));
-      }
     }
     if (budget_cut) ++report.budget_exhausted;
 
@@ -232,7 +211,6 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
     }
 
     ++report.cycles;
-    if (metrics) options_.metrics->add(metrics->cycles);
     report.horizon = window_end;
     window_start = window_end;
 
@@ -264,6 +242,7 @@ StreamReport StreamService::serve(Rebalancer& system, const EventTrace& trace,
   if (options_.validate_final) {
     report.final_violations = count_violations(system);
   }
+  if (options_.metrics != nullptr) fold_stream(*options_.metrics, report);
   return report;
 }
 

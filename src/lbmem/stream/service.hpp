@@ -70,8 +70,9 @@ struct StreamOptions {
   int overload_backlog = 0;
   /// Validate the final schedule (validate/ + failed-processor emptiness).
   bool validate_final = true;
-  /// Observability sink (DESIGN.md F25): stream.* counters and the
-  /// queue-delay / batch-repair histograms. Must outlive the call.
+  /// Observability sink (DESIGN.md F25): serve() folds the report's
+  /// stream.* counters and queue-delay / batch-repair histograms into it
+  /// once, before it returns. Must outlive the call.
   obs::Registry* metrics = nullptr;
 };
 

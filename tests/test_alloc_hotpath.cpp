@@ -20,7 +20,10 @@
 /// local WCET event edits the state in place (DESIGN.md F36), so its bytes
 /// allocated stay far below one copy of the schedule or the occupancy; and
 /// apply() gives the strong exception guarantee, probed by making the k-th
-/// allocation inside it throw std::bad_alloc, for every k.
+/// allocation inside it throw std::bad_alloc, for every k (every few k for
+/// the events that swap a new state in mid-ladder). After each throw the
+/// occupancy must still mirror the schedule, which optimized builds do not
+/// check inside apply().
 ///
 /// Skipped under sanitizers: ASan and TSan interpose the allocator and
 /// this counting definition would fight their bookkeeping. The injected-
@@ -40,6 +43,7 @@
 #include "lbmem/lb/load_balancer.hpp"
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/online/rebalancer.hpp"
+#include "lbmem/sched/journal.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define LBMEM_ALLOC_TEST_DISABLED 1
@@ -230,6 +234,17 @@ EngineState capture(const Rebalancer& engine) {
   state.failed = engine.failed_procs();
   return state;
 }
+
+/// Does the engine's occupancy hold exactly the pieces of its schedule?
+/// Optimized builds skip the check apply() runs under LBMEM_TIMELINE_VERIFY.
+bool occupancy_mirrors(const Rebalancer& engine) {
+  const std::vector<ProcTimeline> fresh = build_occupancy(engine.schedule());
+  const std::vector<ProcTimeline>& occ = engine.occupancy();
+  return std::equal(occ.begin(), occ.end(), fresh.begin(), fresh.end(),
+                    [](const ProcTimeline& a, const ProcTimeline& b) {
+                      return a.same_pieces(b);
+                    });
+}
 #endif
 
 TEST(RebalancerAllocations, LocalWcetEventCopiesNoState) {
@@ -273,14 +288,20 @@ TEST(RebalancerAllocations, LocalWcetEventCopiesNoState) {
 #ifndef LBMEM_ALLOC_TEST_DISABLED
 /// Makes the k-th allocation inside one apply() throw, for every k the
 /// event allocates (strided to at most \p probes points), on a fresh copy
-/// of \p base each time. After each throw the state must be the pre-event
-/// one, and applying the event again must end where an untouched twin
-/// does. Returns the number of injection points that threw.
-int sweep_injected_failures(const Rebalancer& base, const Event& event,
-                            std::size_t probes) {
+/// of \p base (with the ladder on when \p degraded) each time. After each
+/// throw the state and its occupancy must be the pre-event ones, and
+/// applying the event again must end where an untouched twin does. Returns
+/// the twin's outcome and the number of injection points that threw.
+struct Sweep {
+  EventOutcome reference;
+  int threw = 0;
+};
+Sweep sweep_injected_failures(const Rebalancer& base, const Event& event,
+                              std::size_t probes, bool degraded = false) {
   const auto copy = [&](obs::Registry& registry) {
     RebalancerOptions options;
     options.metrics = &registry;
+    options.degraded = degraded;
     return Rebalancer::adopt(base.graph(), base.schedule(), options);
   };
   obs::Registry twin_registry;
@@ -293,7 +314,7 @@ int sweep_injected_failures(const Rebalancer& base, const Event& event,
   const EngineState pre = capture(base);
   const EngineState post = capture(twin);
 
-  int threw = 0;
+  Sweep sweep{reference};
   const std::size_t stride = std::max<std::size_t>(1, allocations / probes);
   for (std::size_t k = 1; k <= allocations; k += stride) {
     obs::Registry registry;
@@ -308,17 +329,20 @@ int sweep_injected_failures(const Rebalancer& base, const Event& event,
     }
     g_fail_at.store(0, std::memory_order_relaxed);
     if (!thrown) continue;
-    ++threw;
+    ++sweep.threw;
     EXPECT_TRUE(capture(engine) == pre)
         << to_string(event.kind()) << ": allocation " << k << " of "
         << allocations << " left a changed state";
+    EXPECT_TRUE(occupancy_mirrors(engine))
+        << to_string(event.kind()) << ": allocation " << k << " of "
+        << allocations << " left the occupancy behind the schedule";
     const EventOutcome again = engine.apply(event);
     EXPECT_EQ(again.applied, reference.applied);
     EXPECT_TRUE(capture(engine) == post)
         << to_string(event.kind()) << ": the retry after allocation " << k
         << " diverged from the twin";
   }
-  return threw;
+  return sweep;
 }
 #endif
 
@@ -332,7 +356,9 @@ TEST(RebalancerAllocations, InjectedFailureLeavesStateUntouched) {
   const TaskGraph& graph = base.graph();
   // One applied event of each kind: a re-estimate of a task spread across
   // the graph, the failure of P0, a new consumer of that task, and the
-  // removal of another task.
+  // removal of another task. Then two re-estimates (WCET = period) whose
+  // repair fails, so the engine swaps in a new state mid-ladder: one
+  // escalates to a full re-place, one (with the ladder on) sheds.
   const TaskId t = static_cast<TaskId>(graph.task_count() / 2);
   const Task& task = graph.task(t);
   const Time wcet = task.wcet < task.period ? task.wcet + 1 : task.wcet - 1;
@@ -352,9 +378,26 @@ TEST(RebalancerAllocations, InjectedFailureLeavesStateUntouched) {
   // builds, which rebuild the occupancy after every apply(), near 10 s.
   const std::size_t probes = LBMEM_TIMELINE_VERIFY ? 250 : 2000;
   for (const Event& event : events) {
-    const int threw = sweep_injected_failures(base, event, probes);
-    EXPECT_GT(threw, 50) << to_string(event.kind());
+    const Sweep sweep = sweep_injected_failures(base, event, probes);
+    EXPECT_GT(sweep.threw, 50) << to_string(event.kind());
   }
+  const auto saturate = [&](const char* name) {
+    const Task& task = graph.task(graph.find(name));
+    return Event{0, WcetChange{task.name, task.period}};
+  };
+  // These allocate 1.8k and 2.5k times: every third to fifth point keeps
+  // both sweeps near a second.
+  const std::size_t ladder_probes = LBMEM_TIMELINE_VERIFY ? 150 : 500;
+  const Sweep replaced =
+      sweep_injected_failures(base, saturate("t0"), ladder_probes);
+  EXPECT_TRUE(replaced.reference.full_replace);
+  EXPECT_TRUE(replaced.reference.shed.empty());
+  EXPECT_GT(replaced.threw, 50);
+  const Sweep shed = sweep_injected_failures(base, saturate("t134"),
+                                             ladder_probes, /*degraded=*/true);
+  EXPECT_EQ(shed.reference.degraded_rung, 3);
+  EXPECT_FALSE(shed.reference.shed.empty());
+  EXPECT_GT(shed.threw, 50);
 #endif
 }
 

@@ -1,17 +1,20 @@
 /// Unit tests for the undo journal over a schedule and its occupancy
 /// (lbmem/sched/journal.hpp, DESIGN.md F36): rollback to any mark restores
-/// the schedule, its aggregates and every occupancy piece exactly; the
-/// destructor rolls back unless committed; the WCET edit keeps busy time
-/// exact; and a timeline undoes removals exactly across owner-index
-/// rehashes.
+/// the schedule, its aggregates and every occupancy piece exactly; a first
+/// placement rolls back to the incomplete schedule; the destructor rolls
+/// back unless committed; the WCET edit keeps busy time exact; and a
+/// timeline undoes removals exactly across owner-index rehashes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "lbmem/gen/suites.hpp"
 #include "lbmem/sched/journal.hpp"
+#include "lbmem/sched/scheduler.hpp"
 #include "lbmem/util/rng.hpp"
 
 namespace lbmem {
@@ -136,6 +139,69 @@ TEST(ScheduleJournal, RollbackToAnyMarkRestoresScheduleAndOccupancy) {
   journal.rollback(0);
   EXPECT_TRUE(snap(sched) == initial);
   EXPECT_TRUE(same_occupancy(occ, initial_occ));
+}
+
+TEST(ScheduleJournal, FirstPlacementRollsBackToTheIncompleteState) {
+  const SuiteInstance base = instance(40, 4, 53);
+  const TaskGraph& graph = *base.graph;
+  // Every task placed as in base except the last one, like an arrival the
+  // online engine has not admitted yet.
+  const auto target = static_cast<TaskId>(graph.task_count() - 1);
+  std::vector<TaskId> ids(graph.task_count());
+  std::iota(ids.begin(), ids.end(), TaskId{0});
+  ids[static_cast<std::size_t>(target)] = -1;
+  Schedule sched = carry_over(base.schedule, graph, ids);
+  std::vector<ProcTimeline> occ = build_occupancy(sched);
+  ASSERT_FALSE(sched.complete());
+  const std::vector<ProcTimeline> initial_occ = occ;
+  std::vector<Mem> memory;
+  std::vector<Time> busy;
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    memory.push_back(sched.memory_on(p));
+    busy.push_back(sched.busy_on(p));
+  }
+  Time others = 0;  // the latest end among the placed tasks
+  for (TaskId t = 0; t < target; ++t) {
+    others = std::max(others,
+                      sched.end(TaskInstance{t, graph.instance_count(t) - 1}));
+  }
+
+  // Place the target whole, ending after every other task.
+  const Task& task = graph.task(target);
+  const InstanceIdx n = graph.instance_count(target);
+  const Time span = task.period * static_cast<Time>(n - 1) + task.wcet;
+  ProcId proc = 0;
+  std::optional<Time> start;
+  for (; proc < sched.architecture().processor_count() && !start; ++proc) {
+    start = occ[static_cast<std::size_t>(proc)].earliest_fit(
+        others, task.period, task.wcet, n);
+  }
+  ASSERT_TRUE(start.has_value());
+  --proc;
+  ScheduleJournal journal(sched, occ);
+  commit_whole_task(journal, target, proc, *start);
+  EXPECT_TRUE(sched.complete());
+  EXPECT_EQ(sched.makespan(), *start + span);
+  EXPECT_GT(*start + span, others);
+  EXPECT_EQ(journal.migrations(), 0);  // placed, not moved
+
+  journal.rollback(0);
+  EXPECT_FALSE(sched.complete());
+  EXPECT_THROW(sched.makespan(), PreconditionError);
+  for (InstanceIdx k = 0; k < n; ++k) {
+    EXPECT_EQ(sched.proc(TaskInstance{target, k}), kNoProc);
+  }
+  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
+    EXPECT_EQ(sched.memory_on(p), memory[static_cast<std::size_t>(p)]);
+    EXPECT_EQ(sched.busy_on(p), busy[static_cast<std::size_t>(p)]);
+  }
+  EXPECT_TRUE(same_occupancy(occ, initial_occ));
+  EXPECT_EQ(journal.migrations(), 0);
+  // The makespan chunks forgot the rolled-back end: a start at 0 reports
+  // the scanned makespan, not the late end. The instances stay unplaced.
+  sched.set_first_start(target, 0);
+  EXPECT_EQ(sched.makespan(), std::max(others, span));
+  EXPECT_FALSE(sched.complete());
 }
 
 TEST(ScheduleJournal, DestructorRollsBackUnlessCommitted) {

@@ -159,6 +159,25 @@ TEST(ObsMetrics, RegistryCountsGaugesAndRecords) {
   EXPECT_EQ(snap.find("missing"), nullptr);
 }
 
+TEST(ObsMetrics, RegistryMergeEqualsRecordingEachValue) {
+  LatencyHistogram values;
+  Registry recorded;
+  const MetricId one_by_one = recorded.histogram("lat");
+  recorded.record(one_by_one, 7);
+  for (const std::int64_t v : {3, 90, 4000, 90}) {
+    values.record(v);
+    recorded.record(one_by_one, v);
+  }
+  Registry merged;
+  const MetricId folded = merged.histogram("lat");
+  merged.record(folded, 7);
+  merged.merge(folded, values);
+  merged.merge(folded, LatencyHistogram{});  // empty: no change
+  EXPECT_TRUE(merged.snapshot().find("lat")->histogram ==
+              recorded.snapshot().find("lat")->histogram);
+  EXPECT_THROW(merged.merge(merged.counter("n"), values), PreconditionError);
+}
+
 TEST(ObsMetrics, RegistrationIsIdempotentByName) {
   Registry reg;
   const MetricId first = reg.counter("lb.runs");

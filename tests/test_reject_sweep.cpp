@@ -5,11 +5,13 @@
 /// failure of a failed or of the last alive processor, an arrival no
 /// processor can hold under the capacity, and an arrival whose period would
 /// expand the hyper-period past the instance index. After each reject every
-/// aggregate must equal the pre-event state; Debug builds also cross-check
-/// the occupancy against the schedule inside apply().
+/// aggregate must equal the pre-event state and the engine's occupancy must
+/// hold exactly the schedule's pieces (Debug builds also check that inside
+/// apply()).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "lbmem/gen/event_trace.hpp"
 #include "lbmem/gen/suites.hpp"
 #include "lbmem/online/rebalancer.hpp"
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/validate/validator.hpp"
 
 namespace lbmem {
@@ -34,6 +37,16 @@ struct EngineState {
   std::vector<std::string> shed;
   bool operator==(const EngineState&) const = default;
 };
+
+/// Does the engine's occupancy hold exactly the pieces of its schedule?
+bool occupancy_mirrors(const Rebalancer& engine) {
+  const std::vector<ProcTimeline> fresh = build_occupancy(engine.schedule());
+  const std::vector<ProcTimeline>& occ = engine.occupancy();
+  return std::equal(occ.begin(), occ.end(), fresh.begin(), fresh.end(),
+                    [](const ProcTimeline& a, const ProcTimeline& b) {
+                      return a.same_pieces(b);
+                    });
+}
 
 EngineState capture(const Rebalancer& engine) {
   EngineState state;
@@ -161,6 +174,9 @@ TEST(RejectSweep, RejectsLeaveEveryAggregateUntouched) {
               << label << " (" << out.reject_reason << ") changed the state; "
               << "seed " << instance.seed << " cap " << cap << " degraded "
               << degraded;
+          EXPECT_TRUE(occupancy_mirrors(engine))
+              << label << " (" << out.reject_reason << ") left the "
+              << "occupancy behind the schedule; seed " << instance.seed;
         };
         for (std::size_t i = 0; i < traffic.size(); ++i) {
           apply("traffic", traffic[i]);

@@ -82,7 +82,6 @@ TEST_F(ScheduleTest, DataReadyLocalVsRemote) {
   // b instance 0 consumes a0 (end 1) and a1 (end 4); C = 1.
   EXPECT_EQ(s.data_ready(TaskInstance{b, 0}, 0), 4);  // local to a
   EXPECT_EQ(s.data_ready(TaskInstance{b, 0}, 1), 5);  // + comm
-  EXPECT_EQ(s.min_data_ready(TaskInstance{b, 0}), 4);
 }
 
 TEST_F(ScheduleTest, DataReadyMixedProducers) {
