@@ -1,9 +1,11 @@
 #include "lbmem/model/task_graph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <string>
+#include <string_view>
 
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/math.hpp"
@@ -34,14 +36,60 @@ void build_csr(std::span<const Dependence> deps, std::size_t n,
   }
 }
 
+std::size_t name_hash(std::string_view name) {
+  return std::hash<std::string_view>{}(name);
+}
+
+/// Empty slot \p i of the name table \p slots, whose ids name tasks of
+/// \p tasks. Each later entry of the cluster moves back into the hole
+/// unless its home slot lies cyclically in (hole, entry], so every probe
+/// chain stays unbroken and no tombstone is left.
+void erase_name_slot(std::vector<TaskId>& slots, std::span<const Task> tasks,
+                     std::size_t i) {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots[j] >= 0; j = (j + 1) & mask) {
+    const std::size_t home =
+        name_hash(tasks[static_cast<std::size_t>(slots[j])].name) & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots[i] = slots[j];
+      i = j;
+    }
+  }
+  slots[i] = -1;
+}
+
 }  // namespace
+
+std::size_t TaskGraph::name_slot(const std::string& name,
+                                 std::size_t hash) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  std::size_t i = hash & mask;
+  while (name_slots_[i] >= 0 &&
+         tasks_[static_cast<std::size_t>(name_slots_[i])].name != name) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void TaskGraph::grow_name_index() {
+  std::vector<TaskId> slots(std::max<std::size_t>(8, 2 * name_slots_.size()),
+                            -1);
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    std::size_t i = name_hash(tasks_[t].name) & mask;
+    while (slots[i] >= 0) i = (i + 1) & mask;
+    slots[i] = static_cast<TaskId>(t);
+  }
+  name_slots_.swap(slots);
+}
 
 TaskId TaskGraph::add_task(Task task) {
   require_mutable("add_task");
   if (task.name.empty()) {
     throw ModelError("task name must not be empty");
   }
-  if (try_find(task.name) >= 0) {
+  const std::size_t hash = name_hash(task.name);
+  if (!name_slots_.empty() && name_slots_[name_slot(task.name, hash)] >= 0) {
     throw ModelError("duplicate task name: " + task.name);
   }
   if (task.period <= 0) {
@@ -58,7 +106,12 @@ TaskId TaskGraph::add_task(Task task) {
   if (task.memory < 0) {
     throw ModelError("task " + task.name + ": memory must be non-negative");
   }
+  // Grow first and fill the slot last: a throwing allocation leaves the
+  // tasks and the index in agreement.
+  if (2 * (tasks_.size() + 1) > name_slots_.size()) grow_name_index();
+  const std::size_t slot = name_slot(task.name, hash);
   tasks_.push_back(std::move(task));
+  name_slots_[slot] = static_cast<TaskId>(tasks_.size() - 1);
   return static_cast<TaskId>(tasks_.size() - 1);
 }
 
@@ -171,9 +224,8 @@ void TaskGraph::freeze() {
         static_cast<std::int32_t>(i);
   }
 
-  // Instance counts (H / period) and CSR offsets, cached so hot paths
+  // CSR offsets of the instance counts (H / period), cached so hot paths
   // never divide or re-derive the dense instance enumeration.
-  instance_count_.resize(tasks_.size());
   instance_base_.resize(tasks_.size() + 1);
   instance_base_[0] = 0;
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
@@ -187,15 +239,14 @@ void TaskGraph::freeze() {
                        " instances per hyper-period overflow the instance "
                        "index");
     }
-    instance_count_[t] = static_cast<InstanceIdx>(count);
-    instance_base_[t + 1] =
-        instance_base_[t] + static_cast<std::size_t>(instance_count_[t]);
-    if (instance_base_[t + 1] > kMaxTotalInstances) {
+    const std::size_t end = instance_base_[t] + static_cast<std::size_t>(count);
+    if (end > kMaxTotalInstances) {
       throw ModelError("task " + tasks_[t].name + ": the hyper-period of " +
                        std::to_string(hyperperiod_) + " expands the graph "
                        "past " + std::to_string(kMaxTotalInstances) +
                        " instances");
     }
+    instance_base_[t + 1] = static_cast<std::uint32_t>(end);
   }
   total_instances_ = instance_base_.back();
   frozen_ = true;
@@ -211,10 +262,23 @@ TaskGraph TaskGraph::without(std::span<const TaskId> drop,
     remap[static_cast<std::size_t>(t)] = -1;
   }
   TaskGraph out;
+  // The name index carries over: each dropped name leaves its slot
+  // (probing by id from its home, shifting its cluster back with this
+  // graph's names), then every survivor's id follows the remap.
+  out.name_slots_ = name_slots_;
+  const std::size_t mask = out.name_slots_.size() - 1;
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    if (remap[t] < 0) continue;
+    if (remap[t] < 0) {
+      std::size_t i = name_hash(tasks_[t].name) & mask;
+      while (out.name_slots_[i] != static_cast<TaskId>(t)) i = (i + 1) & mask;
+      erase_name_slot(out.name_slots_, tasks_, i);
+      continue;
+    }
     remap[t] = static_cast<TaskId>(out.tasks_.size());
     out.tasks_.push_back(tasks_[t]);
+  }
+  for (TaskId& id : out.name_slots_) {
+    if (id >= 0) id = remap[static_cast<std::size_t>(id)];
   }
   for (const Dependence& d : deps_) {
     const TaskId p = remap[static_cast<std::size_t>(d.producer)];
@@ -231,9 +295,8 @@ TaskId TaskGraph::find(const std::string& name) const {
 }
 
 TaskId TaskGraph::try_find(const std::string& name) const {
-  const auto it = std::find_if(tasks_.begin(), tasks_.end(),
-                               [&](const Task& t) { return t.name == name; });
-  return it == tasks_.end() ? -1 : static_cast<TaskId>(it - tasks_.begin());
+  if (name_slots_.empty()) return -1;
+  return name_slots_[name_slot(name, name_hash(name))];
 }
 
 std::span<const TaskId> TaskGraph::topological_order() const {

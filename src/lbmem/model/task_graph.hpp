@@ -17,7 +17,13 @@
 /// the ids upward and a min-heap holds only the tasks released behind it,
 /// which stays empty when every edge points to a larger id (generated
 /// graphs, arrivals appended last, removals compacted in order).
+///
+/// Names resolve through a flat open-addressing index (DESIGN.md F39):
+/// add_task() maintains it, and without() carries it over by rewriting
+/// ids, so find(), try_find() and add_task()'s duplicate check cost O(1)
+/// expected at any stage of a graph's life.
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,7 +101,8 @@ class TaskGraph {
 
   /// Find a task id by name; throws ModelError if absent.
   TaskId find(const std::string& name) const;
-  /// Task id by name, or -1 if absent. O(N): a linear scan.
+  /// Task id by name, or -1 if absent. O(1) expected: one hash and a short
+  /// probe of the name index; allocation-free.
   TaskId try_find(const std::string& name) const;
 
   /// Hyper-period H = lcm of all task periods (paper Section 3.1, ref [13]).
@@ -104,13 +111,15 @@ class TaskGraph {
     return hyperperiod_;
   }
 
-  /// Number of instances of \p id within one hyper-period (H / period).
-  /// Cached at freeze() — no division on the hot path.
+  /// Number of instances of \p id within one hyper-period (H / period):
+  /// the width of its slice of the cached CSR offsets, so no division on
+  /// the hot path.
   InstanceIdx instance_count(TaskId id) const {
     require_frozen("instance_count");
     LBMEM_REQUIRE(id >= 0 && id < static_cast<TaskId>(tasks_.size()),
                   "task id out of range");
-    return instance_count_[static_cast<std::size_t>(id)];
+    const auto t = static_cast<std::size_t>(id);
+    return static_cast<InstanceIdx>(instance_base_[t + 1] - instance_base_[t]);
   }
 
   /// Total instances across all tasks within one hyper-period.
@@ -137,12 +146,11 @@ class TaskGraph {
     LBMEM_REQUIRE(inst.task >= 0 &&
                       inst.task < static_cast<TaskId>(tasks_.size()),
                   "task id out of range");
-    LBMEM_REQUIRE(
-        inst.k >= 0 &&
-            inst.k < instance_count_[static_cast<std::size_t>(inst.task)],
-        "instance index out of range");
-    return instance_base_[static_cast<std::size_t>(inst.task)] +
-           static_cast<std::size_t>(inst.k);
+    const auto t = static_cast<std::size_t>(inst.task);
+    LBMEM_REQUIRE(inst.k >= 0 && static_cast<std::uint32_t>(inst.k) <
+                                     instance_base_[t + 1] - instance_base_[t],
+                  "instance index out of range");
+    return instance_base_[t] + static_cast<std::size_t>(inst.k);
   }
 
   /// Dependences entering \p consumer (indices into dependences()),
@@ -180,6 +188,7 @@ class TaskGraph {
   /// hyper-period would expand into more instances than this. About 360x
   /// the largest graph the benches build, and a few GB of occupancy.
   static constexpr std::size_t kMaxTotalInstances = std::size_t{1} << 24;
+  static_assert(kMaxTotalInstances <= UINT32_MAX);
 
   /// Producer instances consumed by instance \p k of the consumer of
   /// dependence \p dep_index (paper Section 3.1):
@@ -247,6 +256,12 @@ class TaskGraph {
   }
   [[noreturn]] static void throw_not_frozen(const char* what);
   void require_mutable(const char* what) const;
+  /// The slot of name_slots_ holding the task named \p name, else the
+  /// empty slot ending its probe chain. \p hash is name_hash(name);
+  /// requires a non-empty table.
+  std::size_t name_slot(const std::string& name, std::size_t hash) const;
+  /// Double name_slots_ (at least 8 slots) and re-insert every task.
+  void grow_name_index();
   /// Task \p t's slice of a CSR edge list.
   static std::span<const std::int32_t> edge_span(
       const std::vector<std::int32_t>& offsets,
@@ -258,6 +273,10 @@ class TaskGraph {
 
   std::vector<Task> tasks_;
   std::vector<Dependence> deps_;
+  // Name -> id index: a power-of-two table of task ids (-1: empty slot),
+  // linear probing from the name's hash, at most half full. A slot holds
+  // only the id; the name it stands for is tasks_[id].name.
+  std::vector<TaskId> name_slots_;
   bool frozen_ = false;
 
   // Derived by freeze():
@@ -265,8 +284,10 @@ class TaskGraph {
   std::size_t total_instances_ = 0;
   std::vector<TaskId> topo_order_;
   std::vector<std::int32_t> topo_rank_;  // inverse of topo_order_
-  std::vector<InstanceIdx> instance_count_;  // per task: H / period
-  std::vector<std::size_t> instance_base_;   // CSR offsets, size tasks+1
+  // CSR offsets of the dense instance enumeration, size tasks+1; task t
+  // has instance_base_[t+1] - instance_base_[t] = H / period instances.
+  // 32 bits suffice: freeze() caps the total at kMaxTotalInstances.
+  std::vector<std::uint32_t> instance_base_;
   // CSR adjacency: task t's incoming dependence ids are
   // in_ids_[in_offsets_[t] .. in_offsets_[t+1]), ascending; likewise out.
   std::vector<std::int32_t> in_offsets_;   // size tasks+1

@@ -699,12 +699,17 @@ EventOutcome Rebalancer::apply(const Event& event) {
         if (!reject.empty()) reject = shed(reject);
         break;
       }
-      // Seed the balance around the hole the victim left.
-      for (const Dependence& dep : graph_->dependences()) {
-        if (dep.producer != victim && dep.consumer != victim) continue;
-        const TaskId other =
-            dep.producer == victim ? dep.consumer : dep.producer;
-        seeds.push_back(remap[static_cast<std::size_t>(other)]);
+      // Seed the balance around the hole the victim left: its producers
+      // and consumers.
+      for (const std::int32_t e : graph_->deps_in(victim)) {
+        const TaskId producer =
+            graph_->dependences()[static_cast<std::size_t>(e)].producer;
+        seeds.push_back(remap[static_cast<std::size_t>(producer)]);
+      }
+      for (const std::int32_t e : graph_->deps_out(victim)) {
+        const TaskId consumer =
+            graph_->dependences()[static_cast<std::size_t>(e)].consumer;
+        seeds.push_back(remap[static_cast<std::size_t>(consumer)]);
       }
       Schedule carried = carry_over(*sched_, *rebuilt, remap);
       // Ids shifted, so the occupancy owners must be rebuilt.

@@ -247,29 +247,22 @@ std::optional<Time> ProcTimeline::earliest_fit(Time lb, Time period, Time wcet,
                                                InstanceIdx n) const {
   LBMEM_REQUIRE(period > 0 && wcet > 0 && wcet <= period && n > 0,
                 "earliest_fit: bad task shape");
-  LBMEM_REQUIRE(static_cast<Time>(n) * period == h_ ||
-                    static_cast<Time>(n) * period <= h_,
+  LBMEM_REQUIRE(static_cast<Time>(n) * period <= h_,
                 "earliest_fit: instances exceed hyper-period");
   const Time limit = lb + period;  // feasibility is periodic in S with period T
   Time s = lb;
-  while (true) {
-    // Instance 0: walk straight to its first free gap.
-    s = first_free(s, wcet, limit);
-    if (s == limit) return std::nullopt;
-    Time jump = 0;
-    for (InstanceIdx k = 1; k < n; ++k) {
-      const Time inst_start = s + static_cast<Time>(k) * period;
-      const Time pos = mod_floor(inst_start, h_);
-      if (const Piece* conflict = find_conflict_circular(pos, wcet)) {
-        // Shift so that this instance lands exactly at the conflicting
-        // piece's end (circularly). Strictly positive because they overlap.
-        jump = mod_floor(conflict->start + conflict->len - inst_start, h_);
-        if (jump == 0) jump = h_;
-        break;
-      }
+  InstanceIdx agreed = 0;  // consecutive instances that fit at s
+  for (InstanceIdx k = 0;; k = k + 1 == n ? 0 : k + 1) {
+    // Instance k walks to its first free gap at or after s + kT; no start
+    // below where that lands can place instance k.
+    const Time offset = static_cast<Time>(k) * period;
+    const Time at = first_free(s + offset, wcet, limit + offset);
+    if (at == limit + offset) return std::nullopt;
+    if (at != s + offset) {  // instance k fits at the new s, no other yet
+      s = at - offset;
+      agreed = 0;
     }
-    if (jump == 0) return s;
-    s += jump;
+    if (++agreed == n) return s;
   }
 }
 

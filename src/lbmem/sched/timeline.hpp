@@ -112,9 +112,12 @@ class ProcTimeline {
 
   /// Earliest S in [lb, lb+period) such that every instance interval
   /// [S + k*period, +wcet), k in [0, n), fits. std::nullopt if none exists.
-  /// Instance 0 reaches each candidate by a walk over the free gaps
-  /// (first_free); instances 1..n-1 are probed and, on a conflict, jump S
-  /// past the conflicting piece.
+  /// Requires n*period <= H. A leapfrog over the instances (DESIGN.md
+  /// F39): instance k = 0, 1, ..., n-1, 0, ... in turn walks the free gaps
+  /// (first_free) from S + k*period to its first fit and, if that lies
+  /// later, moves S there; S is returned once n instances in a row fit
+  /// without moving it. Each move lands on the smallest start >= S at
+  /// which instance k fits, so S never passes the answer.
   std::optional<Time> earliest_fit(Time lb, Time period, Time wcet,
                                    InstanceIdx n) const;
 

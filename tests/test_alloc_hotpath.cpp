@@ -14,7 +14,8 @@
 ///
 /// A second case pins build_blocks_around(): growing a decomposition from
 /// one seed task allocates a constant number of times, whatever the size
-/// of the graph around it.
+/// of the graph around it. A third pins the two searches of a local event,
+/// TaskGraph::try_find and ProcTimeline::earliest_fit, at zero.
 ///
 /// The Rebalancer cases extend the discipline to the online engine: a
 /// local WCET event edits the state in place (DESIGN.md F36), so its bytes
@@ -36,6 +37,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "lbmem/gen/suites.hpp"
@@ -398,6 +400,41 @@ TEST(RebalancerAllocations, InjectedFailureLeavesStateUntouched) {
   EXPECT_EQ(shed.reference.degraded_rung, 3);
   EXPECT_FALSE(shed.reference.shed.empty());
   EXPECT_GT(shed.threw, 50);
+#endif
+}
+
+TEST(LookupAllocations, NameLookupAndEarliestFitAllocateNothing) {
+#ifdef LBMEM_ALLOC_TEST_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  // The two searches of a local event: the engine resolves the event's task
+  // by name (TaskGraph::try_find, DESIGN.md F39) and re-places it with
+  // earliest_fit's leapfrog over its instances.
+  const SuiteInstance instance = balanced_instance(2000);
+  const TaskGraph& graph = *instance.graph;
+  const std::vector<ProcTimeline> occ = build_occupancy(instance.schedule);
+  std::vector<std::string> absent;
+  for (int i = 0; i < 200; ++i) {
+    absent.push_back("absent-task-with-a-long-name-" + std::to_string(i));
+  }
+
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  std::int64_t found = 0;
+  std::int64_t fits = 0;
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    const Task& task = graph.task(t);
+    found += graph.try_find(task.name) == t;
+    const ProcTimeline& timeline =
+        occ[static_cast<std::size_t>(t) % occ.size()];
+    fits += timeline
+                .earliest_fit(t, task.period, task.wcet,
+                              graph.instance_count(t))
+                .has_value();
+  }
+  for (const std::string& name : absent) found += graph.try_find(name) < 0;
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(found, static_cast<std::int64_t>(graph.task_count()) + 200);
+  EXPECT_GT(fits, 0);
 #endif
 }
 

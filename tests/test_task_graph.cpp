@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "lbmem/model/task_graph.hpp"
+#include "lbmem/online/rebalancer.hpp"
+#include "lbmem/sched/scheduler.hpp"
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/rng.hpp"
 
@@ -478,6 +480,170 @@ TEST(TaskGraph, WithoutPreconditions) {
   TaskGraph unfrozen;
   unfrozen.add_task("a", 4, 1, 1);
   EXPECT_THROW(unfrozen.without({}, remap), PreconditionError);
+}
+
+// ---- the name index (DESIGN.md F39) ----------------------------------------
+
+/// Name of task \p i in the index tests: short names, names past the
+/// small-string buffer, and names sharing long prefixes.
+std::string indexed_name(int i) {
+  switch (i % 3) {
+    case 0:
+      return "t" + std::to_string(i);
+    case 1:
+      return "a-task-name-longer-than-any-small-string-buffer-" +
+             std::to_string(i);
+    default:
+      return std::string(static_cast<std::size_t>(1 + i % 7), 'x') + "#" +
+             std::to_string(i);
+  }
+}
+
+/// \p n tasks named indexed_name(0..n-1), light enough for two
+/// processors, with a chain of dependences over the first ten; frozen.
+TaskGraph indexed_graph(int n) {
+  TaskGraph g;
+  for (int i = 0; i < n; ++i) g.add_task(indexed_name(i), 240, 1, 1);
+  for (int i = 1; i < std::min(n, 10); ++i) g.add_dependence(i - 1, i);
+  g.freeze();
+  return g;
+}
+
+/// Every task's name resolves to its id.
+void expect_every_name_resolves(const TaskGraph& g) {
+  for (TaskId t = 0; t < static_cast<TaskId>(g.task_count()); ++t) {
+    ASSERT_EQ(g.try_find(g.task(t).name), t) << g.task(t).name;
+    ASSERT_EQ(g.find(g.task(t).name), t);
+  }
+}
+
+TEST(TaskGraph, NameIndexResolvesAfterEveryAddTask) {
+  TaskGraph g;
+  EXPECT_EQ(g.try_find("t0"), -1);  // the empty graph has no index yet
+  for (int i = 0; i < 300; ++i) {
+    const TaskId id = g.add_task(indexed_name(i), 12, 1, 1);
+    ASSERT_EQ(id, i);
+    // Growth re-inserts every earlier name; check them all there.
+    if ((i & (i + 1)) == 0 || i % 37 == 0) expect_every_name_resolves(g);
+    ASSERT_EQ(g.try_find(indexed_name(i + 1)), -1);
+  }
+  expect_every_name_resolves(g);
+  EXPECT_EQ(g.try_find(""), -1);
+  EXPECT_EQ(g.try_find("t1"), -1);  // task 1 is named indexed_name(1)
+  EXPECT_THROW(g.find("missing"), ModelError);
+}
+
+TEST(TaskGraph, NameIndexRejectsDuplicatesBeforeAndAfterWithout) {
+  // Before: a graph under construction rejects every name it holds, and a
+  // rejected add leaves it unchanged.
+  TaskGraph open;
+  for (int i = 0; i < 40; ++i) open.add_task(indexed_name(i), 12, 1, 1);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_THROW(open.add_task(indexed_name(i), 24, 1, 1), ModelError);
+  }
+  EXPECT_EQ(open.task_count(), 40u);
+  expect_every_name_resolves(open);
+  open.freeze();
+
+  // After: the survivors of without() are still taken, the dropped names
+  // are free once, and taken again once re-added.
+  std::vector<TaskId> remap;
+  const std::vector<TaskId> drop{3, 4, 17};
+  TaskGraph edited = open.without(drop, remap);
+  for (TaskId t = 0; t < static_cast<TaskId>(edited.task_count()); ++t) {
+    EXPECT_THROW(edited.add_task(edited.task(t).name, 12, 1, 1), ModelError);
+  }
+  EXPECT_EQ(edited.task_count(), 37u);
+  for (const TaskId t : drop) {
+    edited.add_task(open.task(t).name, 12, 1, 1);
+    EXPECT_THROW(edited.add_task(open.task(t).name, 12, 1, 1), ModelError);
+  }
+  EXPECT_EQ(edited.task_count(), 40u);
+  expect_every_name_resolves(edited);
+}
+
+TEST(TaskGraph, NameIndexFollowsTheRemapOfWithout) {
+  const TaskGraph g = indexed_graph(200);
+  const std::vector<std::vector<TaskId>> drops = {
+      {},                            // no drop: the identity remap
+      {57},                          // one drop
+      {0, 1, 2, 99, 100, 198, 199},  // several, at both ends and adjacent
+      {5, 5, 150},                   // a repeated id drops once
+  };
+  for (const std::vector<TaskId>& drop : drops) {
+    SCOPED_TRACE("drops: " + std::to_string(drop.size()));
+    std::vector<TaskId> remap;
+    TaskGraph out = g.without(drop, remap);
+    for (TaskId t = 0; t < 200; ++t) {
+      const std::string& name = g.task(t).name;
+      ASSERT_EQ(out.try_find(name), remap[static_cast<std::size_t>(t)])
+          << name;
+    }
+    expect_every_name_resolves(out);
+    // Dropped names are absent and may come back, at the next id.
+    for (const TaskId t : drop) {
+      const std::string& name = g.task(t).name;
+      if (out.try_find(name) >= 0) continue;  // re-added just before
+      const TaskId back = out.add_task(name, 6, 1, 1);
+      EXPECT_EQ(back, static_cast<TaskId>(out.task_count()) - 1);
+      EXPECT_EQ(out.try_find(name), back);
+    }
+    expect_every_name_resolves(out);
+    out.freeze();
+    // A second edit carries the carried index again.
+    std::vector<TaskId> again;
+    const std::vector<TaskId> first{0};
+    const TaskGraph twice = out.without(first, again);
+    EXPECT_EQ(twice.try_find(out.task(0).name), -1);
+    expect_every_name_resolves(twice);
+  }
+}
+
+TEST(TaskGraph, NameIndexSurvivesCopyMoveAndAdopt) {
+  const TaskGraph g = indexed_graph(120);
+  TaskGraph copy(g);
+  expect_every_name_resolves(copy);
+  TaskGraph assigned;
+  assigned = g;
+  expect_every_name_resolves(assigned);
+  TaskGraph moved(std::move(copy));
+  expect_every_name_resolves(moved);
+  TaskGraph move_assigned;
+  move_assigned = std::move(moved);
+  expect_every_name_resolves(move_assigned);
+  expect_every_name_resolves(g);  // the source is untouched
+
+  // The engine copies the graph on adopt() and edits that copy through
+  // without(); both keep resolving by name.
+  const Schedule sched =
+      build_initial_schedule(g, Architecture(2), CommModel::flat(1));
+  Rebalancer engine = Rebalancer::adopt(g, sched);
+  expect_every_name_resolves(engine.graph());
+  const std::string victim = g.task(4).name;
+  ASSERT_TRUE(engine.apply(Event{0, TaskRemoval{victim}}).applied);
+  EXPECT_EQ(engine.graph().try_find(victim), -1);
+  expect_every_name_resolves(engine.graph());
+  NewTaskSpec spec;
+  spec.name = victim;
+  spec.period = 240;
+  spec.wcet = 1;
+  spec.producers.push_back({g.task(0).name, 1});
+  ASSERT_TRUE(engine.apply(Event{1, TaskArrival{spec}}).applied);
+  EXPECT_EQ(engine.graph().try_find(victim),
+            static_cast<TaskId>(engine.graph().task_count()) - 1);
+  expect_every_name_resolves(engine.graph());
+}
+
+TEST(TaskGraph, NameIndexAtTwentyThousandTasks) {
+  TaskGraph g;
+  for (int i = 0; i < 20'000; ++i) {
+    g.add_task("task-" + std::to_string(i), 16, 1, 1);
+  }
+  g.freeze();
+  expect_every_name_resolves(g);
+  for (int i = 20'000; i < 21'000; ++i) {
+    ASSERT_EQ(g.try_find("task-" + std::to_string(i)), -1) << i;
+  }
 }
 
 }  // namespace

@@ -4,12 +4,16 @@
 /// force), and the bucket index is audited with check_index_integrity()
 /// after every mutation. Hyper-periods are chosen to exercise one-bucket
 /// timelines, the kMaxBuckets ceiling, and sparse giant circles where most
-/// buckets stay empty.
+/// buckets stay empty. Dense multi-instance probes check earliest_fit's
+/// leapfrog (DESIGN.md F39) against the naive search and against the
+/// probe-and-jump loop it replaced (F37).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lbmem/sched/timeline.hpp"
@@ -24,28 +28,50 @@ class NaiveTimeline {
  public:
   explicit NaiveTimeline(Time h) : h_(h) {}
 
+  struct Entry {
+    Time pos;  // in [0, H)
+    Time len;
+    TaskInstance owner;
+  };
+
   bool fits(Time start, Time len) const {
-    return !conflicting_owner(start, len).has_value();
+    const Time pos = mod_floor(start, h_);
+    const auto overlaps = [&](Time a, Time b) {  // non-wrapping [a, b)
+      return std::any_of(entries_.begin(), entries_.end(),
+                         [&](const Entry& e) {
+                           return e.pos < b && e.pos + e.len > a;
+                         });
+    };
+    if (pos + len <= h_) return !overlaps(pos, pos + len);
+    return !overlaps(pos, h_) && !overlaps(0, pos + len - h_);
   }
 
   std::optional<TaskInstance> conflicting_owner(Time start, Time len) const {
+    if (const std::optional<Entry> e = conflicting_entry(start, len)) {
+      return e->owner;
+    }
+    return std::nullopt;
+  }
+
+  /// The piece conflicting_owner() reports.
+  std::optional<Entry> conflicting_entry(Time start, Time len) const {
     const Time pos = mod_floor(start, h_);
     // Match ProcTimeline's priority: the predecessor piece reaching into
     // the query first, then pieces by ascending start — realised here by
     // scanning pieces in sorted order per query segment.
-    std::optional<TaskInstance> found;
+    std::optional<Entry> found;
     const std::vector<Entry> by_pos = sorted();
     auto scan = [&](Time a, Time b) {  // non-wrapping [a, b)
       if (found || a >= b) return;
       for (const Entry& e : by_pos) {
         if (e.pos < a && e.pos + e.len > a) {
-          found = e.owner;
+          found = e;
           return;
         }
       }
       for (const Entry& e : by_pos) {
         if (e.pos >= a && e.pos < b) {
-          found = e.owner;
+          found = e;
           return;
         }
       }
@@ -89,6 +115,31 @@ class NaiveTimeline {
     return std::nullopt;
   }
 
+  /// The search earliest_fit made before the leapfrog (DESIGN.md F37):
+  /// instance 0 steps to its first free start, then instances 1..n-1 are
+  /// probed in order and the first conflict jumps S so that the instance
+  /// lands at the conflicting piece's end (circularly); repeat.
+  std::optional<Time> probe_and_jump_fit(Time lb, Time period, Time wcet,
+                                         InstanceIdx n) const {
+    const Time limit = lb + period;
+    Time s = lb;
+    while (true) {
+      while (s < limit && !fits(s, wcet)) ++s;
+      if (s >= limit) return std::nullopt;  // a jump may overshoot
+      Time jump = 0;
+      for (InstanceIdx k = 1; k < n; ++k) {
+        const Time inst_start = s + static_cast<Time>(k) * period;
+        if (const std::optional<Entry> e = conflicting_entry(inst_start, wcet)) {
+          jump = mod_floor(e->pos + e->len - inst_start, h_);
+          if (jump == 0) jump = h_;
+          break;
+        }
+      }
+      if (jump == 0) return s;
+      s += jump;
+    }
+  }
+
   Time busy_time() const {
     Time total = 0;
     for (const Entry& e : entries_) total += e.len;
@@ -98,11 +149,6 @@ class NaiveTimeline {
   std::size_t piece_count() const { return entries_.size(); }
 
  private:
-  struct Entry {
-    Time pos;  // in [0, H)
-    Time len;
-    TaskInstance owner;
-  };
   std::vector<Entry> sorted() const {
     std::vector<Entry> out = entries_;
     std::sort(out.begin(), out.end(),
@@ -234,6 +280,71 @@ TEST(ProcTimelineBuckets, EveryProbeOnSmallCircles) {
       naive.add(start, len, TaskInstance{t, 0});
     }
     expect_every_fit_matches(timeline, naive, /*h=*/h);
+  }
+}
+
+/// A circle of circumference \p h filled lap by lap (laps of \p period)
+/// with one random pattern of pieces 1..4 long and gaps g-1..g+1 wide,
+/// each piece kept with probability 7/8 and nudged by one tick with
+/// probability 1/8, where it still fits. Nearly periodic, so n instances
+/// spaced a period apart often almost agree: the case where earliest_fit's
+/// leapfrog moves S back and forth between instances.
+void fill_dense(ProcTimeline& timeline, NaiveTimeline& naive, Time h,
+                Time period, Time g, Rng& rng) {
+  std::vector<std::pair<Time, Time>> pattern;  // (offset, len) in the lap
+  for (Time pos = rng.uniform(0, g);;) {
+    const Time len = rng.uniform(1, 4);
+    if (pos + len > period) break;
+    pattern.emplace_back(pos, len);
+    pos += len + rng.uniform(g - 1, g + 1);
+  }
+  TaskId owner = 0;
+  for (Time lap = 0; lap < h; lap += period) {
+    for (const auto& [offset, len] : pattern) {
+      if (rng.uniform(0, 7) == 0) continue;
+      Time start = lap + offset;
+      if (rng.uniform(0, 7) == 0) start += rng.chance(0.5) ? 1 : -1;
+      if (!naive.fits(start, len)) continue;
+      timeline.add(start, len, TaskInstance{owner, 0});
+      naive.add(start, len, TaskInstance{owner, 0});
+      ++owner;
+    }
+  }
+  ASSERT_TRUE(timeline.check_index_integrity());
+}
+
+TEST(ProcTimelineBuckets, DenseMultiInstanceProbesMatchBothReferences) {
+  // n instances of period T on a circle of H = n*T (a task's own
+  // hyper-period) and of H > n*T (a longer circle), E within a tick of the
+  // typical gap g, every lb in [-2H, 2H): the leapfrog must return what the
+  // start-by-start search and the probe-and-jump loop return.
+  for (const InstanceIdx n : {2, 3, 4, 8, 16}) {
+    const Time period = std::max<Time>(12, 96 / n);
+    for (const Time h : {n * period, n * period + period / 2 + 1}) {
+      for (const Time g : {Time{3}, Time{5}}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " T=" +
+                     std::to_string(period) + " H=" + std::to_string(h) +
+                     " g=" + std::to_string(g));
+        ProcTimeline timeline(h);
+        NaiveTimeline naive(h);
+        Rng rng(static_cast<std::uint64_t>(1000 * n + h + g));
+        fill_dense(timeline, naive, h, period, g, rng);
+        int fits_found = 0;
+        for (Time wcet = g - 1; wcet <= g + 1; ++wcet) {
+          for (Time lb = -2 * h; lb < 2 * h; ++lb) {
+            const std::optional<Time> got =
+                timeline.earliest_fit(lb, period, wcet, n);
+            ASSERT_EQ(got, naive.earliest_fit(lb, period, wcet, n))
+                << "lb=" << lb << " wcet=" << wcet;
+            ASSERT_EQ(got, naive.probe_and_jump_fit(lb, period, wcet, n))
+                << "lb=" << lb << " wcet=" << wcet;
+            fits_found += got.has_value();
+          }
+        }
+        // The fills leave room: the probes are not all "no fit".
+        EXPECT_GT(fits_found, 0);
+      }
+    }
   }
 }
 
