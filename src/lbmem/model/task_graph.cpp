@@ -147,11 +147,15 @@ void TaskGraph::add_dependence(TaskId producer, TaskId consumer,
   if (data_size <= 0) {
     throw ModelError("dependence data_size must be positive");
   }
-  for (const auto& d : deps_) {
-    if (d.producer == producer && d.consumer == consumer) {
+  // A duplicate can only be among the consumer's own in-edges.
+  if (in_head_.size() < tasks_.size()) in_head_.resize(tasks_.size(), -1);
+  const auto c = static_cast<std::size_t>(consumer);
+  for (std::int32_t e = in_head_[c]; e >= 0;
+       e = in_next_[static_cast<std::size_t>(e)]) {
+    if (deps_[static_cast<std::size_t>(e)].producer == producer) {
       throw ModelError("duplicate dependence " +
                        tasks_[static_cast<std::size_t>(producer)].name + " -> " +
-                       tasks_[static_cast<std::size_t>(consumer)].name);
+                       tasks_[c].name);
     }
   }
   const Time tp = tasks_[static_cast<std::size_t>(producer)].period;
@@ -165,6 +169,13 @@ void TaskGraph::add_dependence(TaskId producer, TaskId consumer,
                      std::to_string(tc) + ")");
   }
   deps_.push_back(Dependence{producer, consumer, data_size});
+  try {
+    in_next_.push_back(in_head_[c]);
+  } catch (...) {
+    deps_.pop_back();  // the edge list and the edges stay in agreement
+    throw;
+  }
+  in_head_[c] = static_cast<std::int32_t>(deps_.size() - 1);
 }
 
 void TaskGraph::freeze() {
@@ -249,6 +260,10 @@ void TaskGraph::freeze() {
     instance_base_[t + 1] = static_cast<std::uint32_t>(end);
   }
   total_instances_ = instance_base_.back();
+  // Frozen, the graph takes no more edges: release the duplicate check's
+  // in-edge lists (the CSR adjacency serves every read).
+  std::vector<std::int32_t>().swap(in_head_);
+  std::vector<std::int32_t>().swap(in_next_);
   frozen_ = true;
 }
 
@@ -280,10 +295,16 @@ TaskGraph TaskGraph::without(std::span<const TaskId> drop,
   for (TaskId& id : out.name_slots_) {
     if (id >= 0) id = remap[static_cast<std::size_t>(id)];
   }
+  // The copy is open to add_dependence: rebuild its in-edge lists.
+  out.in_head_.assign(out.tasks_.size(), -1);
   for (const Dependence& d : deps_) {
     const TaskId p = remap[static_cast<std::size_t>(d.producer)];
     const TaskId c = remap[static_cast<std::size_t>(d.consumer)];
-    if (p >= 0 && c >= 0) out.deps_.push_back(Dependence{p, c, d.data_size});
+    if (p < 0 || c < 0) continue;
+    std::int32_t& head = out.in_head_[static_cast<std::size_t>(c)];
+    out.in_next_.push_back(head);
+    head = static_cast<std::int32_t>(out.deps_.size());
+    out.deps_.push_back(Dependence{p, c, d.data_size});
   }
   return out;
 }

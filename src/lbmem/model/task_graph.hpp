@@ -54,7 +54,8 @@ class TaskGraph {
   TaskId add_task(std::string name, Time period, Time wcet, Mem memory);
 
   /// Add a dependence edge. Ids must exist; periods must be harmonic
-  /// (one divides the other); self-loops and duplicate edges rejected.
+  /// (one divides the other); self-loops and duplicate edges rejected. The
+  /// duplicate check walks the consumer's in-edges only: O(in-degree).
   void add_dependence(TaskId producer, TaskId consumer, Mem data_size = 1);
 
   /// Validate global invariants (DAG) and build derived data. Must be
@@ -277,6 +278,12 @@ class TaskGraph {
   // linear probing from the name's hash, at most half full. A slot holds
   // only the id; the name it stands for is tasks_[id].name.
   std::vector<TaskId> name_slots_;
+  // Per-consumer in-edge lists for add_dependence's duplicate check, kept
+  // only while the graph is mutable (freeze() releases them): the last edge
+  // into consumer c is in_head_[c] (-1: none, or past the end), and the edge
+  // before edge e into the same consumer is in_next_[e].
+  std::vector<std::int32_t> in_head_;
+  std::vector<std::int32_t> in_next_;
   bool frozen_ = false;
 
   // Derived by freeze():

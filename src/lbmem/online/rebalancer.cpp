@@ -136,18 +136,71 @@ class Rollback {
   bool armed_ = true;
 };
 
+/// A whole-task placement: processor and first start.
+struct Placement {
+  ProcId proc = kNoProc;
+  Time start = 0;
+};
+
+/// Where whole task \p t goes on the state behind \p edits (DESIGN.md
+/// F11): the earliest feasible start over the alive processors, then the
+/// preferred processor \p pref, then less memory. A processor is skipped
+/// when admitting t whole would overrun the memory capacity, with
+/// \p resident[p] (t's current residency; empty when t is placed nowhere)
+/// counted as freed. \p bounds are t's precedence lower bounds per
+/// processor. proc is kNoProc when nothing fits.
+Placement choose_processor(const ScheduleJournal& edits, TaskId t,
+                           ProcId pref, std::span<const Mem> resident,
+                           std::span<const Time> bounds,
+                           const std::vector<std::uint8_t>& failed) {
+  const Schedule& work = edits.schedule();
+  const Task& task = work.graph().task(t);
+  const InstanceIdx n = work.graph().instance_count(t);
+  const Architecture& arch = work.architecture();
+  Placement best;
+  for (ProcId p = 0; p < arch.processor_count(); ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    if (failed[i]) continue;
+    if (arch.has_memory_limit() &&
+        work.memory_on(p) - (resident.empty() ? 0 : resident[i]) +
+                task.memory * static_cast<Mem>(n) >
+            arch.memory_capacity()) {
+      continue;  // admitting t whole on p would overrun the capacity
+    }
+    const auto start = edits.occupancy()[i].earliest_fit(
+        bounds[i], task.period, task.wcet, n);
+    if (!start) continue;
+    bool better = false;
+    if (best.proc == kNoProc) {
+      better = true;
+    } else if (*start != best.start) {
+      better = *start < best.start;
+    } else {
+      const bool cand_pref = (p == pref);
+      const bool best_pref = (best.proc == pref);
+      if (cand_pref != best_pref) {
+        better = cand_pref;
+      } else {
+        better = work.memory_on(p) < work.memory_on(best.proc);
+      }
+    }
+    if (better) best = Placement{p, *start};
+  }
+  return best;
+}
+
+std::string no_placement(const Task& task) {
+  return "no feasible placement for task " + task.name;
+}
+
 /// The dirty-set repair (DESIGN.md F11): re-place every dirty task whole —
-/// earliest feasible strict-periodic start over the alive processors,
-/// preferring its previous processor — in topological order, cascading to
-/// consumers whose data-readiness a re-placement broke (consumers are
-/// always later in the order, so one pass suffices). Every edit goes
-/// through \p edits. \p preferred is the placement preference per task for
-/// a fresh schedule (a full re-place); empty means each task's current
-/// instance-0 processor, which keeps its pre-repair value until the task
-/// itself is re-placed. Returns an empty string on success, else the
-/// reason the repair is infeasible.
+/// through choose_processor(), preferring its current instance-0 processor,
+/// which keeps its pre-repair value until the task itself is re-placed — in
+/// topological order, cascading to consumers whose data-readiness a
+/// re-placement broke (consumers are always later in the order, so one pass
+/// suffices). Every edit goes through \p edits. Returns an empty string on
+/// success, else the reason the repair is infeasible.
 std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
-                   std::span<const ProcId> preferred,
                    const std::vector<std::uint8_t>& failed,
                    std::vector<TaskId>& repaired) {
   const Schedule& work = edits.schedule();
@@ -174,8 +227,7 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
   // (removing an absent owner is a no-op), which is merely conservative.
   for (const auto& [rank, t] : dirty) detach(t);
 
-  // Scratch hoisted out of the loop: a full-replace escalation re-places
-  // every task, and a fresh allocation per task adds up.
+  // Scratch hoisted out of the loop: a fresh allocation per task adds up.
   std::vector<Mem> resident;
   std::vector<Time> bounds;
   while (!dirty.empty()) {
@@ -184,9 +236,6 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
     detach(t);
     const Task& task = graph.task(t);
     const InstanceIdx n = graph.instance_count(t);
-    const ProcId pref = preferred.empty()
-                            ? work.proc(TaskInstance{t, 0})
-                            : preferred[static_cast<std::size_t>(t)];
 
     // t's current residency per processor: the schedule still carries its
     // stale assignment, so a capacity projection must not double-count it.
@@ -200,45 +249,11 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
     }
 
     precedence_lower_bounds(work, t, bounds);
-    ProcId best_proc = kNoProc;
-    Time best_start = 0;
-    for (ProcId p = 0;
-         p < work.architecture().processor_count(); ++p) {
-      if (failed[static_cast<std::size_t>(p)]) continue;
-      if (work.architecture().has_memory_limit() &&
-          work.memory_on(p) - resident[static_cast<std::size_t>(p)] +
-                  task.memory * static_cast<Mem>(n) >
-              work.architecture().memory_capacity()) {
-        continue;  // admitting t whole on p would overrun the capacity
-      }
-      const auto start =
-          edits.occupancy()[static_cast<std::size_t>(p)].earliest_fit(
-              bounds[static_cast<std::size_t>(p)], task.period, task.wcet, n);
-      if (!start) continue;
-      bool better = false;
-      if (best_proc == kNoProc) {
-        better = true;
-      } else if (*start != best_start) {
-        better = *start < best_start;
-      } else {
-        const bool cand_pref = (p == pref);
-        const bool best_pref = (best_proc == pref);
-        if (cand_pref != best_pref) {
-          better = cand_pref;
-        } else {
-          better = work.memory_on(p) < work.memory_on(best_proc);
-        }
-      }
-      if (better) {
-        best_proc = p;
-        best_start = *start;
-      }
-    }
-    if (best_proc == kNoProc) {
-      return "no feasible placement for task " + task.name;
-    }
+    const Placement best = choose_processor(edits, t, work.proc({t, 0}),
+                                            resident, bounds, failed);
+    if (best.proc == kNoProc) return no_placement(task);
 
-    commit_whole_task(edits, t, best_proc, best_start);
+    commit_whole_task(edits, t, best.proc, best.start);
     repaired.push_back(t);
 
     // Cascade: a later start or a new processor can invalidate consumers.
@@ -260,6 +275,26 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
 }
 
 }  // namespace
+
+std::string place_fresh(ScheduleJournal& edits,
+                        std::span<const ProcId> preferred,
+                        const std::vector<std::uint8_t>& failed,
+                        std::vector<TaskId>& placed) {
+  const Schedule& work = edits.schedule();
+  const TaskGraph& graph = work.graph();
+  placed.reserve(placed.size() + graph.task_count());
+  std::vector<Time> bounds;
+  for (const TaskId t : graph.topological_order()) {
+    precedence_lower_bounds(work, t, bounds);
+    const Placement best =
+        choose_processor(edits, t, preferred[static_cast<std::size_t>(t)], {},
+                         bounds, failed);
+    if (best.proc == kNoProc) return no_placement(graph.task(t));
+    commit_whole_task(edits, t, best.proc, best.start);
+    placed.push_back(t);
+  }
+  return {};
+}
 
 Rebalancer::Rebalancer(std::unique_ptr<TaskGraph> graph, Schedule schedule,
                        RebalancerOptions options)
@@ -415,12 +450,13 @@ EventOutcome Rebalancer::apply(const Event& event) {
   };
 
   // Strong exception guarantee (DESIGN.md F14, F36): every change below is
-  // undone unless the event commits as apply()'s last step. Every repair
-  // rung and the balance stage edit *sched_ and occ_ in place through
+  // undone unless the event commits as apply()'s last step. The repair
+  // rungs and the balance stage edit *sched_ and occ_ in place through
   // `journal`. A state that is new anyway (placements carried onto a new
   // graph, a full re-place, a shed) is swapped in before it is repaired, and
   // the pre-event graph, schedule and occupancy wait in `prior` until
-  // apply() returns.
+  // apply() returns. A full re-place fills its empty state without
+  // journaling (F40): swapping `prior` back undoes it whole.
   ScheduleJournal journal(*sched_, occ_);
   struct Prior {
     std::unique_ptr<TaskGraph> graph;  // set once graph_ was replaced
@@ -477,11 +513,12 @@ EventOutcome Rebalancer::apply(const Event& event) {
     }
   };
 
-  // A full re-place (DESIGN.md F13): swap in an empty schedule over \p graph
-  // (null: graph_) and repair every task, preferring its pre-event
-  // processor through \p ids (pre-event task id -> graph's id). The balance
-  // stage is then seeded with the repaired tasks only. A failed attempt's
-  // edits are discarded, not undone: nobody keeps that state.
+  // A full re-place (DESIGN.md F13, F40): swap in an empty schedule over
+  // \p graph (null: graph_) and place every task in one pass, preferring
+  // its pre-event processor through \p ids (pre-event task id -> graph's
+  // id). The pass records nothing: nobody keeps a failed attempt's state,
+  // which the next swap or a reject's swap back drops whole. The balance
+  // stage is then seeded with the placed tasks only.
   const auto full_replace = [&](std::unique_ptr<TaskGraph> graph,
                                 std::span<const TaskId> ids) -> std::string {
     const Schedule& pre = prior.sched ? *prior.sched : *sched_;
@@ -500,13 +537,9 @@ EventOutcome Rebalancer::apply(const Event& event) {
             std::move(occ));
     seeds.clear();
     repaired.clear();
-    std::string err =
-        repair(journal, task_ids(*graph_), preferred, failed_, repaired);
-    if (err.empty()) {
-      out.full_replace = true;
-    } else {
-      journal.discard(prior.mark);
-    }
+    ScheduleJournal fresh(*sched_, occ_, /*record=*/false);
+    std::string err = place_fresh(fresh, preferred, failed_, repaired);
+    if (err.empty()) out.full_replace = true;
     return err;
   };
 
@@ -553,7 +586,7 @@ EventOutcome Rebalancer::apply(const Event& event) {
     const ScheduleJournal::Mark base = journal.mark();
     const auto attempt = [&] {
       repaired.clear();
-      std::string err = repair(journal, dirty, {}, failed_, repaired);
+      std::string err = repair(journal, dirty, failed_, repaired);
       if (!err.empty()) journal.rollback(base);
       return err;
     };

@@ -23,7 +23,8 @@
 /// Every repair rung and every balance stage edit the live state through
 /// one ScheduleJournal per event (DESIGN.md F36). A state that is new
 /// anyway (an arrival's or a removal's carried-over placements, a full
-/// re-place, a shed) is swapped in by moves before it is repaired.
+/// re-place, a shed) is swapped in by moves before it is repaired; a full
+/// re-place fills its empty state in one unjournaled pass (F40).
 ///
 /// Every applied event leaves a schedule that passes validate/ — events
 /// whose repair is infeasible are *rejected*: the pre-event state is kept
@@ -43,6 +44,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,6 +119,21 @@ struct EventOutcome {
   /// Patch + balance latency.
   double wall_seconds = 0.0;
 };
+
+/// The first pass of a full re-place (DESIGN.md F13, F40): place every task
+/// of the empty schedule behind \p edits whole, in topological order, on the
+/// processor the dirty-set repair would choose: the earliest feasible start,
+/// then \p preferred[t] (kNoProc: none), then less memory, skipping the
+/// processors flagged in \p failed and those where t would overrun the
+/// memory capacity. One bulk pass with no dirty queue, no detach and no
+/// cascade check, which on an empty schedule do nothing; \p edits may record
+/// nothing. Appends each placed task to \p placed. Returns an empty string,
+/// or the reason for the first task that fits nowhere, leaving the tasks
+/// before it placed.
+std::string place_fresh(ScheduleJournal& edits,
+                        std::span<const ProcId> preferred,
+                        const std::vector<std::uint8_t>& failed,
+                        std::vector<TaskId>& placed);
 
 /// The online engine. Construction takes ownership of the graph the
 /// schedule references (arrival/removal events replace it).

@@ -8,18 +8,40 @@ namespace lbmem {
 
 std::vector<ProcTimeline> build_occupancy(const Schedule& sched) {
   const TaskGraph& graph = sched.graph();
-  std::vector<ProcTimeline> occ(
-      static_cast<std::size_t>(sched.architecture().processor_count()),
-      ProcTimeline(graph.hyperperiod()));
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    const InstanceIdx n = graph.instance_count(t);
-    for (InstanceIdx k = 0; k < n; ++k) {
+  const auto procs =
+      static_cast<std::size_t>(sched.architecture().processor_count());
+  const auto tasks = static_cast<TaskId>(graph.task_count());
+  // Gather the placed instances' intervals by processor (a counting sort:
+  // one pass counts, one places), then build each timeline in one pass
+  // (DESIGN.md F40).
+  std::vector<std::size_t> next(procs + 1, 0);
+  for (TaskId t = 0; t < tasks; ++t) {
+    for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
+      const ProcId p = sched.proc(TaskInstance{t, k});
+      if (p != kNoProc) ++next[static_cast<std::size_t>(p) + 1];
+    }
+  }
+  for (std::size_t p = 1; p <= procs; ++p) next[p] += next[p - 1];
+  std::vector<ProcTimeline::Interval> intervals(next[procs]);
+  for (TaskId t = 0; t < tasks; ++t) {
+    const Time wcet = graph.task(t).wcet;
+    for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
       const TaskInstance inst{t, k};
       const ProcId p = sched.proc(inst);
       if (p == kNoProc) continue;
-      occ[static_cast<std::size_t>(p)].add_unchecked(
-          sched.start(inst), graph.task(t).wcet, inst);
+      intervals[next[static_cast<std::size_t>(p)]++] =
+          ProcTimeline::Interval{sched.start(inst), wcet, inst};
     }
+  }
+  // next[p] now ends processor p's run of intervals, and begins p+1's.
+  std::vector<ProcTimeline> occ;
+  occ.reserve(procs);
+  std::size_t begin = 0;
+  for (std::size_t p = 0; p < procs; ++p) {
+    occ.emplace_back(graph.hyperperiod(),
+                     std::span<const ProcTimeline::Interval>(
+                         intervals.data() + begin, next[p] - begin));
+    begin = next[p];
   }
   return occ;
 }

@@ -29,9 +29,9 @@
 namespace lbmem {
 
 /// All-instances occupancy of \p sched: one timeline per processor holding
-/// every placed instance's interval. Unassigned instances (a not-yet-
-/// admitted arrival) have no footprint. \p sched must be overlap-free;
-/// debug builds verify each insertion.
+/// every placed instance's interval, each built in one pass (DESIGN.md
+/// F40). Unassigned instances (a not-yet-admitted arrival) have no
+/// footprint. \p sched must be overlap-free; debug builds verify it.
 std::vector<ProcTimeline> build_occupancy(const Schedule& sched);
 
 /// Undo log over a schedule and its occupancy (DESIGN.md F36).
@@ -44,7 +44,8 @@ class ScheduleJournal {
   /// mirroring \p sched, or empty when the caller keeps no occupancy). Both
   /// must outlive the journal. With \p record false edits apply directly
   /// and nothing can be undone: for state the caller throws away on
-  /// failure anyway (an initial schedule under construction).
+  /// failure anyway (an initial schedule under construction, the fresh
+  /// state of a full re-place).
   ScheduleJournal(Schedule& sched, std::vector<ProcTimeline>& occupancy,
                   bool record = true);
   /// Rolls back every edit still in the log unless commit() ran.
@@ -60,11 +61,6 @@ class ScheduleJournal {
   void rollback(Mark m) noexcept;
   /// Keep every edit: empty the log.
   void commit() noexcept { log_.clear(); }
-  /// Forget the edits recorded after \p m without undoing them: for a state
-  /// the caller throws away.
-  void discard(Mark m) noexcept {
-    while (log_.size() > m) log_.pop_back();
-  }
 
   // ---- edits (each recorded before it applies) ---------------------------
 

@@ -65,7 +65,7 @@ void precedence_lower_bounds(const Schedule& sched, TaskId t,
 /// \p edits: set the start, assign every instance, and occupy the
 /// strict-periodic slots on the processor's timeline. The single definition
 /// of the whole-task commit sequence, shared by the initial schedulers and
-/// the online engine's dirty-set repair.
+/// the online engine's dirty-set repair and full re-place.
 void commit_whole_task(ScheduleJournal& edits, TaskId t, ProcId p,
                        Time start);
 

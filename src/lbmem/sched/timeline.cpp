@@ -15,6 +15,75 @@ ProcTimeline::ProcTimeline(Time hyperperiod) : h_(hyperperiod) {
   buckets_.resize(static_cast<std::size_t>(((h_ - 1) >> bucket_shift_) + 1));
 }
 
+ProcTimeline::ProcTimeline(Time hyperperiod,
+                           std::span<const Interval> intervals)
+    : ProcTimeline(hyperperiod) {
+  // Count every bucket's pieces first, so that each bucket is reserved
+  // once; then fill the buckets unsorted, and sort each one once.
+  std::uint32_t counts[kMaxBuckets] = {};
+  for (const Interval& in : intervals) {
+    LBMEM_REQUIRE(in.len > 0 && in.len <= h_,
+                  "interval length must be in (0, H]");
+    const Time s = mod_floor(in.start, h_);
+    ++counts[bucket_of(s)];
+    if (s + in.len > h_) ++counts[0];
+  }
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    if (counts[b] != 0) buckets_[b].pieces.reserve(counts[b]);
+  }
+  owner_index_.presize(intervals.size());
+  for (const Interval& in : intervals) {
+    const Time s = mod_floor(in.start, h_);
+    OwnerPieces& slots = owner_index_.insert(in.owner);
+    LBMEM_REQUIRE(slots.first < 0,
+                  "ProcTimeline: an owner holds one interval at a time");
+    slots.first = s;
+    if (s + in.len <= h_) {
+      buckets_[bucket_of(s)].pieces.push_back(Piece{s, in.len, in.owner});
+    } else {
+      buckets_[bucket_of(s)].pieces.push_back(Piece{s, h_ - s, in.owner});
+      buckets_[0].pieces.push_back(Piece{0, s + in.len - h_, in.owner});
+      slots.second = 0;
+    }
+  }
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    std::vector<Piece>& v = buckets_[b].pieces;
+    if (v.empty()) continue;
+    std::sort(v.begin(), v.end(), [](const Piece& x, const Piece& y) {
+      return x.start < y.start;
+    });
+    summarize(buckets_[b]);
+    nonempty_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    piece_count_ += v.size();
+  }
+#if LBMEM_TIMELINE_VERIFY
+  // The same check add_unchecked() makes per interval: consecutive pieces
+  // in start order must not overlap.
+  Time reach = 0;
+  for (const Bucket& bucket : buckets_) {
+    for (const Piece& p : bucket.pieces) {
+      LBMEM_REQUIRE(p.start >= reach, "ProcTimeline: intervals overlap");
+      reach = p.start + p.len;
+    }
+  }
+#endif
+}
+
+void ProcTimeline::summarize(Bucket& bucket) noexcept {
+  const std::vector<Piece>& v = bucket.pieces;
+  if (v.empty()) {
+    bucket.first = bucket.last_end = bucket.max_gap = 0;
+    return;
+  }
+  Time gap = 0;
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    gap = std::max(gap, v[i].start - (v[i - 1].start + v[i - 1].len));
+  }
+  bucket.first = v.front().start;
+  bucket.last_end = v.back().start + v.back().len;
+  bucket.max_gap = gap;
+}
+
 std::optional<TaskInstance> ProcTimeline::conflicting_owner(Time start,
                                                             Time len) const {
   return conflicting_owner_if(start, len, NoIgnore{});
@@ -26,11 +95,10 @@ bool ProcTimeline::fits(Time start, Time len) const {
 
 void ProcTimeline::insert_piece(Piece piece) {
   const std::size_t b = bucket_of(piece.start);
-  std::vector<Piece>& v = buckets_[b];
-  auto it = std::lower_bound(
-      v.begin(), v.end(), piece.start,
-      [](const Piece& p, Time value) { return p.start < value; });
-  v.insert(it, piece);
+  std::vector<Piece>& v = buckets_[b].pieces;
+  v.insert(v.begin() + static_cast<std::ptrdiff_t>(lower_index(v, piece.start)),
+           piece);
+  summarize(buckets_[b]);
   nonempty_[b >> 6] |= std::uint64_t{1} << (b & 63);
   ++piece_count_;
 }
@@ -86,6 +154,14 @@ ProcTimeline::OwnerPieces& ProcTimeline::OwnerIndex::insert(TaskInstance key) {
     slot = locate(key);
   }
   return place(slot, key);
+}
+
+void ProcTimeline::OwnerIndex::presize(std::size_t n) {
+  if (n == 0) return;
+  std::size_t cap = 16;  // grow()'s smallest table
+  while (n * 4 > cap * 3) cap <<= 1;
+  table_.assign(cap, Entry{});
+  used_ = live_ = 0;
 }
 
 void ProcTimeline::OwnerIndex::restore(TaskInstance key,
@@ -201,14 +277,13 @@ void ProcTimeline::add_impl(Time start, Time len, TaskInstance owner) {
 Time ProcTimeline::erase_piece_at(Time start, TaskInstance owner) {
   // Pieces are disjoint with positive length, so starts are unique keys.
   const std::size_t b = bucket_of(start);
-  std::vector<Piece>& v = buckets_[b];
-  auto it = std::lower_bound(
-      v.begin(), v.end(), start,
-      [](const Piece& p, Time value) { return p.start < value; });
+  std::vector<Piece>& v = buckets_[b].pieces;
+  const auto it = v.begin() + static_cast<std::ptrdiff_t>(lower_index(v, start));
   LBMEM_REQUIRE(it != v.end() && it->start == start && it->owner == owner,
                 "ProcTimeline owner index out of sync");
   const Time len = it->len;
   v.erase(it);
+  summarize(buckets_[b]);
   if (v.empty()) nonempty_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   --piece_count_;
   return len;
@@ -270,35 +345,39 @@ Time ProcTimeline::first_free(Time x, Time len, Time limit) const {
   if (x >= limit) return limit;
   if (piece_count_ == 0) return x;
   // Unrolled coordinates relative to the start of x's lap: the pieces of
-  // lap L sit at L*H + start. Pieces are disjoint and never cross H, so
-  // only x's predecessor can reach past it.
-  const Time pos = mod_floor(x, h_);
+  // lap L sit at L*H + start.
+  const Time pos = x >= 0 && x < h_ ? x : mod_floor(x, h_);
   const Time base = x - pos;
   const Time end = limit - base;
+  // One binary search finds the first piece at or after pos and the piece
+  // before it. Pieces are disjoint and never cross H, so that one is the
+  // only earlier piece that can reach past pos.
+  std::size_t b = bucket_of(pos);
+  const Bucket* bucket = &buckets_[b];
+  std::size_t i = lower_index(bucket->pieces, pos);
   Time cur = pos;  // candidate start: no piece passed so far reaches past it
-  if (const Piece* prev = predecessor(pos)) {
+  if (const Piece* prev = piece_before(b, i)) {
     cur = std::max(cur, prev->start + prev->len);
   }
-  std::size_t b = bucket_of(pos);
-  const std::vector<Piece>* v = &buckets_[b];
-  std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(v->begin(), v->end(), pos,
-                       [](const Piece& p, Time value) {
-                         return p.start < value;
-                       }) -
-      v->begin());
   Time lap = 0;
   while (cur < end) {
-    while (i == v->size()) {
+    if (i == bucket->pieces.size()) {
       b = next_nonempty(b + 1);
       if (b == npos) {  // past the last piece: continue on the next lap
         lap += h_;
         b = next_nonempty(0);
       }
-      v = &buckets_[b];
+      bucket = &buckets_[b];
       i = 0;
+      // The first piece blocks cur and no inner gap fits len: the walk
+      // through this bucket would end at its last end (DESIGN.md F40).
+      if (lap + bucket->first < cur + len && bucket->max_gap < len) {
+        cur = lap + bucket->last_end;
+        i = bucket->pieces.size();
+        continue;
+      }
     }
-    const Piece& p = (*v)[i++];
+    const Piece& p = bucket->pieces[i++];
     const Time start = lap + p.start;
     if (start >= cur + len) break;  // [cur, cur+len) clears every piece
     cur = start + p.len;  // disjoint pieces in start order: start >= cur
@@ -308,8 +387,8 @@ Time ProcTimeline::first_free(Time x, Time len, Time limit) const {
 
 Time ProcTimeline::busy_time() const {
   Time total = 0;
-  for (const std::vector<Piece>& v : buckets_) {
-    for (const Piece& p : v) total += p.len;
+  for (const Bucket& bucket : buckets_) {
+    for (const Piece& p : bucket.pieces) total += p.len;
   }
   return total;
 }
@@ -321,10 +400,23 @@ bool ProcTimeline::check_index_integrity() const {
   std::size_t count = 0;
   const Piece* prev = nullptr;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const std::vector<Piece>& v = buckets_[b];
+    const std::vector<Piece>& v = buckets_[b].pieces;
     const bool bit =
         (nonempty_[b >> 6] >> (b & 63)) & 1;
     if (bit != !v.empty()) return false;
+    // The summary: all zero when empty, else exact.
+    Time first = 0;
+    Time last_end = 0;
+    Time max_gap = 0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i == 0) first = v[i].start;
+      if (i > 0) max_gap = std::max(max_gap, v[i].start - last_end);
+      last_end = v[i].start + v[i].len;
+    }
+    if (buckets_[b].first != first || buckets_[b].last_end != last_end ||
+        buckets_[b].max_gap != max_gap) {
+      return false;
+    }
     for (const Piece& p : v) {
       // Inside [0, H), in the right bucket, disjoint from its predecessor.
       if (p.start < 0 || p.len <= 0 || p.start + p.len > h_) return false;

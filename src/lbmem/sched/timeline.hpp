@@ -27,11 +27,17 @@
 /// buckets finds that predecessor (and skips empty regions of sparse
 /// timelines) with a couple of word scans. Removal stays indexed: an
 /// owner -> piece-start table (open addressing, one flat backing array)
-/// locates an owner's pieces in O(1) without a predicate scan.
+/// locates an owner's pieces in O(1) without a predicate scan. Each bucket
+/// also keeps a summary (its first start, its last end and its widest gap
+/// between consecutive pieces) that lets the gap walk behind earliest_fit
+/// cross a bucket too crowded for the searched length in one step, and a
+/// timeline built from a whole set of intervals at once fills every bucket
+/// and the owner table in one pass (DESIGN.md F40).
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lbmem/model/types.hpp"
@@ -56,6 +62,22 @@ class ProcTimeline {
  public:
   /// \param hyperperiod circle circumference H (> 0)
   explicit ProcTimeline(Time hyperperiod);
+
+  /// One owner's interval [start, start+len) (repeated mod H).
+  struct Interval {
+    Time start;
+    Time len;
+    TaskInstance owner;
+  };
+
+  /// A timeline holding exactly \p intervals, built in one pass (DESIGN.md
+  /// F40): each bucket is reserved and sorted once, and the owner index is
+  /// sized once at the load add() keeps. The same pieces as adding the
+  /// intervals one by one through add_unchecked(), with the same contract:
+  /// the intervals must be pairwise disjoint, which only
+  /// LBMEM_TIMELINE_VERIFY builds check (PreconditionError). A repeated
+  /// owner always throws.
+  ProcTimeline(Time hyperperiod, std::span<const Interval> intervals);
 
   /// Would interval [start, start+len) (repeated mod H) be free?
   bool fits(Time start, Time len) const;
@@ -131,15 +153,30 @@ class ProcTimeline {
   /// number of starts recorded in the owner index.
   std::size_t piece_count() const { return piece_count_; }
 
+  /// Number of buckets holding at least one piece.
+  std::size_t nonempty_buckets() const {
+    std::size_t count = 0;
+    for (const std::uint64_t word : nonempty_) {
+      count += static_cast<std::size_t>(__builtin_popcountll(word));
+    }
+    return count;
+  }
+
   /// Exhaustive structural audit for tests: every piece inside [0, H) and
-  /// in its start's bucket, buckets sorted and globally disjoint, the
-  /// non-empty bitmap and the piece counter consistent.
+  /// in its start's bucket, buckets sorted and globally disjoint, every
+  /// bucket summary exact, the non-empty bitmap and the piece counter
+  /// consistent.
   bool check_index_integrity() const;
 
   /// Same circle and exactly the same pieces (start, length, owner),
   /// whatever order they were added in. For invariant checks.
   bool same_pieces(const ProcTimeline& other) const {
-    return h_ == other.h_ && buckets_ == other.buckets_;
+    return h_ == other.h_ &&
+           std::equal(buckets_.begin(), buckets_.end(), other.buckets_.begin(),
+                      other.buckets_.end(),
+                      [](const Bucket& a, const Bucket& b) {
+                        return a.pieces == b.pieces;
+                      });
   }
 
  private:
@@ -148,6 +185,15 @@ class ProcTimeline {
     Time len;    // start + len <= H (wrapping intervals are split)
     TaskInstance owner;
     bool operator==(const Piece&) const = default;
+  };
+  /// The pieces starting inside one bucket, and their summary (DESIGN.md
+  /// F40). insert_piece, erase_piece_at and the bulk build keep the summary
+  /// exact; it is all zero while the bucket is empty.
+  struct Bucket {
+    std::vector<Piece> pieces;  // sorted by start
+    Time first = 0;             // start of the first piece
+    Time last_end = 0;          // end of the last piece
+    Time max_gap = 0;  // widest gap between consecutive pieces, 0 for one
   };
   struct OwnerPieces {
     Time first = -1;   // the interval's start, -1 = no interval
@@ -161,6 +207,9 @@ class ProcTimeline {
     OwnerPieces* find(TaskInstance key);
     /// Slot for \p key, inserting an empty record if absent.
     OwnerPieces& insert(TaskInstance key);
+    /// Size an empty index once for \p n owners: the smallest table that
+    /// insert() fills with \p n owners without growing.
+    void presize(std::size_t n);
     /// Re-insert an absent \p key with \p val without ever growing.
     void restore(TaskInstance key, OwnerPieces val) noexcept;
     void erase(TaskInstance key);
@@ -249,21 +298,32 @@ class ProcTimeline {
     }
   }
 
+  /// Index of the first piece of \p v starting at or after \p a.
+  static std::size_t lower_index(const std::vector<Piece>& v, Time a) {
+    return static_cast<std::size_t>(
+        std::lower_bound(v.begin(), v.end(), a,
+                         [](const Piece& p, Time value) {
+                           return p.start < value;
+                         }) -
+        v.begin());
+  }
+
+  /// The piece before piece \p i of bucket \p b in start order, or nullptr:
+  /// piece i-1 of the bucket, else the last piece of the previous non-empty
+  /// bucket.
+  const Piece* piece_before(std::size_t b, std::size_t i) const {
+    if (i > 0) return &buckets_[b].pieces[i - 1];
+    if (b == 0) return nullptr;
+    const std::size_t bp = prev_nonempty(b - 1);
+    if (bp == npos) return nullptr;
+    return &buckets_[bp].pieces.back();
+  }
+
   /// The piece preceding position \p a (largest start < a), or nullptr.
   /// Pieces are disjoint, so it is the only piece that can reach past a.
   const Piece* predecessor(Time a) const {
     const std::size_t ba = bucket_of(a);
-    const std::vector<Piece>& v = buckets_[ba];
-    // Last piece in a's own bucket with start < a …
-    auto it = std::lower_bound(
-        v.begin(), v.end(), a,
-        [](const Piece& p, Time value) { return p.start < value; });
-    if (it != v.begin()) return &*(it - 1);
-    if (ba == 0) return nullptr;
-    // … else the last piece of the previous non-empty bucket.
-    const std::size_t bp = prev_nonempty(ba - 1);
-    if (bp == npos) return nullptr;
-    return &buckets_[bp].back();
+    return piece_before(ba, lower_index(buckets_[ba].pieces, a));
   }
 
   /// First piece intersecting the non-wrapping range [a, b) whose owner is
@@ -279,16 +339,8 @@ class ProcTimeline {
     const std::size_t last = bucket_of(b - 1);
     for (std::size_t bi = next_nonempty(bucket_of(a));
          bi != npos && bi <= last; bi = next_nonempty(bi + 1)) {
-      const std::vector<Piece>& v = buckets_[bi];
-      std::size_t i = 0;
-      if (bi == bucket_of(a)) {
-        i = static_cast<std::size_t>(
-            std::lower_bound(v.begin(), v.end(), a,
-                             [](const Piece& p, Time value) {
-                               return p.start < value;
-                             }) -
-            v.begin());
-      }
+      const std::vector<Piece>& v = buckets_[bi].pieces;
+      std::size_t i = bi == bucket_of(a) ? lower_index(v, a) : 0;
       for (; i < v.size() && v[i].start < b; ++i) {
         if (!ignore(v[i].owner)) return &v[i];
       }
@@ -309,13 +361,16 @@ class ProcTimeline {
 
   /// Smallest y in [x, limit) such that [y, y+len) (mod H) is free, else
   /// \p limit: one forward walk over the pieces in start order on the
-  /// unrolled circle (DESIGN.md F37). Requires 0 < len <= H.
+  /// unrolled circle (DESIGN.md F37) that crosses a bucket in one step when
+  /// its summary shows no gap of len in it (F40). Requires 0 < len <= H.
   Time first_free(Time x, Time len, Time limit) const;
 
   void add_impl(Time start, Time len, TaskInstance owner);
   void insert_piece(Piece piece);
   /// Erase \p owner's piece starting at \p start; returns its length.
   Time erase_piece_at(Time start, TaskInstance owner);
+  /// Recompute \p bucket's summary from its pieces. Cannot throw.
+  static void summarize(Bucket& bucket) noexcept;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static constexpr std::size_t kWords =
@@ -325,7 +380,7 @@ class ProcTimeline {
   int bucket_shift_ = 0;  // bucket width 2^bucket_shift_
   // Pieces starting inside each bucket, sorted by start; globally pairwise
   // disjoint across buckets.
-  std::vector<std::vector<Piece>> buckets_;
+  std::vector<Bucket> buckets_;
   std::uint64_t nonempty_[kWords] = {};  // bitmap of non-empty buckets
   std::size_t piece_count_ = 0;
   // Records the start(s) of each owner's pieces for indexed removal.

@@ -15,7 +15,9 @@
 /// A second case pins build_blocks_around(): growing a decomposition from
 /// one seed task allocates a constant number of times, whatever the size
 /// of the graph around it. A third pins the two searches of a local event,
-/// TaskGraph::try_find and ProcTimeline::earliest_fit, at zero.
+/// TaskGraph::try_find and ProcTimeline::earliest_fit, at zero. A fourth
+/// pins build_occupancy() at one reservation per non-empty bucket plus a
+/// few allocations per processor (DESIGN.md F40).
 ///
 /// The Rebalancer cases extend the discipline to the online engine: a
 /// local WCET event edits the state in place (DESIGN.md F36), so its bytes
@@ -435,6 +437,34 @@ TEST(LookupAllocations, NameLookupAndEarliestFitAllocateNothing) {
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(found, static_cast<std::int64_t>(graph.task_count()) + 200);
   EXPECT_GT(fits, 0);
+#endif
+}
+
+TEST(OccupancyAllocations, BuildReservesEachBucketOnce) {
+#ifdef LBMEM_ALLOC_TEST_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  // A removal, a hyper-period-changing arrival, the engine's construction
+  // and LoadBalancer::balance build the occupancy from nothing. One pass
+  // per timeline reserves each non-empty bucket once and sizes the owner
+  // index once; growing them piece by piece reallocates both.
+  const SuiteInstance instance = balanced_instance(2000);
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::vector<ProcTimeline> occ = build_occupancy(instance.schedule);
+  const std::size_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  std::size_t buckets = 0;
+  std::size_t pieces = 0;
+  for (const ProcTimeline& timeline : occ) {
+    buckets += timeline.nonempty_buckets();
+    pieces += timeline.piece_count();
+  }
+  ASSERT_GT(pieces, 2 * buckets) << "buckets too sparse to tell regrowth";
+  // Per processor: the bucket array and the owner table; plus the
+  // timeline vector and two scratch arrays.
+  EXPECT_LE(allocs, buckets + 2 * occ.size() + 3)
+      << allocs << " allocations for " << buckets << " non-empty buckets on "
+      << occ.size() << " processors";
 #endif
 }
 

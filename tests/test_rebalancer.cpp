@@ -1,19 +1,25 @@
 /// Unit tests for the online rebalancing engine (src/lbmem/online/) on the
 /// paper's worked example: every event kind, rollback semantics, the
 /// migration-penalty knob, and the subset/warm-start rebalance entry point;
-/// plus a seeded sweep pinning the engine's id remap to a by-name reference.
+/// plus a seeded sweep pinning the engine's id remap to a by-name reference,
+/// and the one-pass placement of a full re-place (DESIGN.md F40) pinned to
+/// the dirty-set repair of every task it replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lbmem/gen/event_trace.hpp"
 #include "lbmem/gen/paper_example.hpp"
 #include "lbmem/gen/random_graph.hpp"
+#include "lbmem/gen/suites.hpp"
 #include "lbmem/lb/block_builder.hpp"
 #include "lbmem/lb/load_balancer.hpp"
 #include "lbmem/online/rebalancer.hpp"
@@ -454,6 +460,200 @@ TEST(RebalanceSubset, WarmOccupancyMatchesColdRebuild) {
     EXPECT_TRUE(warm[p].same_pieces(cold[p])) << "processor " << p;
     EXPECT_TRUE(warm[p].check_index_integrity()) << "processor " << p;
   }
+}
+
+// ---- The one-pass placement of a full re-place (DESIGN.md F40) ----------
+
+/// A full re-place as the engine ran it before place_fresh(): the dirty-set
+/// repair with every task dirty, on the empty schedule behind a recording
+/// \p edits — its rank-keyed dirty queue, detach, residency projection,
+/// processor loop and cascade check. The reference place_fresh() must
+/// reproduce exactly.
+std::string repair_every_task(ScheduleJournal& edits,
+                              std::span<const ProcId> preferred,
+                              const std::vector<std::uint8_t>& failed,
+                              std::vector<TaskId>& repaired) {
+  const Schedule& work = edits.schedule();
+  const TaskGraph& graph = work.graph();
+  std::set<std::pair<std::int32_t, TaskId>> dirty;
+  const auto key = [&](TaskId t) {
+    return std::pair{graph.topological_rank(t), t};
+  };
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    dirty.insert(key(t));
+  }
+  const auto detach = [&](TaskId t) {
+    for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
+      const ProcId p = work.proc(TaskInstance{t, k});
+      if (p != kNoProc) edits.remove(p, TaskInstance{t, k});
+    }
+  };
+  for (const auto& [rank, t] : dirty) detach(t);
+  std::vector<Mem> resident;
+  std::vector<Time> bounds;
+  while (!dirty.empty()) {
+    const TaskId t = dirty.begin()->second;
+    dirty.erase(dirty.begin());
+    detach(t);
+    const Task& task = graph.task(t);
+    const InstanceIdx n = graph.instance_count(t);
+    const ProcId pref = preferred[static_cast<std::size_t>(t)];
+    const Architecture& arch = work.architecture();
+    resident.assign(static_cast<std::size_t>(arch.processor_count()), 0);
+    for (InstanceIdx k = 0; k < n; ++k) {
+      const ProcId p = work.proc(TaskInstance{t, k});
+      if (p != kNoProc) resident[static_cast<std::size_t>(p)] += task.memory;
+    }
+    precedence_lower_bounds(work, t, bounds);
+    ProcId best_proc = kNoProc;
+    Time best_start = 0;
+    for (ProcId p = 0; p < arch.processor_count(); ++p) {
+      const auto i = static_cast<std::size_t>(p);
+      if (failed[i]) continue;
+      if (arch.has_memory_limit() &&
+          work.memory_on(p) - resident[i] + task.memory * static_cast<Mem>(n) >
+              arch.memory_capacity()) {
+        continue;
+      }
+      const auto start = edits.occupancy()[i].earliest_fit(
+          bounds[i], task.period, task.wcet, n);
+      if (!start) continue;
+      bool better = false;
+      if (best_proc == kNoProc) {
+        better = true;
+      } else if (*start != best_start) {
+        better = *start < best_start;
+      } else {
+        const bool cand_pref = (p == pref);
+        const bool best_pref = (best_proc == pref);
+        if (cand_pref != best_pref) {
+          better = cand_pref;
+        } else {
+          better = work.memory_on(p) < work.memory_on(best_proc);
+        }
+      }
+      if (better) {
+        best_proc = p;
+        best_start = *start;
+      }
+    }
+    if (best_proc == kNoProc) {
+      return "no feasible placement for task " + task.name;
+    }
+    commit_whole_task(edits, t, best_proc, best_start);
+    repaired.push_back(t);
+    for (const std::int32_t e : graph.deps_out(t)) {
+      const Dependence& dep = graph.dependences()[static_cast<std::size_t>(e)];
+      if (dirty.contains(key(dep.consumer))) continue;
+      for (InstanceIdx k = 0; k < graph.instance_count(dep.consumer); ++k) {
+        const TaskInstance inst{dep.consumer, k};
+        if (work.data_ready(inst, work.proc(inst)) > work.start(inst)) {
+          dirty.insert(key(dep.consumer));
+          break;
+        }
+      }
+    }
+  }
+  return {};
+}
+
+/// One instance of the perfbench family (period levels 3, edge probability
+/// 0.15, in-degree at most 2, M = 8, C = 2) at \p tasks tasks.
+SuiteInstance perfbench_instance(int tasks) {
+  SuiteSpec spec;
+  spec.params.tasks = tasks;
+  spec.params.period_levels = 3;
+  spec.params.edge_probability = 0.15;
+  spec.params.max_in_degree = 2;
+  spec.processors = 8;
+  spec.comm_cost = 2;
+  spec.count = 1;
+  spec.base_seed = 61'000 + static_cast<std::uint64_t>(tasks);
+  spec.max_seed_attempts = 400;
+  std::vector<SuiteInstance> suite = make_suite(spec);
+  EXPECT_EQ(suite.size(), 1u);
+  return std::move(suite.front());
+}
+
+TEST(RebalancerFreshPass, MatchesTheDirtySetRepairOfEveryTask) {
+  // place_fresh() against the repair it replaced, on empty schedules of the
+  // perfbench family: 0-3 failed processors; no capacity, a capacity that
+  // shapes the choices, and one too tight for every task to fit; each
+  // task's preference from a balanced schedule, and none. Starts,
+  // processors, the occupancy and the reject reason must all match.
+  int rejected = 0;
+  int completed = 0;
+  for (const int tasks : {60, 400, 2000}) {
+    const SuiteInstance instance = perfbench_instance(tasks);
+    const TaskGraph& graph = *instance.graph;
+    const Schedule balanced =
+        LoadBalancer().balance(instance.schedule).schedule;
+    std::vector<ProcId> from_balanced;
+    Mem demand = 0;
+    for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+      from_balanced.push_back(balanced.proc(TaskInstance{t, 0}));
+      demand += graph.task(t).memory * graph.instance_count(t);
+    }
+    const std::vector<ProcId> no_preference(graph.task_count(), kNoProc);
+    const std::vector<ProcId>* const preferences[] = {&from_balanced,
+                                                      &no_preference};
+    for (int dead = 0; dead <= 3; ++dead) {
+      std::vector<std::uint8_t> failed(8, 0);
+      for (int i = 0; i < dead; ++i) failed[static_cast<std::size_t>(3 * i + 1)] = 1;
+      const Mem alive = 8 - dead;
+      for (const Mem capacity : {kUnlimitedMemory, demand * 5 / (4 * alive),
+                                 demand * 9 / (10 * alive)}) {
+        const Architecture arch(8, capacity);
+        for (const std::vector<ProcId>* preferred : preferences) {
+          SCOPED_TRACE("N=" + std::to_string(tasks) + " failed=" +
+                       std::to_string(dead) + " capacity=" +
+                       std::to_string(capacity) + " preferences=" +
+                       (preferred == &no_preference ? "none" : "balanced"));
+          Schedule ref_sched(graph, arch, instance.schedule.comm());
+          std::vector<ProcTimeline> ref_occ(8, ProcTimeline(graph.hyperperiod()));
+          ScheduleJournal ref_edits(ref_sched, ref_occ);
+          std::vector<TaskId> ref_placed;
+          const std::string ref_err =
+              repair_every_task(ref_edits, *preferred, failed, ref_placed);
+          ref_edits.commit();
+
+          Schedule sched(graph, arch, instance.schedule.comm());
+          std::vector<ProcTimeline> occ(8, ProcTimeline(graph.hyperperiod()));
+          ScheduleJournal edits(sched, occ, /*record=*/false);
+          std::vector<TaskId> placed;
+          const std::string err =
+              place_fresh(edits, *preferred, failed, placed);
+
+          ASSERT_EQ(err, ref_err);
+          ASSERT_EQ(placed, ref_placed);
+          for (const TaskId t : placed) {
+            ASSERT_EQ(sched.first_start(t), ref_sched.first_start(t))
+                << graph.task(t).name;
+            for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
+              ASSERT_EQ(sched.proc(TaskInstance{t, k}),
+                        ref_sched.proc(TaskInstance{t, k}))
+                  << graph.task(t).name << " instance " << k;
+            }
+          }
+          for (std::size_t p = 0; p < occ.size(); ++p) {
+            ASSERT_TRUE(occ[p].same_pieces(ref_occ[p])) << "processor " << p;
+            ASSERT_EQ(sched.memory_on(static_cast<ProcId>(p)),
+                      ref_sched.memory_on(static_cast<ProcId>(p)));
+          }
+          if (err.empty()) {
+            ++completed;
+            EXPECT_TRUE(sched.complete());
+            EXPECT_TRUE(validate(sched).ok()) << validate(sched).to_string();
+          } else {
+            ++rejected;
+          }
+        }
+      }
+    }
+  }
+  // The sweep reaches both outcomes.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(completed, 0);
 }
 
 }  // namespace

@@ -646,5 +646,56 @@ TEST(TaskGraph, NameIndexAtTwentyThousandTasks) {
   }
 }
 
+TEST(TaskGraph, DuplicateEdgesRejectedAtEightThousandTasks) {
+  // 8,000 tasks and about 16k edges (each task after the first two takes
+  // two producers among the tasks before it): add_dependence checks only
+  // the consumer's own in-edges, and still rejects every duplicate, before
+  // freeze() and after without() rebuilt the lists.
+  constexpr int kTasks = 8000;
+  TaskGraph g;
+  for (int i = 0; i < kTasks; ++i) {
+    g.add_task("t" + std::to_string(i), 16, 1, 1);
+  }
+  std::size_t edges = 0;
+  for (TaskId c = 2; c < kTasks; ++c) {
+    g.add_dependence(c - 1, c);
+    g.add_dependence(c / 2 == c - 1 ? 0 : c / 2, c);
+    edges += 2;
+  }
+  EXPECT_EQ(g.dependence_count(), edges);
+  EXPECT_GT(edges, 15'000u);
+  const auto expect_duplicate = [](TaskGraph& graph, TaskId p, TaskId c) {
+    try {
+      graph.add_dependence(p, c);
+      ADD_FAILURE() << "duplicate " << p << " -> " << c << " accepted";
+    } catch (const ModelError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "duplicate dependence " + graph.task(p).name + " -> " +
+                    graph.task(c).name);
+    }
+  };
+  expect_duplicate(g, 4999, 5000);
+  expect_duplicate(g, 2500, 5000);
+  expect_duplicate(g, 0, 2);
+  g.add_dependence(0, 5000);  // a new producer of the same consumer
+  g.freeze();
+
+  std::vector<TaskId> remap;
+  const TaskId drop = 4999;
+  TaskGraph rebuilt = g.without(std::span<const TaskId>(&drop, 1), remap);
+  const TaskId c = remap[5000];
+  expect_duplicate(rebuilt, remap[2500], c);
+  expect_duplicate(rebuilt, 0, c);
+  expect_duplicate(rebuilt, remap[7998], remap[7999]);
+  // The dropped producer's edge is gone, so an edge from its predecessor
+  // is new; a task added after without() takes edges and rejects them twice.
+  rebuilt.add_dependence(remap[4998], c);
+  const TaskId added = rebuilt.add_task("late", 16, 1, 1);
+  rebuilt.add_dependence(c, added);
+  expect_duplicate(rebuilt, c, added);
+  rebuilt.freeze();
+  EXPECT_EQ(rebuilt.dependence_count(), edges + 1 - 3 + 2);
+}
+
 }  // namespace
 }  // namespace lbmem

@@ -6,7 +6,10 @@
 /// timelines, the kMaxBuckets ceiling, and sparse giant circles where most
 /// buckets stay empty. Dense multi-instance probes check earliest_fit's
 /// leapfrog (DESIGN.md F39) against the naive search and against the
-/// probe-and-jump loop it replaced (F37).
+/// probe-and-jump loop it replaced (F37). Bulk-built timelines and the
+/// per-bucket summaries the gap walk skips crowded buckets with (F40) are
+/// checked against incremental adds and, through churn that rolls removals
+/// back with restore(), against both references.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "lbmem/gen/suites.hpp"
+#include "lbmem/lb/load_balancer.hpp"
+#include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/timeline.hpp"
 #include "lbmem/util/math.hpp"
 #include "lbmem/util/rng.hpp"
@@ -425,6 +431,37 @@ TEST(ProcTimelineBuckets, DenseSmallGapsWalkTheWholeCircle) {
   }
 }
 
+TEST(ProcTimelineBuckets, ExactFitInsideACrowdedBucket) {
+  // Pieces of 1 on every even tick of H = 2048 (buckets of 8 ticks, four
+  // pieces each), then one removed: its bucket's widest inner gap is
+  // exactly 3, the only gap of 3 on the circle. A walk that crossed that
+  // bucket in one step would miss it.
+  const Time h = 2048;
+  ProcTimeline timeline(h);
+  NaiveTimeline naive(h);
+  for (TaskId t = 0; t < 1024; ++t) {
+    timeline.add(2 * t, 1, TaskInstance{t, 0});
+    naive.add(2 * t, 1, TaskInstance{t, 0});
+  }
+  timeline.remove(TaskInstance{802, 0});  // [1604, 1605)
+  naive.remove(TaskInstance{802, 0});
+  ASSERT_TRUE(timeline.check_index_integrity());
+  EXPECT_EQ(timeline.earliest_fit(0, h, 3, 1), 1603);
+  EXPECT_EQ(timeline.earliest_fit(1603, h, 3, 1), 1603);
+  EXPECT_EQ(timeline.earliest_fit(1604, h, 3, 1), 1603 + h);
+  EXPECT_EQ(timeline.earliest_fit(0, h, 4, 1), std::nullopt);
+  for (const Time lb : {Time{-h}, Time{-1}, Time{0}, Time{801}, Time{1600},
+                        Time{2047}, Time{3000}}) {
+    for (const Time wcet : {Time{1}, Time{2}, Time{3}}) {
+      for (const InstanceIdx n : {1, 2}) {
+        ASSERT_EQ(timeline.earliest_fit(lb, h / n, wcet, n),
+                  naive.earliest_fit(lb, h / n, wcet, n))
+            << "lb=" << lb << " wcet=" << wcet << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(ProcTimelineBuckets, WrapHeavy) {
   ProcTimeline tl(100);
   NaiveTimeline naive(100);
@@ -472,6 +509,229 @@ TEST(ProcTimelineBuckets, SamePiecesIgnoresInsertionHistory) {
   ProcTimeline other_circle(200);
   EXPECT_FALSE(ProcTimeline(100).same_pieces(other_circle));
   EXPECT_TRUE(ProcTimeline(100).same_pieces(ProcTimeline(100)));
+}
+
+/// Churn with rollbacks, the way ScheduleJournal drives a timeline: random
+/// adds and removals are logged, and every so often the newest few are
+/// undone in reverse (an add by remove(), a removal by restore() of the
+/// interval it released), so that bucket summaries are exercised after
+/// erasures and re-insertions alike. After every step the index is audited
+/// (summaries included), and whole-task probes must match the start-by-
+/// start search and the probe-and-jump loop.
+void churn_with_rollbacks(Time h, std::uint64_t seed, int steps) {
+  SCOPED_TRACE("H=" + std::to_string(h) + " seed=" + std::to_string(seed));
+  ProcTimeline timeline(h);
+  NaiveTimeline naive(h);
+  Rng rng(seed);
+  struct Edit {
+    bool added;
+    TaskInstance owner;
+    ProcTimeline::Released released;
+  };
+  std::vector<Edit> log;
+  std::vector<TaskInstance> live;
+  TaskId next_task = 0;
+  const auto forget = [&](TaskInstance owner) {
+    live.erase(std::find(live.begin(), live.end(), owner));
+  };
+  for (int step = 0; step < steps; ++step) {
+    const std::int64_t action = rng.uniform(0, 19);
+    if (action < 9 || live.empty()) {
+      const Time len = rng.uniform(1, std::min<Time>(h, 6));
+      const Time start = rng.uniform(-h, 2 * h - 1);
+      if (naive.fits(start, len)) {
+        const TaskInstance owner{next_task++, 0};
+        timeline.add_unchecked(start, len, owner);
+        naive.add(start, len, owner);
+        live.push_back(owner);
+        log.push_back(Edit{true, owner, {}});
+      }
+    } else if (action < 14) {
+      const TaskInstance owner = live[static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1))];
+      const ProcTimeline::Released released = timeline.remove(owner);
+      naive.remove(owner);
+      forget(owner);
+      log.push_back(Edit{false, owner, released});
+    } else if (action < 16) {
+      // Roll back the newest 1..8 edits, newest first.
+      for (std::int64_t n = rng.uniform(1, 8); n > 0 && !log.empty(); --n) {
+        const Edit e = log.back();
+        log.pop_back();
+        if (e.added) {
+          timeline.remove(e.owner);
+          naive.remove(e.owner);
+          forget(e.owner);
+        } else {
+          timeline.restore(e.owner, e.released);
+          naive.add(e.released.start, e.released.len, e.owner);
+          live.push_back(e.owner);
+        }
+      }
+    } else {
+      const InstanceIdx counts[] = {1, 2, 3, 4};
+      InstanceIdx n = counts[rng.uniform(0, 3)];
+      if (h % n != 0) n = 1;
+      const Time period = h / n;
+      const Time wcet = rng.uniform(1, std::min<Time>(period, 7));
+      const Time lb = rng.uniform(-2 * h, 2 * h - 1);
+      const std::optional<Time> got = timeline.earliest_fit(lb, period, wcet, n);
+      ASSERT_EQ(got, naive.earliest_fit(lb, period, wcet, n))
+          << "lb=" << lb << " period=" << period << " wcet=" << wcet
+          << " n=" << n;
+      ASSERT_EQ(got, naive.probe_and_jump_fit(lb, period, wcet, n))
+          << "lb=" << lb << " period=" << period << " wcet=" << wcet
+          << " n=" << n;
+    }
+    ASSERT_TRUE(timeline.check_index_integrity());
+    ASSERT_EQ(timeline.piece_count(), naive.piece_count());
+  }
+}
+
+TEST(ProcTimelineBuckets, SummariesStayExactUnderRollbackChurn) {
+  // Circles of 1, 2, 4 and 16 ticks per bucket: crowded buckets whose
+  // widest gap the walk compares with the wcet, split by adds and merged
+  // by removals and rollbacks.
+  churn_with_rollbacks(/*h=*/240, /*seed=*/31, /*steps=*/1500);
+  churn_with_rollbacks(/*h=*/480, /*seed=*/32, /*steps=*/2500);
+  churn_with_rollbacks(/*h=*/960, /*seed=*/33, /*steps=*/3000);
+  churn_with_rollbacks(/*h=*/4096, /*seed=*/34, /*steps=*/3000);
+}
+
+TEST(ProcTimelineBulk, IntervalsMatchIncrementalAddsIncludingWraps) {
+  // Starts on either side of [0, H) and one interval across H: the bulk
+  // build holds the pieces add_unchecked() leaves, and removes and restores
+  // every owner as an incrementally built timeline does.
+  const Time h = 100;
+  const std::vector<ProcTimeline::Interval> fitting = {
+      {97, 6, TaskInstance{0, 0}},  // wraps: [97, 100) and [0, 3)
+      {30, 5, TaskInstance{1, 0}},   {250, 3, TaskInstance{2, 0}},
+      {-40, 8, TaskInstance{3, 0}},  {188, 4, TaskInstance{4, 0}},
+      {-207, 3, TaskInstance{5, 1}}, {6, 20, TaskInstance{6, 2}},
+  };
+  ProcTimeline added(h);
+  for (const ProcTimeline::Interval& in : fitting) {
+    added.add_unchecked(in.start, in.len, in.owner);
+  }
+  const ProcTimeline bulk(h, fitting);
+  EXPECT_TRUE(bulk.check_index_integrity());
+  EXPECT_TRUE(bulk.same_pieces(added));
+  EXPECT_EQ(bulk.piece_count(), fitting.size() + 1);
+  EXPECT_EQ(bulk.busy_time(), added.busy_time());
+  for (const ProcTimeline::Interval& in : fitting) {
+    ProcTimeline copy = bulk;
+    const ProcTimeline::Released released = copy.remove(in.owner);
+    EXPECT_EQ(released.start, mod_floor(in.start, h));
+    EXPECT_EQ(released.len, in.len);
+    EXPECT_TRUE(copy.check_index_integrity());
+    copy.restore(in.owner, released);
+    EXPECT_TRUE(copy.check_index_integrity());
+    EXPECT_TRUE(copy.same_pieces(added));
+  }
+  EXPECT_TRUE(ProcTimeline(h, {}).same_pieces(ProcTimeline(h)));
+}
+
+TEST(ProcTimelineBulk, RejectsOverlapsUnderVerifyAndRepeatedOwnersAlways) {
+  using Interval = ProcTimeline::Interval;
+  const std::vector<Interval> repeated = {{0, 1, TaskInstance{0, 0}},
+                                          {10, 1, TaskInstance{0, 0}}};
+  EXPECT_THROW(ProcTimeline(100, repeated), PreconditionError);
+  const std::vector<Interval> too_long = {{0, 101, TaskInstance{0, 0}}};
+  EXPECT_THROW(ProcTimeline(100, too_long), PreconditionError);
+#if LBMEM_TIMELINE_VERIFY
+  const std::vector<std::vector<Interval>> overlapping = {
+      {{10, 5, TaskInstance{0, 0}}, {14, 3, TaskInstance{1, 0}}},
+      {{10, 5, TaskInstance{0, 0}}, {110, 1, TaskInstance{1, 0}}},
+      // Only across H: [95, 105) meets [3, 4).
+      {{3, 1, TaskInstance{0, 0}}, {95, 10, TaskInstance{1, 0}}},
+      // Pieces of different buckets (width 2 at H = 300).
+      {{0, 150, TaskInstance{0, 0}}, {149, 2, TaskInstance{1, 0}}},
+  };
+  for (const std::vector<Interval>& bad : overlapping) {
+    const Time h = bad.front().len == 150 ? 300 : 100;
+    EXPECT_THROW(ProcTimeline(h, bad), PreconditionError);
+  }
+#endif
+}
+
+/// One balanced instance of the perfbench family (period levels 3, edge
+/// probability 0.15, in-degree at most 2, M = 8, C = 2).
+Schedule balanced_perfbench_schedule(const SuiteInstance& instance) {
+  return LoadBalancer().balance(instance.schedule).schedule;
+}
+
+TEST(ProcTimelineBulk, BuildOccupancyMatchesIncrementalAdds) {
+  SuiteSpec spec;
+  spec.params.tasks = 400;
+  spec.params.period_levels = 3;
+  spec.params.edge_probability = 0.15;
+  spec.params.max_in_degree = 2;
+  spec.processors = 8;
+  spec.comm_cost = 2;
+  spec.count = 1;
+  spec.base_seed = 63'400;
+  spec.max_seed_attempts = 400;
+  const std::vector<SuiteInstance> suite = make_suite(spec);
+  ASSERT_EQ(suite.size(), 1u);
+  const Schedule sched = balanced_perfbench_schedule(suite.front());
+  const TaskGraph& graph = sched.graph();
+
+  std::vector<ProcTimeline> added(8, ProcTimeline(graph.hyperperiod()));
+  std::vector<std::vector<TaskInstance>> owners(8);
+  int wrapping = 0;
+  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
+    for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
+      const TaskInstance inst{t, k};
+      const auto p = static_cast<std::size_t>(sched.proc(inst));
+      added[p].add_unchecked(sched.start(inst), graph.task(t).wcet, inst);
+      owners[p].push_back(inst);
+      wrapping += mod_floor(sched.start(inst), graph.hyperperiod()) +
+                      graph.task(t).wcet >
+                  graph.hyperperiod();
+    }
+  }
+  EXPECT_GT(wrapping, 0) << "no instance crosses H: the wrap is untested";
+
+  std::vector<ProcTimeline> bulk = build_occupancy(sched);
+  ASSERT_EQ(bulk.size(), added.size());
+  for (std::size_t p = 0; p < bulk.size(); ++p) {
+    SCOPED_TRACE("processor " + std::to_string(p));
+    ASSERT_TRUE(bulk[p].check_index_integrity());
+    ASSERT_TRUE(bulk[p].same_pieces(added[p]));
+    ASSERT_EQ(bulk[p].piece_count(), added[p].piece_count());
+    // Every owner leaves and returns exactly, as a journal rollback needs.
+    for (const TaskInstance owner : owners[p]) {
+      const ProcTimeline::Released released = bulk[p].remove(owner);
+      ASSERT_EQ(released.len, graph.task(owner.task).wcet);
+      ASSERT_TRUE(bulk[p].check_index_integrity());
+      bulk[p].restore(owner, released);
+    }
+    ASSERT_TRUE(bulk[p].check_index_integrity());
+    ASSERT_TRUE(bulk[p].same_pieces(added[p]));
+    // And every owner can leave for good.
+    for (const TaskInstance owner : owners[p]) bulk[p].remove(owner);
+    ASSERT_EQ(bulk[p].piece_count(), 0u);
+    ASSERT_TRUE(bulk[p].check_index_integrity());
+  }
+}
+
+TEST(ProcTimelineBulk, BuildOccupancyRejectsAnOverlapUnderVerify) {
+  TaskGraph graph;
+  graph.add_task("a", 10, 4, 1);
+  graph.add_task("b", 10, 4, 1);
+  graph.freeze();
+  Schedule sched(graph, Architecture(2), CommModel::flat(1));
+  sched.set_first_start(0, 2);
+  sched.set_first_start(1, 5);  // [5, 9) meets a's [2, 6) on P0
+  sched.assign_all(0, 0);
+  sched.assign_all(1, 0);
+#if LBMEM_TIMELINE_VERIFY
+  EXPECT_THROW(build_occupancy(sched), PreconditionError);
+#endif
+  sched.assign_all(1, 1);
+  const std::vector<ProcTimeline> occ = build_occupancy(sched);
+  EXPECT_EQ(occ[0].piece_count(), 1u);
+  EXPECT_EQ(occ[1].piece_count(), 1u);
 }
 
 }  // namespace
