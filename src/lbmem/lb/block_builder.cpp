@@ -7,9 +7,20 @@
 
 namespace lbmem {
 
-const Block& BlockDecomposition::block_containing(TaskInstance inst) const {
+BlockId BlockDecomposition::find(TaskInstance inst) const {
   LBMEM_REQUIRE(graph != nullptr, "decomposition has no graph");
-  const BlockId id = block_of[graph->dense_index(inst)];
+  const std::size_t dense = graph->dense_index(inst);
+  if (!block_of.empty()) return block_of[dense];
+  const auto it = std::lower_bound(
+      reached.begin(), reached.end(), dense,
+      [](const std::pair<std::uint32_t, BlockId>& entry, std::size_t value) {
+        return entry.first < value;
+      });
+  return it != reached.end() && it->first == dense ? it->second : BlockId{-1};
+}
+
+const Block& BlockDecomposition::block_containing(TaskInstance inst) const {
+  const BlockId id = find(inst);
   LBMEM_REQUIRE(id >= 0, "instance is outside the decomposition");
   return blocks[static_cast<std::size_t>(id)];
 }
@@ -39,30 +50,39 @@ class UnionFind {
 
 /// Shared materialization tail of build_blocks and build_blocks_around:
 /// turn instance equivalence classes into Block records, numbered in
-/// global start order, with block_of filled for the given instances and
-/// -1 elsewhere. \p class_of maps an instance to its class id in
-/// [0, class_count); one Block is emitted per class that occurs.
-template <typename ClassOf>
+/// global start order. Each of \p items is one instance, inst_of(item), of
+/// class class_of(item) in [0, class_count); one Block is emitted per class
+/// that occurs. The index is the dense block_of once the items reach a
+/// kDenseShare-th of the graph's instances, else the sorted `reached`.
+template <typename Item, typename InstOf, typename ClassOf>
 BlockDecomposition materialize_blocks(const Schedule& sched,
-                                      std::vector<TaskInstance> instances,
+                                      std::vector<Item> items,
                                       std::size_t class_count,
-                                      ClassOf&& class_of) {
+                                      InstOf&& inst_of, ClassOf&& class_of) {
   const TaskGraph& graph = sched.graph();
-  std::sort(instances.begin(), instances.end(),
-            [&](const TaskInstance& a, const TaskInstance& b) {
-              const Time sa = sched.start(a);
-              const Time sb = sched.start(b);
-              if (sa != sb) return sa < sb;
-              return a < b;
-            });
+  std::sort(items.begin(), items.end(), [&](const Item& x, const Item& y) {
+    const TaskInstance a = inst_of(x);
+    const TaskInstance b = inst_of(y);
+    const Time sa = sched.start(a);
+    const Time sb = sched.start(b);
+    if (sa != sb) return sa < sb;
+    return a < b;
+  });
 
   BlockDecomposition out;
   out.graph = &graph;
-  out.block_of.assign(graph.total_instances(), BlockId{-1});
+  const bool dense =
+      items.size() * BlockDecomposition::kDenseShare >= graph.total_instances();
+  if (dense) {
+    out.block_of.assign(graph.total_instances(), BlockId{-1});
+  } else {
+    out.reached.reserve(items.size());
+  }
   std::vector<BlockId> class_to_block(class_count, BlockId{-1});
 
-  for (const TaskInstance inst : instances) {
-    const std::size_t cls = class_of(inst);
+  for (const Item& item : items) {
+    const TaskInstance inst = inst_of(item);
+    const std::size_t cls = class_of(item);
     BlockId bid = class_to_block[cls];
     if (bid < 0) {
       bid = static_cast<BlockId>(out.blocks.size());
@@ -78,8 +98,15 @@ BlockDecomposition materialize_blocks(const Schedule& sched,
     block.members.push_back(inst);
     block.exec_sum += graph.task(inst.task).wcet;
     block.mem_sum += graph.task(inst.task).memory;
-    out.block_of[graph.dense_index(inst)] = bid;
+    if (dense) {
+      out.block_of[graph.dense_index(inst)] = bid;
+    } else {
+      // Dense indices fit 32 bits: freeze() caps the instance count.
+      out.reached.emplace_back(
+          static_cast<std::uint32_t>(graph.dense_index(inst)), bid);
+    }
   }
+  std::sort(out.reached.begin(), out.reached.end());
 
   for (Block& block : out.blocks) {
     // Members were appended in global start order, so they are sorted.
@@ -132,15 +159,16 @@ BlockDecomposition build_blocks(const Schedule& sched) {
   // Classes are union-find roots over the dense index space.
   return materialize_blocks(
       sched, sched.all_instances(), total,
+      [](TaskInstance inst) { return inst; },
       [&](TaskInstance inst) { return uf.find(dense(inst)); });
 }
 
 BlockDecomposition build_blocks_around(const Schedule& sched,
-                                       std::span<const TaskId> seed_tasks) {
+                                       std::span<const TaskId> seed_tasks,
+                                       EpochSet& visited) {
   LBMEM_REQUIRE(sched.complete(),
                 "build_blocks_around requires a complete schedule");
   const TaskGraph& graph = sched.graph();
-  const std::size_t total = graph.total_instances();
   const auto dense = [&](TaskInstance inst) { return graph.dense_index(inst); };
 
   // Two instances are neighbors when separating them would create a
@@ -153,30 +181,28 @@ BlockDecomposition build_blocks_around(const Schedule& sched,
     return slack < sched.comm().transfer_time(data_size);
   };
 
-  // Flood-fill components from every instance of every seed task.
-  std::vector<std::int32_t> component(total, -1);
+  // Flood-fill components from every instance of every seed task; `found`
+  // records each reached instance with its component.
+  visited.clear(graph.total_instances());
+  std::vector<std::pair<TaskInstance, std::uint32_t>> found;
   std::vector<TaskInstance> frontier;
-  std::vector<TaskInstance> visited;
-  std::int32_t components = 0;
+  std::uint32_t components = 0;
   for (const TaskId seed : seed_tasks) {
     LBMEM_REQUIRE(seed >= 0 && seed < static_cast<TaskId>(graph.task_count()),
                   "seed task id out of range");
     const InstanceIdx n = graph.instance_count(seed);
     for (InstanceIdx k = 0; k < n; ++k) {
       const TaskInstance root{seed, k};
-      if (component[dense(root)] >= 0) continue;
-      const std::int32_t id = components++;
-      component[dense(root)] = id;
+      if (!visited.insert(dense(root))) continue;
+      const std::uint32_t id = components++;
       frontier.assign(1, root);
       while (!frontier.empty()) {
         const TaskInstance inst = frontier.back();
         frontier.pop_back();
-        visited.push_back(inst);
+        found.emplace_back(inst, id);
+        // A reached instance is in this component by construction (BFS).
         const auto visit = [&](TaskInstance next) {
-          std::int32_t& slot = component[dense(next)];
-          if (slot >= 0) return;  // same component by construction (BFS)
-          slot = id;
-          frontier.push_back(next);
+          if (visited.insert(dense(next))) frontier.push_back(next);
         };
         for (const std::int32_t e : graph.deps_in(inst.task)) {
           const Dependence& dep =
@@ -202,11 +228,11 @@ BlockDecomposition build_blocks_around(const Schedule& sched,
 
   // Materialize the discovered components in global start order through
   // the exact same tail build_blocks uses.
+  using Found = std::pair<TaskInstance, std::uint32_t>;
   return materialize_blocks(
-      sched, std::move(visited), static_cast<std::size_t>(components),
-      [&](TaskInstance inst) {
-        return static_cast<std::size_t>(component[dense(inst)]);
-      });
+      sched, std::move(found), components,
+      [](const Found& f) { return f.first; },
+      [](const Found& f) { return f.second; });
 }
 
 }  // namespace lbmem

@@ -3,22 +3,40 @@
 /// \brief Builds the block decomposition of a schedule (paper Section 3.1).
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "lbmem/lb/block.hpp"
+#include "lbmem/util/epoch_set.hpp"
 
 namespace lbmem {
 
-/// The block decomposition plus an instance -> block index.
+/// The block decomposition plus an instance -> block index, kept in one of
+/// two forms, so that its cost follows the instances the decomposition
+/// reached (DESIGN.md F41). A decomposition that reaches at least a
+/// kDenseShare-th of the graph's instances (every full one) fills the dense
+/// table, whose one slot per instance then costs at most kDenseShare slots
+/// per reached instance; a smaller one sorts the sparse index instead.
 struct BlockDecomposition {
+  static constexpr std::size_t kDenseShare = 32;
+
   std::vector<Block> blocks;
-  /// One flat table over the graph's dense instance index:
-  /// block_of[graph->dense_index(inst)] is the BlockId of inst, or -1 for an
-  /// instance a partial decomposition (build_blocks_around) never reached.
+  /// The dense form: one flat table over the graph's dense instance index,
+  /// block_of[graph->dense_index(inst)] is the BlockId of inst, or -1 for
+  /// an instance a partial decomposition (build_blocks_around) never
+  /// reached. Empty in the sparse form.
   std::vector<BlockId> block_of;
+  /// The sparse form: (dense index, BlockId) of every reached instance,
+  /// sorted by dense index. Empty in the dense form.
+  std::vector<std::pair<std::uint32_t, BlockId>> reached;
   /// Graph the dense index refers to; like a Schedule's, it must outlive
   /// the decomposition.
   const TaskGraph* graph = nullptr;
+
+  /// BlockId of \p inst, or -1 for an instance a partial decomposition
+  /// never reached. Throws PreconditionError for an instance out of the
+  /// graph's range.
+  BlockId find(TaskInstance inst) const;
 
   /// Block holding \p inst. Throws PreconditionError for an instance out of
   /// the graph's range or outside a partial decomposition.
@@ -42,11 +60,14 @@ BlockDecomposition build_blocks(const Schedule& sched);
 /// blocks reachable from any instance of a seed task through chains of
 /// tight same-processor dependences (the same merge rule as build_blocks)
 /// are materialized, by BFS from the seeds instead of a global edge sweep.
-/// block_of entries of undiscovered instances stay -1; blocks are numbered
-/// in the same global start order build_blocks uses, so a pass over the
-/// result behaves like the corresponding slice of the full decomposition.
-/// Cost is proportional to the discovered neighborhood, not the system.
+/// Blocks are numbered in the same global start order build_blocks uses, so
+/// a pass over the result behaves like the corresponding slice of the full
+/// decomposition. \p visited is the caller's scratch, cleared here (its
+/// contents are overwritten). Once it has grown to the graph's instance
+/// count, the cost is proportional to the discovered neighborhood, not the
+/// system (DESIGN.md F41); growing it costs one pass over the instances.
 BlockDecomposition build_blocks_around(const Schedule& sched,
-                                       std::span<const TaskId> seed_tasks);
+                                       std::span<const TaskId> seed_tasks,
+                                       EpochSet& visited);
 
 }  // namespace lbmem

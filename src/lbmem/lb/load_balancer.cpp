@@ -4,6 +4,7 @@
 #include <limits>
 #include <queue>
 
+#include "lbmem/lb/gain_reduction.hpp"
 #include "lbmem/model/hyperperiod.hpp"
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
@@ -36,16 +37,23 @@ namespace {
 /// invariant split of each member's external data-readiness, and the gain
 /// cap imposed by the block's pinned later instances. evaluate() therefore
 /// performs no heap allocation and never rewalks the dependence graph.
+///
+/// The per-instance state lives in the caller's BalanceScratch (DESIGN.md
+/// F41): the pop's affected set as epoch marks, and the committed flags,
+/// which the destructor clears on every exit, so an attempt costs what its
+/// blocks touch, not one pass over every instance.
 class Attempt {
  public:
   Attempt(ScheduleJournal& journal, const BalanceOptions& opts,
-          Time max_gain_override, const BlockDecomposition& dec)
+          Time max_gain_override, const BlockDecomposition& dec,
+          BalanceScratch& scratch)
       : opts_(opts),
         max_gain_(max_gain_override),
         journal_(journal),
         sched_(journal.schedule()),
         all_occ_(journal.occupancy()),
         dec_(dec),
+        scratch_(scratch),
         h_(sched_.graph().hyperperiod()),
         procs_(sched_.architecture().processor_count()),
         moved_mem_(static_cast<std::size_t>(procs_), Mem{0}),
@@ -56,14 +64,25 @@ class Attempt {
     for (ProcId p = 0; p < procs_; ++p) {
       resident_mem_[static_cast<std::size_t>(p)] = sched_.memory_on(p);
     }
+    // Grow the committed flags before any is set: new bytes read zero.
     const std::size_t total = sched_.graph().total_instances();
-    instance_processed_.assign(total, 0);
-    affected_epoch_.assign(total, 0);
+    if (scratch_.committed.size() < total) scratch_.committed.resize(total, 0);
     if (opts_.overlap_rule == OverlapRule::MovedOnly) {
       // The moved-prefix timelines exist only under MovedOnly; see commit().
       occupancy_.assign(static_cast<std::size_t>(procs_), ProcTimeline(h_));
     }
   }
+
+  /// Clear the committed flags: only block members are ever set.
+  ~Attempt() {
+    for (const Block& block : dec_.blocks) {
+      for (const TaskInstance& inst : block.members) {
+        scratch_.committed[dense(inst)] = 0;
+      }
+    }
+  }
+  Attempt(const Attempt&) = delete;
+  Attempt& operator=(const Attempt&) = delete;
 
   /// Run the heuristic; returns true when the final schedule validates.
   bool run(std::vector<StepRecord>* trace, BalanceStats& stats);
@@ -79,17 +98,6 @@ class Attempt {
   };
   using RequeueQueue =
       std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>;
-
-  /// One instance a tentative move relocates, frozen at pop time: members
-  /// land on the candidate destination; for a positive category-1 gain the
-  /// later instances of the block's tasks shift in place on their own
-  /// processor. Tentative start = base_start - gain.
-  struct LayoutEntry {
-    TaskInstance inst;
-    ProcId proc;  // shifting siblings: own processor; members: the candidate
-    Time base_start;
-    Time wcet;
-  };
 
   /// Destination-invariant split of one member's external data-readiness
   /// (paper Eq. 1): over external producers, the arrival is end + C unless
@@ -154,19 +162,30 @@ class Attempt {
     return (best.gain - opts_.migration_penalty > home.gain) ? best : home;
   }
 
-  /// An instance this pop's tentative move would relocate (its existing
-  /// footprint must not block its own placement).
-  bool is_affected(TaskInstance inst) const {
-    return affected_epoch_[dense(inst)] == epoch_;
+  /// Committed by this attempt?
+  bool committed(TaskInstance inst) const {
+    return scratch_.committed[dense(inst)] != 0;
   }
 
-  /// Occupancy filter for overlap checks: skip only affected instances
-  /// that are still unprocessed. A processed sibling is a committed
-  /// placement (it also pins the gain to zero), so its footprint must keep
-  /// blocking candidates — under MovedOnly it is the only record of the
-  /// committed prefix the old unfiltered scan consulted.
+  /// Occupancy filter for overlap checks: skip only the instances this
+  /// pop's tentative move would relocate (their existing footprints must
+  /// not block their own placement) that are still uncommitted —
+  /// prepare_block() marks exactly those. A committed sibling is a
+  /// committed placement (it also pins the gain to zero), so its footprint
+  /// must keep blocking candidates — under MovedOnly it is the only record
+  /// of the committed prefix.
   bool ignore_in_occupancy(TaskInstance inst) const {
-    return is_affected(inst) && !instance_processed_[dense(inst)];
+    return scratch_.marks.contains(dense(inst));
+  }
+
+  /// The timelines overlap checks consult, per the configured rule.
+  std::span<const ProcTimeline> blocking_timelines() const {
+    return opts_.overlap_rule == OverlapRule::AllInstances
+               ? std::span<const ProcTimeline>(all_occ_)
+               : std::span<const ProcTimeline>(occupancy_);
+  }
+  const ProcTimeline& blocking_occ(ProcId p) const {
+    return blocking_timelines()[static_cast<std::size_t>(p)];
   }
 
   /// Update the all-instances occupancy after a commit. Only instances
@@ -210,12 +229,6 @@ class Attempt {
     return all_occ_[static_cast<std::size_t>(p)];
   }
 
-  /// Occupancy consulted by overlap checks, per the configured rule.
-  const ProcTimeline& blocking_occ(ProcId p) const {
-    return opts_.overlap_rule == OverlapRule::AllInstances
-               ? all_occ(p)
-               : occupancy_[static_cast<std::size_t>(p)];
-  }
   ProcTimeline& occupancy(ProcId p) {
     return occupancy_[static_cast<std::size_t>(p)];
   }
@@ -228,6 +241,7 @@ class Attempt {
   // Blocks depend only on the (shared) input schedule, so the
   // decomposition is built once per balance() and reused across attempts.
   const BlockDecomposition& dec_;
+  BalanceScratch& scratch_;  // per-instance marks and committed flags
   Time h_;
   int procs_;
   std::vector<ProcTimeline> occupancy_;  // moved prefix only
@@ -237,12 +251,7 @@ class Attempt {
   std::vector<Time> last_moved_end_;
   std::vector<Time> first_moved_start_;
   std::vector<Mem> resident_mem_;
-  std::vector<bool> processed_;
-  std::vector<std::uint8_t> instance_processed_; // flat, by graph dense index
-  // Epoch-stamped membership of the current pop's affected set: stamping is
-  // O(|affected|) per pop with no clearing pass.
-  std::vector<std::uint32_t> affected_epoch_;
-  std::uint32_t epoch_ = 0;
+  std::vector<bool> processed_;  // by block id
 
   // ---- scratch prepared by prepare_block(), read-only in evaluate() ------
   // (capacities persist across pops, so steady-state pops do not allocate)
@@ -269,11 +278,15 @@ void Attempt::prepare_block(const Block& block) {
   pinned_cap_ = std::numeric_limits<Time>::max();
   member_cap_ = std::numeric_limits<Time>::max();
   block_start_ = block.start(sched_);
-  ++epoch_;
+  // A new epoch empties the marks in O(1).
+  scratch_.marks.clear(graph().total_instances());
+  const auto mark = [&](TaskInstance inst) {
+    affected_.push_back(inst);
+    if (!committed(inst)) scratch_.marks.insert(dense(inst));
+  };
 
   for (const TaskInstance& inst : block.members) {
-    affected_.push_back(inst);
-    affected_epoch_[dense(inst)] = epoch_;
+    mark(inst);
     layout_.push_back(LayoutEntry{inst, kNoProc, sched_.start(inst),
                                   graph().task(inst.task).wcet});
   }
@@ -283,8 +296,7 @@ void Attempt::prepare_block(const Block& block) {
       const InstanceIdx n = graph().instance_count(t);
       for (InstanceIdx k = 1; k < n; ++k) {
         const TaskInstance inst{t, k};
-        affected_.push_back(inst);
-        affected_epoch_[dense(inst)] = epoch_;
+        mark(inst);
         layout_.push_back(LayoutEntry{inst, sched_.proc(inst),
                                       sched_.start(inst),
                                       graph().task(inst.task).wcet});
@@ -368,7 +380,7 @@ void Attempt::prepare_block(const Block& block) {
       const InstanceIdx n = graph().instance_count(t);
       for (InstanceIdx k = 1; k < n; ++k) {
         const TaskInstance later{t, k};
-        if (instance_processed_[dense(later)]) {
+        if (committed(later)) {
           pinned_cap_ = 0;  // committed placements must not move retroactively
           continue;
         }
@@ -527,54 +539,19 @@ DestinationScore Attempt::evaluate(const Block& block, ProcId dest,
     }
 
     // Conflict-driven reduction against the moved prefix: every affected
-    // instance must avoid the committed occupation on its target processor.
-    // Reducing the gain slides positions later; each step clears the
-    // current conflict at the end of the conflicting piece. The scan
-    // resumes from the conflicting entry (re-checking it at the reduced
-    // gain) and terminates once a full circular pass stays conflict-free —
-    // committed pieces never move, so any gain skipped over is infeasible
-    // for the instance that conflicted, making the result order-independent.
-    const std::size_t total = layout_.size();
-    std::size_t idx = 0;
-    std::size_t cleared = 0;
-    std::size_t guard = 0;
-    while (cleared < total) {
-      const LayoutEntry& le = layout_[idx];
-      // Shifting siblings only move while the gain is positive; at zero
-      // gain they stay put and impose no constraint.
-      const bool active = idx < member_count_ || gain > 0;
-      if (active) {
-        const ProcId where = idx < member_count_ ? dest : le.proc;
-        const Time tentative = le.base_start - gain;
-        if (const auto conflict = blocking_occ(where).conflicting_owner_if(
-                tentative, le.wcet, [this](TaskInstance owner) {
-                  return ignore_in_occupancy(owner);
-                })) {
-          if (++guard > 10000) {
-            score.reject_reason = "no conflict-free gain";
-            return score;
-          }
-          const Time conflict_end =
-              sched_.end(*conflict);  // committed positions never move later
-          Time delta = mod_floor(conflict_end - tentative, h_);
-          if (delta == 0) delta = h_;
-          gain -= delta;
-          if (gain < 0) {
-            score.reject_reason = "overlap with moved blocks";
-            return score;
-          }
-          if (cannot_beat(gain)) {
-            score.cut_by_incumbent = true;
-            score.reject_reason = "cut off: cannot beat the incumbent";
-            return score;
-          }
-          cleared = 0;
-          continue;  // re-check this entry at the reduced gain
-        }
-      }
-      ++cleared;
-      idx = (idx + 1 == total) ? 0 : idx + 1;
+    // instance must avoid the committed occupation on its target processor
+    // (DESIGN.md F41).
+    const GainReduction reduced = reduce_gain(
+        layout_, member_count_, blocking_occ(dest), blocking_timelines(),
+        gain,
+        [this](TaskInstance owner) { return ignore_in_occupancy(owner); },
+        cannot_beat);
+    if (reduced.reject_reason != nullptr) {
+      score.cut_by_incumbent = reduced.cut_by_incumbent;
+      score.reject_reason = reduced.reject_reason;
+      return score;
     }
+    gain = reduced.gain;
   } else {
     // Category 2: pinned by strict periodicity; the move must work at the
     // current start times.
@@ -642,7 +619,7 @@ void Attempt::commit(const Block& block, ProcId dest, Time gain, bool forced,
         LBMEM_REQUIRE(forced, "unexpected occupancy conflict on commit");
       }
     }
-    instance_processed_[dense(inst)] = 1;
+    scratch_.committed[dense(inst)] = 1;
   }
 
   if (dest != block.home) {
@@ -708,7 +685,7 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
   // against that mirror, so no overlap exists anywhere and precedence can
   // only have broken at a moved instance or a consumer of one (DESIGN.md
   // F35).
-  const bool ok = is_valid_around(sched_, moved_);
+  const bool ok = is_valid_around(sched_, moved_, scratch_.marks);
 #if LBMEM_TIMELINE_VERIFY
   LBMEM_REQUIRE(ok == is_valid(sched_),
                 "moved-set validation disagrees with is_valid");
@@ -878,8 +855,8 @@ void Attempt::decide_block(BlockId id, std::vector<StepRecord>* trace,
       for (const TaskId t : block.tasks) {
         const InstanceIdx n = graph().instance_count(t);
         for (InstanceIdx k = 1; k < n; ++k) {
-          const BlockId other = dec_.block_of[dense(TaskInstance{t, k})];
-          // Partial decompositions leave undiscovered instances at -1;
+          const BlockId other = dec_.find(TaskInstance{t, k});
+          // A partial decomposition never reached the other instances;
           // their blocks are out of scope and never popped, so there is
           // nothing to re-queue (the shifted footprints are already
           // maintained by update_all_occ).
@@ -917,7 +894,8 @@ BalanceResult LoadBalancer::balance(const Schedule& input) const {
     occupancy = build_occupancy(work);
   }
   ScheduleJournal journal(work, occupancy);
-  RebalanceResult result = run_attempts(journal, dec);
+  BalanceScratch scratch;
+  RebalanceResult result = run_attempts(journal, dec, scratch);
   journal.commit();
   return BalanceResult{std::move(work), std::move(result.stats),
                        std::move(result.trace)};
@@ -927,13 +905,15 @@ RebalanceResult LoadBalancer::rebalance(
     Schedule& sched, std::vector<ProcTimeline>& occupancy,
     const BlockDecomposition& blocks) const {
   ScheduleJournal journal(sched, occupancy);
-  RebalanceResult result = rebalance(journal, blocks);
+  BalanceScratch scratch;
+  RebalanceResult result = rebalance(journal, blocks, scratch);
   journal.commit();
   return result;
 }
 
-RebalanceResult LoadBalancer::rebalance(
-    ScheduleJournal& journal, const BlockDecomposition& blocks) const {
+RebalanceResult LoadBalancer::rebalance(ScheduleJournal& journal,
+                                        const BlockDecomposition& blocks,
+                                        BalanceScratch& scratch) const {
   const Schedule& sched = journal.schedule();
   LBMEM_REQUIRE(sched.complete(), "rebalance requires a complete schedule");
   // Under MovedOnly, instances outside the scope would be invisible to
@@ -949,11 +929,12 @@ RebalanceResult LoadBalancer::rebalance(
                   sched.architecture().processor_count()) &&
           occupancy.front().hyperperiod() == sched.graph().hyperperiod(),
       "rebalance needs the schedule's all-instances occupancy");
-  return run_attempts(journal, blocks);
+  return run_attempts(journal, blocks, scratch);
 }
 
-RebalanceResult LoadBalancer::run_attempts(
-    ScheduleJournal& journal, const BlockDecomposition& dec) const {
+RebalanceResult LoadBalancer::run_attempts(ScheduleJournal& journal,
+                                           const BlockDecomposition& dec,
+                                           BalanceScratch& scratch) const {
   obs::ScopedSpan balance_span("lb.balance");
   Stopwatch watch;
   const Schedule& sched = journal.schedule();
@@ -980,8 +961,9 @@ RebalanceResult LoadBalancer::run_attempts(
     BalanceStats stats = base;
     stats.attempts_used = attempt;
     std::vector<StepRecord> trace;
-    const bool ok = Attempt(journal, options_, gain_override, dec)
-                        .run(options_.record_trace ? &trace : nullptr, stats);
+    const bool ok =
+        Attempt(journal, options_, gain_override, dec, scratch)
+            .run(options_.record_trace ? &trace : nullptr, stats);
     if (!ok) {
       journal.rollback(mark);
       continue;

@@ -33,6 +33,7 @@
 #include "lbmem/sched/journal.hpp"
 #include "lbmem/sched/schedule.hpp"
 #include "lbmem/sched/timeline.hpp"
+#include "lbmem/util/epoch_set.hpp"
 
 namespace lbmem::obs {
 class Registry;
@@ -160,6 +161,23 @@ struct RebalanceResult {
   std::vector<StepRecord> trace;
 };
 
+/// Per-instance working memory of the balance stage (DESIGN.md F41), kept
+/// across runs so that a local event touches only the instances it visits
+/// instead of zeroing arrays over every instance. The online engine keeps
+/// one for its lifetime; a balance() call, or a rebalance() given none,
+/// makes its own. It grows to the largest graph it has served and stays in
+/// a usable state whatever a run throws.
+struct BalanceScratch {
+  /// Visited instances: build_blocks_around()'s flood fill, then the
+  /// affected set of each popped block, then the moved-set validation, one
+  /// after another.
+  EpochSet marks;
+  /// One byte per instance, set while the running attempt has committed it.
+  /// All zero between attempts: an attempt clears what it set on every
+  /// exit.
+  std::vector<std::uint8_t> committed;
+};
+
 /// The load-balancing heuristic.
 class LoadBalancer {
  public:
@@ -196,18 +214,20 @@ class LoadBalancer {
                             std::vector<ProcTimeline>& occupancy,
                             const BlockDecomposition& blocks) const;
 
-  /// The same, editing through \p journal's schedule and occupancy. The
-  /// edits stay in the journal for the caller to commit or roll back (the
-  /// online engine keeps one journal per event); a fallback rolls the
-  /// journal back to the mark it had on entry.
+  /// The same, editing through \p journal's schedule and occupancy, with
+  /// the caller's \p scratch. The edits stay in the journal for the caller
+  /// to commit or roll back (the online engine keeps one journal per
+  /// event); a fallback rolls the journal back to the mark it had on entry.
   RebalanceResult rebalance(ScheduleJournal& journal,
-                            const BlockDecomposition& blocks) const;
+                            const BlockDecomposition& blocks,
+                            BalanceScratch& scratch) const;
 
   const BalanceOptions& options() const { return options_; }
 
  private:
   RebalanceResult run_attempts(ScheduleJournal& journal,
-                               const BlockDecomposition& dec) const;
+                               const BlockDecomposition& dec,
+                               BalanceScratch& scratch) const;
 
   BalanceOptions options_;
 };

@@ -347,9 +347,9 @@ void Rebalancer::run_balance_stage(ScheduleJournal& journal,
     }
     std::sort(seeds.begin(), seeds.end());
     seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-    return build_blocks_around(*sched_, seeds);
+    return build_blocks_around(*sched_, seeds, scratch_.marks);
   }();
-  const RebalanceResult result = balancer.rebalance(journal, dec);
+  const RebalanceResult result = balancer.rebalance(journal, dec, scratch_);
 
   out.dirty_blocks = result.stats.blocks_total;
   out.balance_fell_back = result.stats.fell_back;

@@ -191,6 +191,9 @@ class Rebalancer {
   std::vector<ProcTimeline> occ_;
   /// Shed-rung victims accumulated across events (DESIGN.md F28).
   std::vector<std::string> shed_;
+  /// The balance stage's per-instance working memory, kept across events
+  /// so that a local event touches only what it visits (DESIGN.md F41).
+  BalanceScratch scratch_;
 };
 
 }  // namespace lbmem

@@ -346,39 +346,27 @@ Time ProcTimeline::first_free(Time x, Time len, Time limit) const {
   if (piece_count_ == 0) return x;
   // Unrolled coordinates relative to the start of x's lap: the pieces of
   // lap L sit at L*H + start.
-  const Time pos = x >= 0 && x < h_ ? x : mod_floor(x, h_);
+  const Time pos = circle_pos(x);
   const Time base = x - pos;
   const Time end = limit - base;
-  // One binary search finds the first piece at or after pos and the piece
-  // before it. Pieces are disjoint and never cross H, so that one is the
-  // only earlier piece that can reach past pos.
-  std::size_t b = bucket_of(pos);
-  const Bucket* bucket = &buckets_[b];
-  std::size_t i = lower_index(bucket->pieces, pos);
+  Cursor c;
   Time cur = pos;  // candidate start: no piece passed so far reaches past it
-  if (const Piece* prev = piece_before(b, i)) {
+  if (const Piece* prev = seek(pos, c)) {
     cur = std::max(cur, prev->start + prev->len);
   }
-  Time lap = 0;
   while (cur < end) {
-    if (i == bucket->pieces.size()) {
-      b = next_nonempty(b + 1);
-      if (b == npos) {  // past the last piece: continue on the next lap
-        lap += h_;
-        b = next_nonempty(0);
-      }
-      bucket = &buckets_[b];
-      i = 0;
+    if (c.i == c.bucket->pieces.size()) {
+      next_bucket(c);
       // The first piece blocks cur and no inner gap fits len: the walk
       // through this bucket would end at its last end (DESIGN.md F40).
-      if (lap + bucket->first < cur + len && bucket->max_gap < len) {
-        cur = lap + bucket->last_end;
-        i = bucket->pieces.size();
+      if (c.lap + c.bucket->first < cur + len && c.bucket->max_gap < len) {
+        cur = c.lap + c.bucket->last_end;
+        c.i = c.bucket->pieces.size();
         continue;
       }
     }
-    const Piece& p = bucket->pieces[i++];
-    const Time start = lap + p.start;
+    const Piece& p = c.bucket->pieces[c.i++];
+    const Time start = c.lap + p.start;
     if (start >= cur + len) break;  // [cur, cur+len) clears every piece
     cur = start + p.len;  // disjoint pieces in start order: start >= cur
   }

@@ -5,11 +5,13 @@
 /// A strict-periodic schedule repeats with period H, so processor
 /// exclusivity is equivalent to: the occupation intervals of all instances
 /// placed on the processor are pairwise disjoint modulo H. ProcTimeline
-/// maintains that circular occupancy and answers two questions:
+/// maintains that circular occupancy and answers three questions:
 ///   * does an instance interval fit? (used by the validator and the load
 ///     balancer's overlap checks)
 ///   * what is the earliest start >= lb at which a whole strict-periodic
 ///     task (n instances spaced T apart) fits? (used by the scheduler)
+///   * which pieces, skipping some owners, does an interval sliding later
+///     from x run into? (used by the balancer's gain reduction)
 ///
 /// Feasibility of a first-instance start S is periodic in S with period T:
 /// shifting S by T reproduces the same occupied positions modulo H, so the
@@ -32,7 +34,8 @@
 /// between consecutive pieces) that lets the gap walk behind earliest_fit
 /// cross a bucket too crowded for the searched length in one step, and a
 /// timeline built from a whole set of intervals at once fills every bucket
-/// and the owner table in one pass (DESIGN.md F40).
+/// and the owner table in one pass (DESIGN.md F40). The balancer's filtered
+/// walk shares that gap walk's start lookup and bucket advance (F41).
 
 #include <algorithm>
 #include <cstdint>
@@ -130,6 +133,46 @@ class ProcTimeline {
       return p->owner;
     }
     return std::nullopt;
+  }
+
+  /// The filtered gap walk behind the balancer's gain reduction (DESIGN.md
+  /// F41). From \p x, the walk steps past each piece that overlaps
+  /// [cur, cur+len) and whose owner \p ignore (a callable TaskInstance ->
+  /// bool) does not skip, in start order on the unrolled circle, and
+  /// reports every landing to \p on_landing (a callable Time -> bool that
+  /// returns false to stop the walk). A landing is the blocking owner's
+  /// end: the first position after cur that is congruent to it modulo H, so
+  /// a wrapped owner lands once, past H, and a full-circle owner one lap on.
+  /// Returns true once [cur, cur+len) is free of blocking pieces, false when
+  /// on_landing stopped the walk. Requires 0 < len <= H. Every piece is
+  /// visited: no bucket is crossed on its summary, because each landing
+  /// counts for the caller.
+  template <typename Ignore, typename OnLanding>
+  bool walk_blocking(Time x, Time len, Ignore&& ignore,
+                     OnLanding&& on_landing) const {
+    LBMEM_REQUIRE(len > 0 && len <= h_, "interval length must be in (0, H]");
+    if (piece_count_ == 0) return true;
+    const Time pos = circle_pos(x);
+    const Time base = x - pos;
+    Cursor c;
+    Time cur = pos;
+    if (const Piece* prev = seek(pos, c)) {
+      if (prev->start + prev->len > pos && !ignore(prev->owner)) {
+        cur = owner_end(*prev, 0);
+        if (!on_landing(base + cur)) return false;
+      }
+    }
+    while (true) {
+      if (c.i == c.bucket->pieces.size()) next_bucket(c);
+      const Piece& p = c.bucket->pieces[c.i++];
+      const Time start = c.lap + p.start;
+      if (start >= cur + len) return true;  // [cur, cur+len) is free
+      // Only a wrapped owner's second piece can end by cur: its landing
+      // already passed it.
+      if (start + p.len <= cur || ignore(p.owner)) continue;
+      cur = owner_end(p, c.lap);
+      if (!on_landing(base + cur)) return false;
+    }
   }
 
   /// Earliest S in [lb, lb+period) such that every instance interval
@@ -364,6 +407,61 @@ class ProcTimeline {
   /// unrolled circle (DESIGN.md F37) that crosses a bucket in one step when
   /// its summary shows no gap of len in it (F40). Requires 0 < len <= H.
   Time first_free(Time x, Time len, Time limit) const;
+
+  // ---- the forward walk first_free and walk_blocking share -------------
+
+  /// Where a forward walk stands: the next piece is piece i of bucket b, on
+  /// the lap that starts at `lap` in unrolled coordinates.
+  struct Cursor {
+    std::size_t b = 0;
+    const Bucket* bucket = nullptr;
+    std::size_t i = 0;
+    Time lap = 0;
+  };
+
+  /// x's position on the circle, in [0, H).
+  Time circle_pos(Time x) const {
+    return x >= 0 && x < h_ ? x : mod_floor(x, h_);
+  }
+
+  /// Point \p c at the first piece starting at or after \p pos (in [0, H))
+  /// on lap 0, and return the piece before it, or nullptr. Pieces are
+  /// disjoint and never cross H, so that one is the only earlier piece that
+  /// can reach past pos.
+  const Piece* seek(Time pos, Cursor& c) const {
+    c.b = bucket_of(pos);
+    c.bucket = &buckets_[c.b];
+    c.i = lower_index(c.bucket->pieces, pos);
+    c.lap = 0;
+    return piece_before(c.b, c.i);
+  }
+
+  /// Advance \p c to the first piece of the next non-empty bucket, past the
+  /// last one onto the next lap. Requires a piece.
+  void next_bucket(Cursor& c) const {
+    c.b = next_nonempty(c.b + 1);
+    if (c.b == npos) {
+      c.lap += h_;
+      c.b = next_nonempty(0);
+    }
+    c.bucket = &buckets_[c.b];
+    c.i = 0;
+  }
+
+  /// The end of \p p's owner in unrolled coordinates, for p on the lap that
+  /// starts at \p lap. An owner that wraps holds [s, H) and [0, e); the
+  /// first ends at H + e, on the next lap.
+  Time owner_end(const Piece& p, Time lap) const {
+    const Time end = lap + p.start + p.len;
+    if (p.start > 0 && p.start + p.len == h_) {
+      const std::vector<Piece>& head = buckets_[0].pieces;
+      if (!head.empty() && head.front().start == 0 &&
+          head.front().owner == p.owner) {
+        return end + head.front().len;
+      }
+    }
+    return end;
+  }
 
   void add_impl(Time start, Time len, TaskInstance owner);
   void insert_piece(Piece piece);

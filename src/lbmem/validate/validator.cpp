@@ -194,7 +194,7 @@ bool is_valid(const Schedule& sched) {
 }
 
 bool is_valid_around(const Schedule& sched,
-                     std::span<const TaskInstance> moved) {
+                     std::span<const TaskInstance> moved, EpochSet& seen) {
   // V1; a complete schedule has every start set, hence non-negative.
   if (!sched.complete()) return false;
   const Architecture& arch = sched.architecture();
@@ -205,13 +205,11 @@ bool is_valid_around(const Schedule& sched,
   }
   // V4 reads an instance's own start and processor and its producers' end
   // and processor, so it can only have changed at a moved instance or at a
-  // consumer of one; a dense seen-table checks each of those once.
+  // consumer of one; the seen-set checks each of those once.
   const TaskGraph& graph = sched.graph();
-  std::vector<std::uint8_t> seen(graph.total_instances(), 0);
+  seen.clear(graph.total_instances());
   const auto precedence_ok = [&](TaskInstance inst) {
-    std::uint8_t& mark = seen[graph.dense_index(inst)];
-    if (mark != 0) return true;
-    mark = 1;
+    if (!seen.insert(graph.dense_index(inst))) return true;
     return sched.start(inst) >= sched.data_ready(inst, sched.proc(inst));
   };
   for (const TaskInstance inst : moved) {

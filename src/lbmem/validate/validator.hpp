@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "lbmem/sched/schedule.hpp"
+#include "lbmem/util/epoch_set.hpp"
 
 namespace lbmem {
 
@@ -63,11 +64,13 @@ bool is_valid(const Schedule& sched);
 /// \p moved changed processor or start, given that the caller has proven
 /// their new footprints overlap nothing (DESIGN.md F35). Checks V1 and V5,
 /// and V4 at every moved instance and every consumer instance of one —
-/// each instance once; V3 is the caller's proof. Beyond one zeroed byte per
-/// instance, cost follows |moved| and its consumers plus O(M), not the size
-/// of the schedule. \p moved may hold duplicates.
+/// each instance once, tracked in \p seen, the caller's scratch (cleared
+/// here, its contents overwritten). V3 is the caller's proof. Once \p seen
+/// has grown to the graph's instance count, the cost follows |moved| and
+/// its consumers plus O(M), not the size of the schedule (DESIGN.md F41).
+/// \p moved may hold duplicates.
 bool is_valid_around(const Schedule& sched,
-                     std::span<const TaskInstance> moved);
+                     std::span<const TaskInstance> moved, EpochSet& seen);
 
 /// Convenience: throw ScheduleError with the full report when invalid.
 void validate_or_throw(const Schedule& sched);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "lbmem/gen/paper_example.hpp"
+#include "lbmem/gen/suites.hpp"
 #include "lbmem/lb/block_builder.hpp"
 
 namespace lbmem {
@@ -174,14 +177,66 @@ TEST(BlockBuilder, BlockContainingOutsideAPartialDecompositionThrows) {
   const Fixture f(/*comm_cost=*/2, /*gap=*/2);
   const TaskId u = f.graph->find("u");
   const TaskId v = f.graph->find("v");
+  EpochSet visited;
   const BlockDecomposition dec =
-      build_blocks_around(*f.sched, std::span<const TaskId>(&u, 1));
+      build_blocks_around(*f.sched, std::span<const TaskId>(&u, 1), visited);
   ASSERT_EQ(dec.blocks.size(), 1u);
+  EXPECT_EQ(dec.find(TaskInstance{v, 0}), -1);
   EXPECT_EQ(dec.block_containing(TaskInstance{u, 0}).id, 0);
   EXPECT_THROW((void)dec.block_containing(TaskInstance{v, 0}),
                PreconditionError);
   EXPECT_THROW((void)dec.block_containing(TaskInstance{u, 1}),
                PreconditionError);
+}
+
+TEST(BlockBuilder, BothIndexFormsMatchTheFullDecomposition) {
+  // A generated system; decompositions around one seed task reach a few
+  // instances (the sparse index), around every other task most of them
+  // (the dense table). Either way each reached instance's block holds the
+  // members of its block in the full decomposition, and find() reports -1
+  // exactly for the instances the decomposition never reached.
+  SuiteSpec spec;
+  spec.params.tasks = 300;
+  spec.params.period_levels = 3;
+  spec.params.edge_probability = 0.15;
+  spec.params.max_in_degree = 2;
+  spec.processors = 4;
+  spec.comm_cost = 2;
+  spec.count = 1;
+  spec.base_seed = 31;
+  const auto suite = make_suite(spec);
+  ASSERT_FALSE(suite.empty());
+  const Schedule& sched = suite.front().schedule;
+  const BlockDecomposition full = build_blocks(sched);
+  const auto tasks = static_cast<TaskId>(sched.graph().task_count());
+  std::vector<TaskId> every_other;
+  for (TaskId t = 0; t < tasks; t += 2) every_other.push_back(t);
+  EpochSet visited;  // reused across decompositions, as the engine does
+  int forms[2] = {0, 0};
+  for (TaskId seed = 0; seed <= tasks; seed += 30) {
+    const BlockDecomposition dec =
+        seed < tasks
+            ? build_blocks_around(sched, std::span<const TaskId>(&seed, 1),
+                                  visited)
+            : build_blocks_around(sched, every_other, visited);
+    ++forms[dec.block_of.empty() ? 0 : 1];
+    std::size_t reached = 0;
+    for (const TaskInstance inst : sched.all_instances()) {
+      const BlockId id = dec.find(inst);
+      if (id < 0) {
+        EXPECT_THROW((void)dec.block_containing(inst), PreconditionError);
+        continue;
+      }
+      ++reached;
+      EXPECT_EQ(dec.blocks[static_cast<std::size_t>(id)].members,
+                full.block_containing(inst).members);
+    }
+    std::size_t members = 0;
+    for (const Block& block : dec.blocks) members += block.members.size();
+    EXPECT_EQ(reached, members);
+  }
+  EXPECT_GT(forms[0], 0) << "no decomposition used the sparse index";
+  EXPECT_GT(forms[1], 0) << "no decomposition used the dense table";
 }
 
 TEST(BlockBuilder, MembersShareProcessor) {

@@ -203,12 +203,13 @@ TEST(MovedSetValidation, AgreesWithRefereeUnderRandomMutations) {
   // Valid inputs, then random whole-task processor moves and first-start
   // shifts; moved holds every instance of a changed task.
   int verdicts[2] = {0, 0};
+  EpochSet seen;  // reused across calls and graphs, as the balancer does
   for (const bool cap : {false, true}) {
     for (const auto& instance : suite(40, 4, 8000)) {
       const Schedule input =
           cap ? capped(instance.schedule, 100) : instance.schedule;
       ASSERT_TRUE(is_valid(input));
-      ASSERT_TRUE(is_valid_around(input, {}));
+      ASSERT_TRUE(is_valid_around(input, {}, seen));
       const TaskGraph& graph = input.graph();
       const int procs = input.architecture().processor_count();
       Rng rng(instance.seed);
@@ -231,7 +232,7 @@ TEST(MovedSetValidation, AgreesWithRefereeUnderRandomMutations) {
             moved.push_back(TaskInstance{t, k});
           }
         }
-        const bool verdict = is_valid_around(mutated, moved);
+        const bool verdict = is_valid_around(mutated, moved, seen);
         ASSERT_EQ(verdict, valid_but_for_overlaps(mutated))
             << "seed " << instance.seed << " round " << round;
         ++verdicts[verdict ? 1 : 0];
@@ -251,6 +252,7 @@ TEST(MovedSetValidation, ScopedRebalanceSweepStaysValid) {
   // rejected, so the gain-disabled retry runs.
   int retried = 0;
   int runs = 0;
+  EpochSet visited;
   for (const bool cap : {false, true}) {
     for (const auto& instance : suite(40, 4, 9000)) {
       const Schedule input =
@@ -263,8 +265,8 @@ TEST(MovedSetValidation, ScopedRebalanceSweepStaysValid) {
       for (const Schedule* base : {&input, &balanced.schedule}) {
         for (TaskId seed = 0;
              seed < static_cast<TaskId>(base->graph().task_count()); ++seed) {
-          const BlockDecomposition dec =
-              build_blocks_around(*base, std::span<const TaskId>(&seed, 1));
+          const BlockDecomposition dec = build_blocks_around(
+              *base, std::span<const TaskId>(&seed, 1), visited);
           Schedule result = *base;
           std::vector<ProcTimeline> occupancy = build_occupancy(result);
           const RebalanceResult run =

@@ -416,7 +416,9 @@ TEST(RebalanceSubset, FullSeedSetReproducesBalance) {
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
     all_tasks.push_back(t);
   }
-  const BlockDecomposition dec = build_blocks_around(before, all_tasks);
+  EpochSet visited;
+  const BlockDecomposition dec =
+      build_blocks_around(before, all_tasks, visited);
   const BlockDecomposition reference = build_blocks(before);
   ASSERT_EQ(dec.blocks.size(), reference.blocks.size());
   for (std::size_t i = 0; i < dec.blocks.size(); ++i) {
@@ -424,6 +426,10 @@ TEST(RebalanceSubset, FullSeedSetReproducesBalance) {
         << "block " << i;
     EXPECT_EQ(dec.blocks[i].home, reference.blocks[i].home);
     EXPECT_EQ(dec.blocks[i].category, reference.blocks[i].category);
+  }
+  // The partial decomposition's sparse index agrees with the dense one.
+  for (const TaskInstance inst : before.all_instances()) {
+    EXPECT_EQ(dec.find(inst), reference.find(inst));
   }
 
   Schedule subset = before;
@@ -448,7 +454,9 @@ TEST(RebalanceSubset, WarmOccupancyMatchesColdRebuild) {
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
     all_tasks.push_back(t);
   }
-  const BlockDecomposition dec = build_blocks_around(before, all_tasks);
+  EpochSet visited;
+  const BlockDecomposition dec =
+      build_blocks_around(before, all_tasks, visited);
   Schedule sched = before;
   std::vector<ProcTimeline> warm = build_occupancy(sched);
   const RebalanceResult result = LoadBalancer().rebalance(sched, warm, dec);

@@ -10,6 +10,12 @@
 # README.md, "Performance", "Online rebalancing", "Choosing a solver",
 # "Parallelism", "Robustness", "Observability" and "Serving".
 #
+# Every bench runs 5 repetitions, and the recording keeps only their
+# aggregates (mean, median, stddev and cv per benchmark). A single run of a
+# sub-millisecond bench such as BM_OnlineWcet spreads by about 30 % between
+# runs on a shared 4-vCPU machine, so a one-shot recording cannot show a
+# smaller change; compare medians, and read the spread from cv.
+#
 # The recorded context must describe a release-built harness: benchmarks
 # measure header-inline hot paths compiled into the bench binary, and a
 # Debug recording is a meaningless data point in the perf history. The
@@ -86,50 +92,22 @@ cmake --build --preset bench -j "$(nproc)" \
   --target bench_complexity bench_online bench_solvers bench_parallel \
     bench_robustness bench_observability bench_degraded bench_throughput
 
-"${repo}/build-bench/bench/bench_complexity" \
-  --benchmark_out="${complexity_out}" \
-  --benchmark_out_format=json
-check_release "${complexity_out}"
-echo "wrote ${complexity_out}"
+record() {
+  local bench="$1" out="$2"
+  "${repo}/build-bench/bench/${bench}" \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
+    --benchmark_out="${out}" \
+    --benchmark_out_format=json
+  check_release "${out}"
+  echo "wrote ${out}"
+}
 
-"${repo}/build-bench/bench/bench_online" \
-  --benchmark_out="${online_out}" \
-  --benchmark_out_format=json
-check_release "${online_out}"
-echo "wrote ${online_out}"
-
-"${repo}/build-bench/bench/bench_solvers" \
-  --benchmark_out="${solvers_out}" \
-  --benchmark_out_format=json
-check_release "${solvers_out}"
-echo "wrote ${solvers_out}"
-
-"${repo}/build-bench/bench/bench_parallel" \
-  --benchmark_out="${parallel_out}" \
-  --benchmark_out_format=json
-check_release "${parallel_out}"
-echo "wrote ${parallel_out}"
-
-"${repo}/build-bench/bench/bench_robustness" \
-  --benchmark_out="${robustness_out}" \
-  --benchmark_out_format=json
-check_release "${robustness_out}"
-echo "wrote ${robustness_out}"
-
-"${repo}/build-bench/bench/bench_observability" \
-  --benchmark_out="${observability_out}" \
-  --benchmark_out_format=json
-check_release "${observability_out}"
-echo "wrote ${observability_out}"
-
-"${repo}/build-bench/bench/bench_degraded" \
-  --benchmark_out="${degraded_out}" \
-  --benchmark_out_format=json
-check_release "${degraded_out}"
-echo "wrote ${degraded_out}"
-
-"${repo}/build-bench/bench/bench_throughput" \
-  --benchmark_out="${throughput_out}" \
-  --benchmark_out_format=json
-check_release "${throughput_out}"
-echo "wrote ${throughput_out}"
+record bench_complexity "${complexity_out}"
+record bench_online "${online_out}"
+record bench_solvers "${solvers_out}"
+record bench_parallel "${parallel_out}"
+record bench_robustness "${robustness_out}"
+record bench_observability "${observability_out}"
+record bench_degraded "${degraded_out}"
+record bench_throughput "${throughput_out}"
