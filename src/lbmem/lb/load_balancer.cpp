@@ -198,11 +198,12 @@ class Attempt {
     // gain > 0: every affected instance shifted; gain == 0 with an
     // off-home destination: only the members changed processor. layout_ is
     // parallel to affected_ and still records the pre-commit processors
-    // (members lived on the block's home).
+    // (members lived on the block's home) and starts, where each footprint
+    // begins (DESIGN.md F42).
     const std::size_t count = (gain > 0) ? affected_.size() : member_count_;
     for (std::size_t i = 0; i < count; ++i) {
       const ProcId before = (i < member_count_) ? home : layout_[i].proc;
-      journal_.remove(before, affected_[i]);
+      journal_.remove(before, affected_[i], layout_[i].base_start);
     }
     for (std::size_t i = 0; i < count; ++i) {
       const TaskInstance inst = affected_[i];

@@ -219,7 +219,7 @@ std::string repair(ScheduleJournal& edits, std::span<const TaskId> initial,
     for (InstanceIdx k = 0; k < n; ++k) {
       const TaskInstance inst{t, k};
       const ProcId p = work.proc(inst);
-      if (p != kNoProc) edits.remove(p, inst);
+      if (p != kNoProc) edits.remove(p, inst, work.start(inst));
     }
   };
   // Detach the initial dirty set up front so it does not constrain its own

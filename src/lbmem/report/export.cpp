@@ -2,6 +2,10 @@
 
 #include <sstream>
 
+#include "lbmem/api/solvers.hpp"
+#include "lbmem/report/solve.hpp"
+#include "lbmem/util/json.hpp"
+
 namespace lbmem {
 
 namespace {
@@ -76,7 +80,7 @@ std::string schedule_to_json(const Schedule& sched) {
       << ",\n  \"makespan\": " << sched.makespan() << ",\n  \"tasks\": [\n";
   for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
     const Task& task = graph.task(t);
-    out << "    {\"name\": \"" << task.name << "\", \"period\": "
+    out << "    {\"name\": \"" << json_escape(task.name) << "\", \"period\": "
         << task.period << ", \"wcet\": " << task.wcet << ", \"memory\": "
         << task.memory << ", \"first_start\": " << sched.first_start(t)
         << ", \"instances\": [";
@@ -101,21 +105,9 @@ std::string schedule_to_json(const Schedule& sched) {
 }
 
 std::string stats_to_json(const BalanceStats& stats) {
-  std::ostringstream out;
-  out << "{\"makespan_before\": " << stats.makespan_before
-      << ", \"makespan_after\": " << stats.makespan_after
-      << ", \"gain_total\": " << stats.gain_total
-      << ", \"max_memory_before\": " << stats.max_memory_before
-      << ", \"max_memory_after\": " << stats.max_memory_after
-      << ", \"blocks_total\": " << stats.blocks_total
-      << ", \"blocks_category1\": " << stats.blocks_category1
-      << ", \"moves_off_home\": " << stats.moves_off_home
-      << ", \"gains_applied\": " << stats.gains_applied
-      << ", \"forced_stays\": " << stats.forced_stays
-      << ", \"attempts_used\": " << stats.attempts_used
-      << ", \"fell_back\": " << (stats.fell_back ? "true" : "false")
-      << ", \"wall_seconds\": " << stats.wall_seconds << "}\n";
-  return out.str();
+  // The facade's superset renderer is the single source of the keys, as
+  // for summarize() (report/summary.cpp).
+  return solve_stats_to_json(to_solve_stats(stats));
 }
 
 }  // namespace lbmem

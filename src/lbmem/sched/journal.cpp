@@ -72,7 +72,7 @@ void ScheduleJournal::set_first_start(TaskId t, Time start) {
 
 void ScheduleJournal::add(ProcId p, Time start, Time len, TaskInstance owner) {
   ProcTimeline& timeline = (*occ_)[static_cast<std::size_t>(p)];
-  if (record_) log_.push_back(Entry{Kind::Add, p, owner, 0, 0});
+  if (record_) log_.push_back(Entry{Kind::Add, p, owner, start, 0});
   try {
     timeline.add_unchecked(start, len, owner);
   } catch (...) {
@@ -81,16 +81,22 @@ void ScheduleJournal::add(ProcId p, Time start, Time len, TaskInstance owner) {
   }
 }
 
-void ScheduleJournal::remove(ProcId p, TaskInstance owner) {
+void ScheduleJournal::remove(ProcId p, TaskInstance owner, Time start) {
   ProcTimeline& timeline = (*occ_)[static_cast<std::size_t>(p)];
   if (!record_) {
-    timeline.remove(owner);
+    timeline.remove(owner, start);
     return;
   }
   // Reserve the entry first, so that the removal cannot outlive a failed
   // log append.
   log_.push_back(Entry{Kind::Remove, p, owner, 0, 0});
-  const ProcTimeline::Released released = timeline.remove(owner);
+  ProcTimeline::Released released;
+  try {
+    released = timeline.remove(owner, start);
+  } catch (...) {
+    log_.pop_back();  // the remove changed nothing
+    throw;
+  }
   if (released.len == 0) {
     log_.pop_back();
     return;
@@ -127,7 +133,7 @@ void ScheduleJournal::undo(const Entry& e) noexcept {
       sched_->write_first_start(e.inst.task, e.a);
       break;
     case Kind::Add:
-      (*occ_)[static_cast<std::size_t>(e.proc)].remove(e.inst);
+      (*occ_)[static_cast<std::size_t>(e.proc)].remove(e.inst, e.a);
       break;
     case Kind::Remove:
       (*occ_)[static_cast<std::size_t>(e.proc)].restore(

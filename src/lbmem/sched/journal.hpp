@@ -70,8 +70,9 @@ class ScheduleJournal {
   void set_first_start(TaskId t, Time start);
   /// ProcTimeline::add_unchecked on processor \p p's timeline.
   void add(ProcId p, Time start, Time len, TaskInstance owner);
-  /// ProcTimeline::remove on processor \p p's timeline.
-  void remove(ProcId p, TaskInstance owner);
+  /// ProcTimeline::remove on processor \p p's timeline: \p start is where
+  /// the owner's interval begins, its schedule start (DESIGN.md F42).
+  void remove(ProcId p, TaskInstance owner, Time start);
   /// TaskGraph::set_wcet on the schedule's graph (passed mutable), plus the
   /// matching Schedule::wcet_changed. Throws ModelError, changing nothing,
   /// for an invalid WCET.
@@ -90,7 +91,8 @@ class ScheduleJournal {
     ProcId proc;        // Assign: old processor, kNoProc if unplaced;
                         // Add/Remove: timeline
     TaskInstance inst;  // instance or owner; FirstStart/Wcet: inst.task
-    Time a;  // FirstStart: old start (or -1); Wcet: old WCET; Remove: start
+    Time a;  // FirstStart: old start (or -1); Wcet: old WCET;
+             // Add/Remove: start
     Time b;  // Remove: length of the released interval
   };
 

@@ -31,19 +31,13 @@ ProcTimeline::ProcTimeline(Time hyperperiod,
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     if (counts[b] != 0) buckets_[b].pieces.reserve(counts[b]);
   }
-  owner_index_.presize(intervals.size());
   for (const Interval& in : intervals) {
     const Time s = mod_floor(in.start, h_);
-    OwnerPieces& slots = owner_index_.insert(in.owner);
-    LBMEM_REQUIRE(slots.first < 0,
-                  "ProcTimeline: an owner holds one interval at a time");
-    slots.first = s;
     if (s + in.len <= h_) {
       buckets_[bucket_of(s)].pieces.push_back(Piece{s, in.len, in.owner});
     } else {
       buckets_[bucket_of(s)].pieces.push_back(Piece{s, h_ - s, in.owner});
       buckets_[0].pieces.push_back(Piece{0, s + in.len - h_, in.owner});
-      slots.second = 0;
     }
   }
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
@@ -57,8 +51,8 @@ ProcTimeline::ProcTimeline(Time hyperperiod,
     piece_count_ += v.size();
   }
 #if LBMEM_TIMELINE_VERIFY
-  // The same check add_unchecked() makes per interval: consecutive pieces
-  // in start order must not overlap.
+  // The same checks add_unchecked() makes per interval: consecutive pieces
+  // in start order must not overlap, and no owner may come twice.
   Time reach = 0;
   for (const Bucket& bucket : buckets_) {
     for (const Piece& p : bucket.pieces) {
@@ -66,6 +60,23 @@ ProcTimeline::ProcTimeline(Time hyperperiod,
       reach = p.start + p.len;
     }
   }
+  // build_occupancy passes each processor's owners in ascending order,
+  // where neighbours tell without a copy; any other order is sorted first.
+  const auto owner_less = [](const Interval& x, const Interval& y) {
+    return x.owner < y.owner;
+  };
+  std::vector<Interval> sorted;
+  std::span<const Interval> by_owner = intervals;
+  if (!std::is_sorted(intervals.begin(), intervals.end(), owner_less)) {
+    sorted.assign(intervals.begin(), intervals.end());
+    std::sort(sorted.begin(), sorted.end(), owner_less);
+    by_owner = sorted;
+  }
+  LBMEM_REQUIRE(std::adjacent_find(by_owner.begin(), by_owner.end(),
+                                   [](const Interval& x, const Interval& y) {
+                                     return x.owner == y.owner;
+                                   }) == by_owner.end(),
+                "ProcTimeline: an owner holds one interval at a time");
 #endif
 }
 
@@ -103,146 +114,32 @@ void ProcTimeline::insert_piece(Piece piece) {
   ++piece_count_;
 }
 
-ProcTimeline::OwnerPieces* ProcTimeline::OwnerIndex::find(TaskInstance key) {
-  if (table_.empty()) return nullptr;
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = probe(key);; i = (i + 1) & mask) {
-    Entry& e = table_[i];
-    if (empty_slot(e)) return nullptr;
-    if (!tombstone(e) && e.key == key) return &e.val;
-  }
-}
-
-ProcTimeline::OwnerIndex::Slot ProcTimeline::OwnerIndex::locate(
-    TaskInstance key) const {
-  const std::size_t mask = table_.size() - 1;
-  std::size_t first_tombstone = table_.size();
-  for (std::size_t i = probe(key);; i = (i + 1) & mask) {
-    const Entry& e = table_[i];
-    if (empty_slot(e)) {
-      if (first_tombstone < table_.size()) {
-        return Slot{first_tombstone, false, false};
-      }
-      return Slot{i, false, true};
-    }
-    if (tombstone(e)) {
-      if (first_tombstone == table_.size()) first_tombstone = i;
-    } else if (e.key == key) {
-      return Slot{i, true, false};
+bool ProcTimeline::holds(TaskInstance owner) const {
+  // Raw pointers and fields: this scan runs on every add of the
+  // unoptimized verify builds, where iterators and operator== are calls.
+  const Bucket* bucket = buckets_.data();
+  for (const Bucket* last = bucket + buckets_.size(); bucket != last;
+       ++bucket) {
+    const Piece* p = bucket->pieces.data();
+    for (const Piece* end = p + bucket->pieces.size(); p != end; ++p) {
+      if (p->owner.task == owner.task && p->owner.k == owner.k) return true;
     }
   }
-}
-
-ProcTimeline::OwnerPieces& ProcTimeline::OwnerIndex::place(const Slot& slot,
-                                                           TaskInstance key) {
-  Entry& dest = table_[slot.index];
-  if (slot.empty) ++used_;  // tombstone reuse keeps `used_` unchanged
-  dest.key = key;
-  dest.val = OwnerPieces{};
-  ++live_;
-  return dest.val;
-}
-
-ProcTimeline::OwnerPieces& ProcTimeline::OwnerIndex::insert(TaskInstance key) {
-  if (table_.empty()) grow();
-  Slot slot = locate(key);
-  if (slot.found) return table_[slot.index].val;
-  // Rehash at 3/4 load (live + tombstones) so probe chains stay short. Only
-  // filling an empty slot raises the load; reusing a tombstone never does.
-  if (slot.empty && over_load_if_filled()) {
-    grow();
-    slot = locate(key);
-  }
-  return place(slot, key);
-}
-
-void ProcTimeline::OwnerIndex::presize(std::size_t n) {
-  if (n == 0) return;
-  std::size_t cap = 16;  // grow()'s smallest table
-  while (n * 4 > cap * 3) cap <<= 1;
-  table_.assign(cap, Entry{});
-  used_ = live_ = 0;
-}
-
-void ProcTimeline::OwnerIndex::restore(TaskInstance key,
-                                       OwnerPieces val) noexcept {
-  Slot slot = locate(key);
-  if (slot.empty && over_load_if_filled()) {
-    // The table never shrinks and an undo only brings back an owner set the
-    // table held before, so after the purge the live owners fit again.
-    purge_tombstones();
-    slot = locate(key);
-  }
-  place(slot, key) = val;
-}
-
-void ProcTimeline::OwnerIndex::erase(TaskInstance key) {
-  if (table_.empty()) return;
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = probe(key);; i = (i + 1) & mask) {
-    Entry& e = table_[i];
-    if (empty_slot(e)) return;
-    if (!tombstone(e) && e.key == key) {
-      e.key = TaskInstance{-2, -2};  // tombstone keeps probe chains intact
-      --live_;
-      return;
-    }
-  }
-}
-
-void ProcTimeline::OwnerIndex::grow() {
-  std::size_t cap = std::max<std::size_t>(16, table_.size());
-  while (cap < live_ * 4) cap <<= 1;  // rehash also purges tombstones
-  if (cap == table_.size()) {
-    purge_tombstones();
-    return;
-  }
-  // Allocate before touching the table: a failed allocation leaves it
-  // as it was.
-  std::vector<Entry> fresh(cap, Entry{});
-  fresh.swap(table_);
-  used_ = live_;
-  const std::size_t mask = cap - 1;
-  for (const Entry& e : fresh) {
-    if (empty_slot(e) || tombstone(e)) continue;
-    std::size_t i = probe(e.key);
-    while (!empty_slot(table_[i])) i = (i + 1) & mask;
-    table_[i] = e;
-  }
-}
-
-void ProcTimeline::OwnerIndex::purge_tombstones() noexcept {
-  // Re-insert every live entry in probe order, starting after a slot that
-  // was empty before the purge: no probe chain crosses such a slot, so each
-  // entry's home lies between it and the entry, and its re-insertion lands
-  // no later than the slot it just vacated.
-  const std::size_t n = table_.size();
-  const std::size_t mask = n - 1;
-  std::size_t origin = 0;
-  while (!empty_slot(table_[origin])) ++origin;  // used_ < n: one exists
-  for (Entry& e : table_) {
-    if (tombstone(e)) e.key = TaskInstance{-1, -1};
-  }
-  for (std::size_t step = 1; step < n; ++step) {
-    const std::size_t i = (origin + step) & mask;
-    if (empty_slot(table_[i])) continue;
-    const Entry e = table_[i];
-    table_[i].key = TaskInstance{-1, -1};
-    std::size_t j = probe(e.key);
-    while (!empty_slot(table_[j])) j = (j + 1) & mask;
-    table_[j] = e;
-  }
-  used_ = live_;
+  return false;
 }
 
 void ProcTimeline::add(Time start, Time len, TaskInstance owner) {
   LBMEM_REQUIRE(fits(start, len), "ProcTimeline::add would overlap");
+  LBMEM_REQUIRE(!holds(owner),
+                "ProcTimeline: an owner holds one interval at a time");
   add_impl(start, len, owner);
 }
 
 void ProcTimeline::add_unchecked(Time start, Time len, TaskInstance owner) {
 #if LBMEM_TIMELINE_VERIFY
   LBMEM_REQUIRE(fits(start, len), "ProcTimeline::add_unchecked would overlap");
+  LBMEM_REQUIRE(!holds(owner),
+                "ProcTimeline: an owner holds one interval at a time");
 #else
   LBMEM_REQUIRE(len > 0 && len <= h_, "interval length must be in (0, H]");
 #endif
@@ -251,71 +148,55 @@ void ProcTimeline::add_unchecked(Time start, Time len, TaskInstance owner) {
 
 void ProcTimeline::add_impl(Time start, Time len, TaskInstance owner) {
   const Time s = mod_floor(start, h_);
-  const bool wraps = s + len > h_;
-  OwnerPieces& slots = owner_index_.insert(owner);
-  // Validate before mutating anything: a rejected add must leave both the
-  // index and the pieces consistent (remove() stays a no-op).
-  LBMEM_REQUIRE(slots.first < 0,
-                "ProcTimeline: an owner holds one interval at a time");
-  // Pieces first, index last: a piece insert that throws (bad_alloc)
-  // leaves no index entry pointing at a missing piece.
-  if (!wraps) {
+  if (s + len <= h_) {
     insert_piece(Piece{s, len, owner});
-  } else {
-    insert_piece(Piece{s, h_ - s, owner});
-    try {
-      insert_piece(Piece{0, s + len - h_, owner});
-    } catch (...) {
-      erase_piece_at(s, owner);
-      throw;
-    }
-    slots.second = 0;
+    return;
   }
-  slots.first = s;
+  insert_piece(Piece{s, h_ - s, owner});
+  try {
+    insert_piece(Piece{0, s + len - h_, owner});
+  } catch (...) {
+    const std::size_t b = bucket_of(s);
+    erase_piece(b, lower_index(buckets_[b].pieces, s));
+    throw;
+  }
 }
 
-Time ProcTimeline::erase_piece_at(Time start, TaskInstance owner) {
-  // Pieces are disjoint with positive length, so starts are unique keys.
-  const std::size_t b = bucket_of(start);
+void ProcTimeline::erase_piece(std::size_t b, std::size_t i) noexcept {
   std::vector<Piece>& v = buckets_[b].pieces;
-  const auto it = v.begin() + static_cast<std::ptrdiff_t>(lower_index(v, start));
-  LBMEM_REQUIRE(it != v.end() && it->start == start && it->owner == owner,
-                "ProcTimeline owner index out of sync");
-  const Time len = it->len;
-  v.erase(it);
+  v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
   summarize(buckets_[b]);
   if (v.empty()) nonempty_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   --piece_count_;
-  return len;
 }
 
-ProcTimeline::Released ProcTimeline::remove(TaskInstance owner) {
-  Released released;
-  const OwnerPieces* found = owner_index_.find(owner);
-  if (!found) return released;
-  const OwnerPieces slots = *found;
-  owner_index_.erase(owner);
-  if (slots.first < 0) return released;
-  released.start = slots.first;
-  released.len = erase_piece_at(slots.first, owner);
-  if (slots.second >= 0) released.len += erase_piece_at(slots.second, owner);
-  return released;
+ProcTimeline::Released ProcTimeline::remove(TaskInstance owner, Time start) {
+  // Pieces are disjoint with positive length, so starts are unique keys.
+  const Time s = circle_pos(start);
+  const std::size_t b = bucket_of(s);
+  const std::vector<Piece>& v = buckets_[b].pieces;
+  const std::size_t i = lower_index(v, s);
+  if (i == v.size() || v[i].start != s || v[i].owner != owner ||
+      wrapped_tail(v[i])) {
+#if LBMEM_TIMELINE_VERIFY
+    LBMEM_REQUIRE(!holds(owner),
+                  "ProcTimeline::remove: the owner's interval starts "
+                  "elsewhere");
+#endif
+    return Released{};
+  }
+  const Time end = owner_end(v[i], 0);
+  // A wrapped tail is piece 0 of bucket 0, before the head in any bucket.
+  erase_piece(b, i);
+  if (end > h_) erase_piece(0, 0);
+  return Released{s, end - s};
 }
 
 void ProcTimeline::restore(TaskInstance owner,
                            const Released& interval) noexcept {
-  if (interval.len == 0) return;
-  const Time s = interval.start;
-  OwnerPieces slots;
-  slots.first = s;
-  if (s + interval.len > h_) {
-    slots.second = 0;
-    insert_piece(Piece{s, h_ - s, owner});
-    insert_piece(Piece{0, s + interval.len - h_, owner});
-  } else {
-    insert_piece(Piece{s, interval.len, owner});
-  }
-  owner_index_.restore(owner, slots);
+  // The buckets kept their capacity, so add_impl neither allocates nor
+  // throws here.
+  if (interval.len > 0) add_impl(interval.start, interval.len, owner);
 }
 
 std::optional<Time> ProcTimeline::earliest_fit(Time lb, Time period, Time wcet,

@@ -27,15 +27,15 @@
 /// predecessor. Pieces are pairwise disjoint, so only the immediate
 /// predecessor of a query point can reach into it; a bitmap of non-empty
 /// buckets finds that predecessor (and skips empty regions of sparse
-/// timelines) with a couple of word scans. Removal stays indexed: an
-/// owner -> piece-start table (open addressing, one flat backing array)
-/// locates an owner's pieces in O(1) without a predicate scan. Each bucket
+/// timelines) with a couple of word scans. A removal names the start of the
+/// interval it releases, which every caller already holds (DESIGN.md F42),
+/// so it finds the owner's pieces with the same bucket lookup. Each bucket
 /// also keeps a summary (its first start, its last end and its widest gap
 /// between consecutive pieces) that lets the gap walk behind earliest_fit
 /// cross a bucket too crowded for the searched length in one step, and a
 /// timeline built from a whole set of intervals at once fills every bucket
-/// and the owner table in one pass (DESIGN.md F40). The balancer's filtered
-/// walk shares that gap walk's start lookup and bucket advance (F41).
+/// in one pass (DESIGN.md F40). The balancer's filtered walk shares that gap
+/// walk's start lookup and bucket advance (F41).
 
 #include <algorithm>
 #include <cstdint>
@@ -47,7 +47,9 @@
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/math.hpp"
 
-/// When 1, add_unchecked() still performs the full fits() verification.
+/// When 1, add_unchecked() still performs the full fits() verification,
+/// and add_unchecked(), the bulk build and remove() check that an owner
+/// holds one interval.
 /// Defaults to on for debug/sanitizer builds and off for optimized builds;
 /// override with -DLBMEM_TIMELINE_VERIFY=0/1.
 #ifndef LBMEM_TIMELINE_VERIFY
@@ -74,12 +76,11 @@ class ProcTimeline {
   };
 
   /// A timeline holding exactly \p intervals, built in one pass (DESIGN.md
-  /// F40): each bucket is reserved and sorted once, and the owner index is
-  /// sized once at the load add() keeps. The same pieces as adding the
-  /// intervals one by one through add_unchecked(), with the same contract:
-  /// the intervals must be pairwise disjoint, which only
-  /// LBMEM_TIMELINE_VERIFY builds check (PreconditionError). A repeated
-  /// owner always throws.
+  /// F40): each bucket is reserved and sorted once. The same pieces as
+  /// adding the intervals one by one through add_unchecked(), with the same
+  /// contract: the intervals must be pairwise disjoint and their owners
+  /// distinct, which only LBMEM_TIMELINE_VERIFY builds check
+  /// (PreconditionError).
   ProcTimeline(Time hyperperiod, std::span<const Interval> intervals);
 
   /// Would interval [start, start+len) (repeated mod H) be free?
@@ -99,22 +100,23 @@ class ProcTimeline {
   void add_unchecked(Time start, Time len, TaskInstance owner);
 
   /// The interval remove() released: start in [0, H), len 0 when the
-  /// owner was absent.
+  /// owner held no interval starting there.
   struct Released {
     Time start = 0;
     Time len = 0;
   };
 
-  /// Release the interval owned by \p owner (no-op if absent) and return
-  /// it, so that restore() can undo the removal exactly.
-  Released remove(TaskInstance owner);
+  /// Release the interval of \p owner that starts at \p start (taken mod
+  /// H), both pieces when it wraps, and return it so that restore() can
+  /// undo the removal exactly (DESIGN.md F42). A no-op returning len 0
+  /// when no interval of the owner starts there; LBMEM_TIMELINE_VERIFY
+  /// builds then throw PreconditionError if the owner holds one elsewhere.
+  Released remove(TaskInstance owner, Time start);
 
   /// Undo remove(): put \p interval back for \p owner, split into the
   /// same pieces. Called on the state remove() left (every later change
   /// undone), it neither allocates nor throws: each piece returns to a
-  /// bucket that kept its capacity, and the owner index reuses a tombstone
-  /// or, past its load limit, purges its tombstones in place instead of
-  /// growing (ScheduleJournal::rollback).
+  /// bucket that kept its capacity (ScheduleJournal::rollback).
   void restore(TaskInstance owner, const Released& interval) noexcept;
 
   /// The owner of some interval overlapping [start, start+len), if any.
@@ -192,8 +194,7 @@ class ProcTimeline {
   /// Hyper-period this timeline was built for.
   Time hyperperiod() const { return h_; }
 
-  /// Number of stored (possibly split) interval pieces. Always equals the
-  /// number of starts recorded in the owner index.
+  /// Number of stored (possibly split) interval pieces.
   std::size_t piece_count() const { return piece_count_; }
 
   /// Number of buckets holding at least one piece.
@@ -238,64 +239,6 @@ class ProcTimeline {
     Time last_end = 0;          // end of the last piece
     Time max_gap = 0;  // widest gap between consecutive pieces, 0 for one
   };
-  struct OwnerPieces {
-    Time first = -1;   // the interval's start, -1 = no interval
-    Time second = -1;  // 0 when the interval wraps, else -1
-  };
-
-  /// Linear-probing owner -> OwnerPieces table with tombstone deletion and
-  /// amortized rehashing. One backing vector: no allocation per insert.
-  class OwnerIndex {
-   public:
-    OwnerPieces* find(TaskInstance key);
-    /// Slot for \p key, inserting an empty record if absent.
-    OwnerPieces& insert(TaskInstance key);
-    /// Size an empty index once for \p n owners: the smallest table that
-    /// insert() fills with \p n owners without growing.
-    void presize(std::size_t n);
-    /// Re-insert an absent \p key with \p val without ever growing.
-    void restore(TaskInstance key, OwnerPieces val) noexcept;
-    void erase(TaskInstance key);
-
-   private:
-    struct Entry {
-      TaskInstance key{-1, -1};  // task -1: empty; task -2: tombstone
-      OwnerPieces val;
-    };
-    static bool empty_slot(const Entry& e) { return e.key.task == -1; }
-    static bool tombstone(const Entry& e) { return e.key.task == -2; }
-    std::size_t probe(TaskInstance key) const {
-      // std::hash on integers is typically the identity; with a
-      // power-of-two mask that would key every owner on its low (instance
-      // index) bits and collapse the table into one cluster. Fibonacci
-      // mixing spreads the packed (task, k) pair across the word first.
-      const auto packed =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.task))
-           << 32) |
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.k));
-      const std::uint64_t mixed = packed * 0x9e3779b97f4a7c15ULL;
-      return static_cast<std::size_t>(mixed >> 32) & (table_.size() - 1);
-    }
-    /// Where \p key lives, else the slot an insert would take: the first
-    /// tombstone on its probe chain, or the empty slot ending the chain.
-    struct Slot {
-      std::size_t index;
-      bool found;
-      bool empty;
-    };
-    Slot locate(TaskInstance key) const;
-    OwnerPieces& place(const Slot& slot, TaskInstance key);
-    bool over_load_if_filled() const {
-      return (used_ + 1) * 4 > table_.size() * 3;
-    }
-    void grow();
-    void purge_tombstones() noexcept;
-
-    std::vector<Entry> table_;  // power-of-two size, never shrinks
-    std::size_t used_ = 0;      // live + tombstones
-    std::size_t live_ = 0;
-  };
-
   /// Never-ignore predicate: the default for unfiltered queries.
   struct NoIgnore {
     bool operator()(TaskInstance) const { return false; }
@@ -463,10 +406,25 @@ class ProcTimeline {
     return end;
   }
 
+  /// Is \p p the second piece of a wrapped owner, [0, e)? Its interval
+  /// then starts at the last piece, which ends at H: owner_end's test, seen
+  /// from the other piece.
+  bool wrapped_tail(const Piece& p) const {
+    if (p.start != 0) return false;
+    const Piece& last =
+        buckets_[prev_nonempty(buckets_.size() - 1)].pieces.back();
+    return last.start > 0 && last.start + last.len == h_ &&
+           last.owner == p.owner;
+  }
+
+  /// Does \p owner hold a piece? A scan of every piece, for the checks of
+  /// the one-interval-per-owner contract.
+  bool holds(TaskInstance owner) const;
+
   void add_impl(Time start, Time len, TaskInstance owner);
   void insert_piece(Piece piece);
-  /// Erase \p owner's piece starting at \p start; returns its length.
-  Time erase_piece_at(Time start, TaskInstance owner);
+  /// Erase piece \p i of bucket \p b.
+  void erase_piece(std::size_t b, std::size_t i) noexcept;
   /// Recompute \p bucket's summary from its pieces. Cannot throw.
   static void summarize(Bucket& bucket) noexcept;
 
@@ -481,8 +439,6 @@ class ProcTimeline {
   std::vector<Bucket> buckets_;
   std::uint64_t nonempty_[kWords] = {};  // bitmap of non-empty buckets
   std::size_t piece_count_ = 0;
-  // Records the start(s) of each owner's pieces for indexed removal.
-  OwnerIndex owner_index_;
 };
 
 }  // namespace lbmem

@@ -498,8 +498,9 @@ TEST(OccupancyAllocations, BuildReservesEachBucketOnce) {
 #else
   // A removal, a hyper-period-changing arrival, the engine's construction
   // and LoadBalancer::balance build the occupancy from nothing. One pass
-  // per timeline reserves each non-empty bucket once and sizes the owner
-  // index once; growing them piece by piece reallocates both.
+  // per timeline reserves each non-empty bucket once, where growing it
+  // piece by piece reallocates it, and keeps no table beside the pieces
+  // (DESIGN.md F42).
   const SuiteInstance instance = balanced_instance(2000);
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   const std::vector<ProcTimeline> occ = build_occupancy(instance.schedule);
@@ -512,9 +513,9 @@ TEST(OccupancyAllocations, BuildReservesEachBucketOnce) {
     pieces += timeline.piece_count();
   }
   ASSERT_GT(pieces, 2 * buckets) << "buckets too sparse to tell regrowth";
-  // Per processor: the bucket array and the owner table; plus the
-  // timeline vector and two scratch arrays.
-  EXPECT_LE(allocs, buckets + 2 * occ.size() + 3)
+  // Per processor: the bucket array; plus the timeline vector and two
+  // scratch arrays.
+  EXPECT_LE(allocs, buckets + occ.size() + 3)
       << allocs << " allocations for " << buckets << " non-empty buckets on "
       << occ.size() << " processors";
 #endif

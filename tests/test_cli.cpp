@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #if defined(_WIN32)
 #include <process.h>
@@ -92,6 +93,25 @@ TEST(CliUsage, BadFlagValueFails) {
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("bad value for --tasks: banana"), std::string::npos)
       << r.output;
+}
+
+TEST(CliUsage, PartialAndNonFiniteNumbersFail) {
+  // Every numeric flag parses its whole value, and a floating one must be
+  // finite: no prefix of the value stands in for it.
+  const std::pair<const char*, const char*> bad[] = {
+      {"balance --tasks=12abc", "bad value for --tasks: 12abc"},
+      {"simulate --perturb --jitter=nan", "bad value for --jitter: nan"},
+      {"simulate --perturb --fail-proc=1x", "bad value for --fail-proc: 1x"},
+      {"simulate --perturb --fail-proc=1 --fail-at=3.5",
+       "bad value for --fail-at: 3.5"},
+      {"serve --mean-gap=inf", "bad value for --mean-gap: inf"},
+  };
+  for (const auto& [args, message] : bad) {
+    const RunResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos)
+        << args << "\n" << r.output;
+  }
 }
 
 TEST(CliUsage, UnknownPolicyFails) {

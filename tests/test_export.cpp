@@ -57,6 +57,21 @@ TEST_F(ExportTest, ScheduleJsonRoundFigures) {
   EXPECT_NE(json.find("\"first_start\": 5"), std::string::npos);  // task b
 }
 
+TEST_F(ExportTest, ScheduleJsonEscapesTaskNames) {
+  // Task names are free-form (a served arrival may carry any of these): a
+  // quote, a backslash and a control character must leave valid JSON.
+  TaskGraph g;
+  g.add_task("q\"x\\y\x01z", 4, 1, 1);
+  g.freeze();
+  Schedule s(g, Architecture(1), CommModel::flat(1));
+  s.set_first_start(0, 0);
+  s.assign_all(0, 0);
+  const std::string json = schedule_to_json(s);
+  EXPECT_NE(json.find("\"name\": \"q\\\"x\\\\y\\u0001z\","),
+            std::string::npos)
+      << json;
+}
+
 TEST_F(ExportTest, StatsJson) {
   const BalanceResult r = LoadBalancer().balance(schedule_);
   const std::string json = stats_to_json(r.stats);

@@ -38,11 +38,22 @@ struct World {
 
   void add(ProcId p, Time start, Time len, TaskInstance owner) {
     occ[static_cast<std::size_t>(p)].add(start, len, owner);
+    start_of[owner] = start;
     end_of[owner] = start + len;
+  }
+
+  /// Release \p owner from processor \p p, at the start it was added at.
+  ProcTimeline::Released remove(ProcId p, TaskInstance owner) {
+    const ProcTimeline::Released released =
+        occ[static_cast<std::size_t>(p)].remove(owner, start_of.at(owner));
+    start_of.erase(owner);
+    end_of.erase(owner);
+    return released;
   }
 
   Time h;
   std::vector<ProcTimeline> occ;
+  std::map<TaskInstance, Time> start_of;
   std::map<TaskInstance, Time> end_of;
 };
 
@@ -154,8 +165,8 @@ LayoutEntry sibling(TaskId task, ProcId proc, Time base_start, Time wcet) {
 
 /// Fill \p world's timelines at random, then churn them the way the
 /// journal does: add and remove owners, and undo a few steps in reverse
-/// (an add by remove(), a removal by restore() of the interval it
-/// released). A processor may hold one full-circle owner instead.
+/// (an add by remove() at its start, a removal by restore() of the interval
+/// it released). A processor may hold one full-circle owner instead.
 void populate(World& world, Rng& rng, TaskId& next_task) {
   const Time h = world.h;
   const auto procs = static_cast<ProcId>(world.occ.size());
@@ -192,7 +203,6 @@ void populate(World& world, Rng& rng, TaskId& next_task) {
   for (int step = 0; step < 120; ++step) {
     const auto p = static_cast<ProcId>(rng.uniform(0, procs - 1));
     std::vector<TaskInstance>& on_p = owners[static_cast<std::size_t>(p)];
-    ProcTimeline& timeline = world.occ[static_cast<std::size_t>(p)];
     const std::int64_t action = rng.uniform(0, 9);
     if (action < 4) {
       if (try_add(p)) {
@@ -203,9 +213,8 @@ void populate(World& world, Rng& rng, TaskId& next_task) {
       const auto i = static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::int64_t>(on_p.size()) - 1));
       const TaskInstance owner = on_p[i];
-      log.push_back(Logged{p, owner, false, timeline.remove(owner),
-                           world.end_of[owner]});
-      world.end_of.erase(owner);
+      const Time end = world.end_of.at(owner);
+      log.push_back(Logged{p, owner, false, world.remove(p, owner), end});
       on_p.erase(on_p.begin() + static_cast<std::ptrdiff_t>(i));
     } else if (!log.empty()) {
       // Undo the newest few steps in reverse.
@@ -218,11 +227,11 @@ void populate(World& world, Rng& rng, TaskId& next_task) {
         std::vector<TaskInstance>& list =
             owners[static_cast<std::size_t>(entry.proc)];
         if (entry.added) {
-          t.remove(entry.owner);
-          world.end_of.erase(entry.owner);
+          world.remove(entry.proc, entry.owner);
           list.erase(std::find(list.begin(), list.end(), entry.owner));
         } else {
           t.restore(entry.owner, entry.interval);
+          world.start_of[entry.owner] = entry.end - entry.interval.len;
           world.end_of[entry.owner] = entry.end;
           list.push_back(entry.owner);
         }

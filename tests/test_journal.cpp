@@ -3,7 +3,7 @@
 /// the schedule, its aggregates and every occupancy piece exactly; a first
 /// placement rolls back to the incomplete schedule; the destructor rolls
 /// back unless committed; the WCET edit keeps busy time exact; and a
-/// timeline undoes removals exactly across owner-index rehashes.
+/// timeline undoes a long add/remove churn exactly, in reverse.
 
 #include <gtest/gtest.h>
 
@@ -83,34 +83,49 @@ std::vector<Time> busy_from_scratch(const Schedule& sched) {
 }
 
 /// Moves random instances to random processors where their interval fits,
-/// and shifts random first starts, all through \p journal.
+/// and shifts random first starts, all through \p journal. Every footprint
+/// stays where the schedule places its instance, or is dropped where the
+/// interval no longer fits, so that a removal names the start of the
+/// footprint it releases (DESIGN.md F42).
 void random_edits(ScheduleJournal& journal, Rng& rng, int count) {
   const Schedule& sched = journal.schedule();
+  const TaskGraph& graph = sched.graph();
   const std::vector<TaskInstance> all = sched.all_instances();
   const int procs = sched.architecture().processor_count();
+  const auto fits = [&](ProcId p, TaskInstance inst) {
+    return journal.occupancy()[static_cast<std::size_t>(p)].fits(
+        sched.start(inst), graph.task(inst.task).wcet);
+  };
+  const auto add = [&](ProcId p, TaskInstance inst) {
+    journal.add(p, sched.start(inst), graph.task(inst.task).wcet, inst);
+  };
+  const auto remove = [&](TaskInstance inst) {
+    journal.remove(sched.proc(inst), inst, sched.start(inst));
+  };
   for (int i = 0; i < count; ++i) {
     const TaskInstance inst =
         all[static_cast<std::size_t>(rng.uniform(0, std::ssize(all) - 1))];
     if (rng.uniform(0, 3) == 0) {
-      journal.set_first_start(inst.task, rng.uniform(0, 50));
+      // Every instance of the task shifts along.
+      const TaskId t = inst.task;
+      const InstanceIdx n = graph.instance_count(t);
+      for (InstanceIdx k = 0; k < n; ++k) remove(TaskInstance{t, k});
+      journal.set_first_start(t, rng.uniform(0, 50));
+      for (InstanceIdx k = 0; k < n; ++k) {
+        const TaskInstance shifted{t, k};
+        const ProcId p = sched.proc(shifted);
+        if (fits(p, shifted)) add(p, shifted);
+      }
       continue;
     }
-    // Shifted starts leave the occupancy behind the schedule, so every
-    // re-add is guarded by fits().
-    const Time start = sched.start(inst);
-    const Time wcet = sched.graph().task(inst.task).wcet;
     const ProcId home = sched.proc(inst);
-    journal.remove(home, inst);
-    const auto fits = [&](ProcId p) {
-      return journal.occupancy()[static_cast<std::size_t>(p)].fits(start,
-                                                                   wcet);
-    };
+    remove(inst);
     const auto dest = static_cast<ProcId>(rng.uniform(0, procs - 1));
-    if (fits(dest)) {
+    if (fits(dest, inst)) {
       journal.assign(inst, dest);
-      journal.add(dest, start, wcet, inst);
-    } else if (fits(home)) {
-      journal.add(home, start, wcet, inst);
+      add(dest, inst);
+    } else if (fits(home, inst)) {
+      add(home, inst);
     }
   }
 }
@@ -280,9 +295,10 @@ TEST(ScheduleJournal, MigrationsCompareWithTheFirstRecordedProcessor) {
   EXPECT_EQ(sched.proc(a), home_a);
 }
 
-TEST(ScheduleJournal, TimelineRestoreSurvivesOwnerIndexGrowthAndPurge) {
-  // Undo in reverse order across owner-index rehashes: a removed owner
-  // comes back after the index grew, filled with tombstones, and purged.
+TEST(ScheduleJournal, TimelineUndoesALongChurnInReverse) {
+  // Undo in reverse order after thousands of adds and removals: every
+  // removed owner comes back with the pieces it had, every added one
+  // leaves from the start it was added at.
   const Time h = 4096;
   ProcTimeline tl(h);
   for (int i = 0; i < 40; ++i) tl.add(i * 8, 3, TaskInstance{i, 0});
@@ -300,7 +316,7 @@ TEST(ScheduleJournal, TimelineRestoreSurvivesOwnerIndexGrowthAndPurge) {
     if (rng.uniform(0, 2) == 0) {
       // Remove a random present owner.
       const TaskInstance owner{static_cast<TaskId>(rng.uniform(0, 39)), 0};
-      const ProcTimeline::Released r = tl.remove(owner);
+      const ProcTimeline::Released r = tl.remove(owner, owner.task * 8);
       if (r.len > 0) ops.push_back(Op{false, owner, r});
       continue;
     }
@@ -309,23 +325,25 @@ TEST(ScheduleJournal, TimelineRestoreSurvivesOwnerIndexGrowthAndPurge) {
     if (!tl.fits(start, len)) continue;
     const TaskInstance owner{next_owner++, 0};
     tl.add(start, len, owner);
-    ops.push_back(Op{true, owner, {}});
-    if (rng.uniform(0, 1) == 0) {  // churn: leave a tombstone behind
-      ops.push_back(Op{false, owner, tl.remove(owner)});
+    ops.push_back(Op{true, owner, {start, len}});
+    if (rng.uniform(0, 1) == 0) {  // churn: gone again at once
+      ops.push_back(Op{false, owner, tl.remove(owner, start)});
     }
   }
   for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
     if (it->added) {
-      tl.remove(it->owner);
+      ASSERT_EQ(tl.remove(it->owner, it->released.start).len,
+                it->released.len);
     } else {
       tl.restore(it->owner, it->released);
     }
     ASSERT_TRUE(tl.check_index_integrity());
   }
   EXPECT_TRUE(tl.same_pieces(initial));
-  // The restored owners are indexed again: each one removes cleanly.
+  // The restored owners are back at their starts: each one removes
+  // cleanly.
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(tl.remove(TaskInstance{i, 0}).len, 3) << i;
+    EXPECT_EQ(tl.remove(TaskInstance{i, 0}, i * 8).len, 3) << i;
   }
   EXPECT_EQ(tl.piece_count(), 0u);
 }
@@ -333,7 +351,7 @@ TEST(ScheduleJournal, TimelineRestoreSurvivesOwnerIndexGrowthAndPurge) {
 TEST(ScheduleJournal, RemoveReturnsTheWrappingIntervalWhole) {
   ProcTimeline tl(12);
   tl.add(10, 4, TaskInstance{0, 0});  // [10,12) and [0,2)
-  const ProcTimeline::Released r = tl.remove(TaskInstance{0, 0});
+  const ProcTimeline::Released r = tl.remove(TaskInstance{0, 0}, 10);
   EXPECT_EQ(r.start, 10);
   EXPECT_EQ(r.len, 4);
   EXPECT_EQ(tl.piece_count(), 0u);

@@ -492,8 +492,9 @@ std::string repair_every_task(ScheduleJournal& edits,
   }
   const auto detach = [&](TaskId t) {
     for (InstanceIdx k = 0; k < graph.instance_count(t); ++k) {
-      const ProcId p = work.proc(TaskInstance{t, k});
-      if (p != kNoProc) edits.remove(p, TaskInstance{t, k});
+      const TaskInstance inst{t, k};
+      const ProcId p = work.proc(inst);
+      if (p != kNoProc) edits.remove(p, inst, work.start(inst));
     }
   };
   for (const auto& [rank, t] : dirty) detach(t);

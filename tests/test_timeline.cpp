@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "lbmem/sched/timeline.hpp"
 #include "lbmem/util/check.hpp"
 #include "lbmem/util/rng.hpp"
@@ -59,7 +62,7 @@ TEST(ProcTimeline, RemoveReleases) {
   ProcTimeline tl(12);
   tl.add(10, 4, inst(0));
   tl.add(4, 2, inst(1));
-  tl.remove(inst(0));
+  tl.remove(inst(0), 10);
   EXPECT_TRUE(tl.fits(10, 4));
   EXPECT_FALSE(tl.fits(4, 1));
   EXPECT_EQ(tl.busy_time(), 2);
@@ -121,9 +124,10 @@ TEST(ProcTimeline, EarliestFitPaperTaskB) {
 
 TEST(ProcTimelineChurn, RepeatedAddRemoveTracksReference) {
   // The balancer's detach/re-attach pattern: heavy add/remove churn with
-  // owners coming and going. The owner index must keep pieces_ exact —
-  // piece_count, busy_time and point queries are compared against a
-  // per-tick reference occupancy after every operation.
+  // owners coming and going, each removed at the start it was added at
+  // (in [0, 2H), so also one lap late). piece_count, busy_time and point
+  // queries are compared against a per-tick reference occupancy after
+  // every operation.
   Rng rng(4242);
   const Time h = 48;
   ProcTimeline tl(h);
@@ -137,7 +141,7 @@ TEST(ProcTimelineChurn, RepeatedAddRemoveTracksReference) {
     const auto slot = static_cast<std::size_t>(rng.uniform(0, 19));
     const TaskInstance owner = inst(static_cast<TaskId>(slot));
     if (held[slot]) {
-      tl.remove(owner);
+      tl.remove(owner, held[slot]->start);
       held[slot].reset();
     } else {
       const Time start = rng.uniform(0, 2 * h);
@@ -179,15 +183,15 @@ TEST(ProcTimelineChurn, WrappingIntervalRemovesBothPieces) {
   tl.add(10, 4, inst(0));  // split into [10,12) and [0,2)
   tl.add(4, 2, inst(1));
   EXPECT_EQ(tl.piece_count(), 3u);
-  tl.remove(inst(0));
+  tl.remove(inst(0), 10);
   EXPECT_EQ(tl.piece_count(), 1u);
   EXPECT_TRUE(tl.fits(10, 4));
   EXPECT_TRUE(tl.fits(0, 2));
-  // Re-add after removal: the owner slots must have been fully released.
+  // Re-add after removal: the owner must have been fully released.
   tl.add(11, 3, inst(0));
   EXPECT_EQ(tl.piece_count(), 3u);
   EXPECT_FALSE(tl.fits(0, 1));
-  tl.remove(inst(0));
+  tl.remove(inst(0), 11);
   EXPECT_EQ(tl.piece_count(), 1u);
   EXPECT_EQ(tl.busy_time(), 2);
 }
@@ -195,12 +199,106 @@ TEST(ProcTimelineChurn, WrappingIntervalRemovesBothPieces) {
 TEST(ProcTimelineChurn, RemoveAbsentOwnerIsNoOp) {
   ProcTimeline tl(12);
   tl.add(0, 2, inst(0));
-  tl.remove(inst(7));
+  EXPECT_EQ(tl.remove(inst(7), 0).len, 0);  // inst(0) starts there
   EXPECT_EQ(tl.piece_count(), 1u);
-  tl.remove(inst(0));
-  tl.remove(inst(0));  // second removal: still a no-op
+  EXPECT_EQ(tl.remove(inst(0), 0).len, 2);
+  // Second removal, as the repair's second detach of a dirty task: still a
+  // no-op, in every build.
+  EXPECT_EQ(tl.remove(inst(0), 0).len, 0);
   EXPECT_EQ(tl.piece_count(), 0u);
   EXPECT_EQ(tl.busy_time(), 0);
+}
+
+/// Three owners on a circle of 12: inst(0) at [3, 5), inst(1) wrapping
+/// over [10, 12) and [0, 2), inst(2) at [6, 7).
+ProcTimeline three_owners() {
+  ProcTimeline tl(12);
+  tl.add(3, 2, inst(0));
+  tl.add(10, 4, inst(1));
+  tl.add(6, 1, inst(2));
+  return tl;
+}
+
+TEST(ProcTimelineRemove, AWrongStartLeavesEveryPiece) {
+  // A start inside the owner's interval, another owner's start, a free
+  // tick, and a wrapped owner's tail at 0: no interval of the owner starts
+  // there. Optimized builds leave every piece; LBMEM_TIMELINE_VERIFY builds
+  // report that the owner holds an interval elsewhere.
+  const ProcTimeline before = three_owners();
+  const std::pair<TaskInstance, Time> wrong[] = {
+      {inst(0), 4}, {inst(0), 6}, {inst(0), 8}, {inst(1), 0}, {inst(1), 12}};
+  for (const auto& [owner, start] : wrong) {
+    SCOPED_TRACE("owner " + std::to_string(owner.task) + " start " +
+                 std::to_string(start));
+    ProcTimeline tl = three_owners();
+#if LBMEM_TIMELINE_VERIFY
+    EXPECT_THROW(tl.remove(owner, start), PreconditionError);
+#else
+    EXPECT_EQ(tl.remove(owner, start).len, 0);
+#endif
+    EXPECT_TRUE(tl.same_pieces(before));
+    EXPECT_TRUE(tl.check_index_integrity());
+  }
+  // An owner with no interval is a no-op in every build, wherever asked.
+  ProcTimeline tl = three_owners();
+  for (const Time start : {0, 3, 8, 10}) {
+    EXPECT_EQ(tl.remove(inst(5), start).len, 0);
+  }
+  EXPECT_TRUE(tl.same_pieces(before));
+}
+
+TEST(ProcTimelineRemove, TakesTheStartModH) {
+  ProcTimeline tl = three_owners();
+  const ProcTimeline::Released a = tl.remove(inst(0), 3 + 12);
+  EXPECT_EQ(a.start, 3);
+  EXPECT_EQ(a.len, 2);
+  const ProcTimeline::Released b = tl.remove(inst(1), 10 - 24);
+  EXPECT_EQ(b.start, 10);
+  EXPECT_EQ(b.len, 4);
+  EXPECT_EQ(tl.piece_count(), 1u);
+  EXPECT_TRUE(tl.check_index_integrity());
+  // Restoring both brings back the same pieces.
+  tl.restore(inst(1), b);
+  tl.restore(inst(0), a);
+  EXPECT_TRUE(tl.same_pieces(three_owners()));
+}
+
+TEST(ProcTimelineRemove, AWrapLosesBothPiecesFromItsHeadStart) {
+  ProcTimeline tl = three_owners();
+  const ProcTimeline::Released r = tl.remove(inst(1), 10);
+  EXPECT_EQ(r.start, 10);
+  EXPECT_EQ(r.len, 4);
+  EXPECT_EQ(tl.piece_count(), 2u);
+  EXPECT_TRUE(tl.fits(10, 4));
+  EXPECT_TRUE(tl.check_index_integrity());
+
+  // A full-circle owner starting at s > 0 is [s, H) and [0, s).
+  for (const Time s : {0, 1, 5, 11}) {
+    SCOPED_TRACE("s " + std::to_string(s));
+    ProcTimeline full(12);
+    full.add(s, 12, inst(9));
+    EXPECT_EQ(full.piece_count(), s > 0 ? 2u : 1u);
+    const ProcTimeline::Released whole = full.remove(inst(9), s);
+    EXPECT_EQ(whole.start, s);
+    EXPECT_EQ(whole.len, 12);
+    EXPECT_EQ(full.piece_count(), 0u);
+    EXPECT_EQ(full.busy_time(), 0);
+    EXPECT_TRUE(full.check_index_integrity());
+    full.restore(inst(9), whole);
+    EXPECT_EQ(full.busy_time(), 12);
+    EXPECT_TRUE(full.check_index_integrity());
+  }
+}
+
+TEST(ProcTimelineRemove, AnOwnerHoldsOneInterval) {
+  // The checked add() always refuses a second interval for an owner;
+  // add_unchecked() does under LBMEM_TIMELINE_VERIFY.
+  ProcTimeline tl = three_owners();
+  EXPECT_THROW(tl.add(8, 1, inst(0)), PreconditionError);
+#if LBMEM_TIMELINE_VERIFY
+  EXPECT_THROW(tl.add_unchecked(8, 1, inst(2)), PreconditionError);
+#endif
+  EXPECT_TRUE(tl.same_pieces(three_owners()));
 }
 
 TEST(ProcTimelineChurn, ConflictingOwnerIfSkipsIgnoredOwners) {

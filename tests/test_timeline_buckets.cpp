@@ -101,6 +101,14 @@ class NaiveTimeline {
     }
   }
 
+  /// Where \p owner's interval starts: its first entry, which add()
+  /// pushes before a wrapped tail. Requires a present owner.
+  Time start_of(TaskInstance owner) const {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [&](const Entry& e) { return e.owner == owner; })
+        ->pos;
+  }
+
   void remove(TaskInstance owner) {
     entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                   [&](const Entry& e) {
@@ -196,7 +204,10 @@ void churn(Time h, std::uint64_t seed, int steps) {
     } else if (action < 7) {
       const auto idx = static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1));
-      timeline.remove(live[idx]);
+      // The start one lap early, on the circle or one lap late: removal
+      // takes it mod H.
+      const Time lap = static_cast<Time>(step % 3 - 1) * h;
+      timeline.remove(live[idx], naive.start_of(live[idx]) + lap);
       naive.remove(live[idx]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else if (action < 9) {
@@ -414,7 +425,7 @@ TEST(ProcTimelineBuckets, DenseSmallGapsWalkTheWholeCircle) {
   }
   EXPECT_EQ(timeline.earliest_fit(0, h, 2, 1), std::nullopt);
   EXPECT_EQ(timeline.earliest_fit(0, h, 1, 1), 2);
-  timeline.remove(TaskInstance{350, 0});
+  timeline.remove(TaskInstance{350, 0}, 1050);
   naive.remove(TaskInstance{350, 0});
   ASSERT_TRUE(timeline.check_index_integrity());
   EXPECT_EQ(timeline.earliest_fit(0, h, 2, 1), 1049);
@@ -443,7 +454,7 @@ TEST(ProcTimelineBuckets, ExactFitInsideACrowdedBucket) {
     timeline.add(2 * t, 1, TaskInstance{t, 0});
     naive.add(2 * t, 1, TaskInstance{t, 0});
   }
-  timeline.remove(TaskInstance{802, 0});  // [1604, 1605)
+  timeline.remove(TaskInstance{802, 0}, 1604);  // [1604, 1605)
   naive.remove(TaskInstance{802, 0});
   ASSERT_TRUE(timeline.check_index_integrity());
   EXPECT_EQ(timeline.earliest_fit(0, h, 3, 1), 1603);
@@ -473,7 +484,7 @@ TEST(ProcTimelineBuckets, WrapHeavy) {
   for (Time t = 0; t < 100; ++t) {
     ASSERT_EQ(tl.fits(t, 3), naive.fits(t, 3)) << "t=" << t;
   }
-  tl.remove(TaskInstance{0, 0});
+  tl.remove(TaskInstance{0, 0}, 95);
   naive.remove(TaskInstance{0, 0});
   ASSERT_TRUE(tl.check_index_integrity());
   EXPECT_EQ(tl.piece_count(), 0u);
@@ -488,7 +499,7 @@ TEST(ProcTimelineBuckets, SamePiecesIgnoresInsertionHistory) {
   built.add(90, 20, TaskInstance{0, 0});  // wraps: two pieces
   built.add(30, 5, TaskInstance{1, 0});
   built.add(50, 5, TaskInstance{2, 0});
-  built.remove(TaskInstance{2, 0});
+  built.remove(TaskInstance{2, 0}, 50);
 
   ProcTimeline fresh(100);
   fresh.add(30, 5, TaskInstance{1, 0});
@@ -513,8 +524,9 @@ TEST(ProcTimelineBuckets, SamePiecesIgnoresInsertionHistory) {
 
 /// Churn with rollbacks, the way ScheduleJournal drives a timeline: random
 /// adds and removals are logged, and every so often the newest few are
-/// undone in reverse (an add by remove(), a removal by restore() of the
-/// interval it released), so that bucket summaries are exercised after
+/// undone in reverse (an add by remove() at the start it was added at, a
+/// removal by restore() of the interval it released), so that bucket
+/// summaries are exercised after
 /// erasures and re-insertions alike. After every step the index is audited
 /// (summaries included), and whole-task probes must match the start-by-
 /// start search and the probe-and-jump loop.
@@ -526,7 +538,7 @@ void churn_with_rollbacks(Time h, std::uint64_t seed, int steps) {
   struct Edit {
     bool added;
     TaskInstance owner;
-    ProcTimeline::Released released;
+    ProcTimeline::Released released;  // an add: its start, not taken mod H
   };
   std::vector<Edit> log;
   std::vector<TaskInstance> live;
@@ -544,12 +556,13 @@ void churn_with_rollbacks(Time h, std::uint64_t seed, int steps) {
         timeline.add_unchecked(start, len, owner);
         naive.add(start, len, owner);
         live.push_back(owner);
-        log.push_back(Edit{true, owner, {}});
+        log.push_back(Edit{true, owner, {start, len}});
       }
     } else if (action < 14) {
       const TaskInstance owner = live[static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1))];
-      const ProcTimeline::Released released = timeline.remove(owner);
+      const ProcTimeline::Released released =
+          timeline.remove(owner, naive.start_of(owner));
       naive.remove(owner);
       forget(owner);
       log.push_back(Edit{false, owner, released});
@@ -559,7 +572,7 @@ void churn_with_rollbacks(Time h, std::uint64_t seed, int steps) {
         const Edit e = log.back();
         log.pop_back();
         if (e.added) {
-          timeline.remove(e.owner);
+          timeline.remove(e.owner, e.released.start);
           naive.remove(e.owner);
           forget(e.owner);
         } else {
@@ -620,7 +633,7 @@ TEST(ProcTimelineBulk, IntervalsMatchIncrementalAddsIncludingWraps) {
   EXPECT_EQ(bulk.busy_time(), added.busy_time());
   for (const ProcTimeline::Interval& in : fitting) {
     ProcTimeline copy = bulk;
-    const ProcTimeline::Released released = copy.remove(in.owner);
+    const ProcTimeline::Released released = copy.remove(in.owner, in.start);
     EXPECT_EQ(released.start, mod_floor(in.start, h));
     EXPECT_EQ(released.len, in.len);
     EXPECT_TRUE(copy.check_index_integrity());
@@ -631,14 +644,22 @@ TEST(ProcTimelineBulk, IntervalsMatchIncrementalAddsIncludingWraps) {
   EXPECT_TRUE(ProcTimeline(h, {}).same_pieces(ProcTimeline(h)));
 }
 
-TEST(ProcTimelineBulk, RejectsOverlapsUnderVerifyAndRepeatedOwnersAlways) {
+TEST(ProcTimelineBulk, RejectsOverlapsAndRepeatedOwnersUnderVerify) {
   using Interval = ProcTimeline::Interval;
-  const std::vector<Interval> repeated = {{0, 1, TaskInstance{0, 0}},
-                                          {10, 1, TaskInstance{0, 0}}};
-  EXPECT_THROW(ProcTimeline(100, repeated), PreconditionError);
   const std::vector<Interval> too_long = {{0, 101, TaskInstance{0, 0}}};
   EXPECT_THROW(ProcTimeline(100, too_long), PreconditionError);
 #if LBMEM_TIMELINE_VERIFY
+  // A repeated owner, next to its twin (build_occupancy's ascending order)
+  // or apart.
+  const std::vector<std::vector<Interval>> repeated = {
+      {{0, 1, TaskInstance{0, 0}}, {10, 1, TaskInstance{0, 0}}},
+      {{50, 1, TaskInstance{3, 0}},
+       {0, 1, TaskInstance{1, 0}},
+       {70, 5, TaskInstance{3, 0}}},
+  };
+  for (const std::vector<Interval>& bad : repeated) {
+    EXPECT_THROW(ProcTimeline(100, bad), PreconditionError);
+  }
   const std::vector<std::vector<Interval>> overlapping = {
       {{10, 5, TaskInstance{0, 0}}, {14, 3, TaskInstance{1, 0}}},
       {{10, 5, TaskInstance{0, 0}}, {110, 1, TaskInstance{1, 0}}},
@@ -701,7 +722,8 @@ TEST(ProcTimelineBulk, BuildOccupancyMatchesIncrementalAdds) {
     ASSERT_EQ(bulk[p].piece_count(), added[p].piece_count());
     // Every owner leaves and returns exactly, as a journal rollback needs.
     for (const TaskInstance owner : owners[p]) {
-      const ProcTimeline::Released released = bulk[p].remove(owner);
+      const ProcTimeline::Released released =
+          bulk[p].remove(owner, sched.start(owner));
       ASSERT_EQ(released.len, graph.task(owner.task).wcet);
       ASSERT_TRUE(bulk[p].check_index_integrity());
       bulk[p].restore(owner, released);
@@ -709,7 +731,9 @@ TEST(ProcTimelineBulk, BuildOccupancyMatchesIncrementalAdds) {
     ASSERT_TRUE(bulk[p].check_index_integrity());
     ASSERT_TRUE(bulk[p].same_pieces(added[p]));
     // And every owner can leave for good.
-    for (const TaskInstance owner : owners[p]) bulk[p].remove(owner);
+    for (const TaskInstance owner : owners[p]) {
+      bulk[p].remove(owner, sched.start(owner));
+    }
     ASSERT_EQ(bulk[p].piece_count(), 0u);
     ASSERT_TRUE(bulk[p].check_index_integrity());
   }

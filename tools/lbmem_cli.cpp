@@ -16,12 +16,16 @@
 /// processor failure could not be repaired; for serve: when the final
 /// post-trace schedule is invalid).
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "lbmem/api/problem.hpp"
@@ -377,6 +381,30 @@ struct CliOptions {
   bool mean_gap_set = false;
 };
 
+/// The whole of \p text as a T: trailing characters, and a floating value
+/// that is not finite, throw std::invalid_argument; a value past T's range
+/// throws std::out_of_range. parse_flags reports both as a bad value.
+template <typename T>
+T parse_number(const std::string& text) {
+  std::size_t used = 0;
+  T value{};
+  if constexpr (std::is_floating_point_v<T>) {
+    value = std::stod(text, &used);
+    if (!std::isfinite(value)) throw std::invalid_argument(text);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    value = static_cast<T>(std::stoull(text, &used));
+  } else {
+    const long long wide = std::stoll(text, &used);
+    if (wide < std::numeric_limits<T>::min() ||
+        wide > std::numeric_limits<T>::max()) {
+      throw std::out_of_range(text);
+    }
+    value = static_cast<T>(wide);
+  }
+  if (used != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
 CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
                        int first) {
   CliOptions options;
@@ -404,21 +432,21 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
     }
     try {
       if (key == "tasks") {
-        options.tasks = std::stoi(value);
+        options.tasks = parse_number<int>(value);
       } else if (key == "procs") {
-        options.procs = std::stoi(value);
+        options.procs = parse_number<int>(value);
       } else if (key == "seed") {
-        options.seed = std::stoull(value);
+        options.seed = parse_number<std::uint64_t>(value);
       } else if (key == "comm") {
-        options.comm = std::stoll(value);
+        options.comm = parse_number<Time>(value);
       } else if (key == "period-levels") {
-        options.period_levels = std::stoi(value);
+        options.period_levels = parse_number<int>(value);
       } else if (key == "edge-prob") {
-        options.edge_prob = std::stod(value);
+        options.edge_prob = parse_number<double>(value);
       } else if (key == "capacity") {
-        options.capacity = std::stoll(value);
+        options.capacity = parse_number<Mem>(value);
       } else if (key == "hyperperiods") {
-        options.hyperperiods = std::stoi(value);
+        options.hyperperiods = parse_number<int>(value);
       } else if (key == "local-buffers") {
         if (value == "on") options.local_buffers = true;
         else if (value == "off") options.local_buffers = false;
@@ -429,29 +457,29 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         else usage("unknown perturb mode: " + value);
       } else if (key == "replications") {
         options.perturb_knob_set = true;
-        options.replications = std::stoi(value);
+        options.replications = parse_number<int>(value);
         if (options.replications < 1) {
           usage("--replications takes a count >= 1");
         }
       } else if (key == "jitter") {
         options.perturb_knob_set = true;
-        options.jitter = std::stod(value);
+        options.jitter = parse_number<double>(value);
         if (options.jitter < 0) usage("--jitter takes a fraction >= 0");
       } else if (key == "comm-jitter") {
         options.perturb_knob_set = true;
-        options.comm_jitter = std::stod(value);
+        options.comm_jitter = parse_number<double>(value);
         if (options.comm_jitter < 0) {
           usage("--comm-jitter takes a fraction >= 0");
         }
       } else if (key == "stall-prob") {
         options.perturb_knob_set = true;
-        options.stall_prob = std::stod(value);
+        options.stall_prob = parse_number<double>(value);
         if (options.stall_prob < 0 || options.stall_prob > 1) {
           usage("--stall-prob takes a probability in [0, 1]");
         }
       } else if (key == "stall-ticks") {
         options.perturb_knob_set = true;
-        options.stall_ticks = std::stoll(value);
+        options.stall_ticks = parse_number<Time>(value);
         if (options.stall_ticks < 0) usage("--stall-ticks takes ticks >= 0");
       } else if (key == "bus-fifo") {
         options.perturb_knob_set = true;
@@ -460,22 +488,22 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         else usage("unknown bus-fifo mode: " + value);
       } else if (key == "perturb-seed") {
         options.perturb_knob_set = true;
-        options.perturb_seed = std::stoull(value);
+        options.perturb_seed = parse_number<std::uint64_t>(value);
       } else if (key == "burst-p") {
         options.perturb_knob_set = true;
-        options.burst_p = std::stod(value);
+        options.burst_p = parse_number<double>(value);
         if (options.burst_p < 0 || options.burst_p > 1) {
           usage("--burst-p takes a probability in [0, 1]");
         }
       } else if (key == "burst-q") {
         options.perturb_knob_set = true;
-        options.burst_q = std::stod(value);
+        options.burst_q = parse_number<double>(value);
         if (options.burst_q <= 0 || options.burst_q > 1) {
           usage("--burst-q takes a probability in (0, 1]");
         }
       } else if (key == "burst-factor") {
         options.perturb_knob_set = true;
-        options.burst_factor = std::stod(value);
+        options.burst_factor = parse_number<double>(value);
         if (options.burst_factor <= 0) {
           usage("--burst-factor takes a multiplier > 0");
         }
@@ -484,7 +512,9 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         std::string item;
         std::istringstream list(value);
         while (std::getline(list, item, ',')) {
-          if (!item.empty()) options.fail_procs.push_back(std::stoi(item));
+          if (!item.empty()) {
+            options.fail_procs.push_back(parse_number<int>(item));
+          }
         }
         if (options.fail_procs.empty()) {
           usage("--fail-proc takes a comma list of processors");
@@ -495,7 +525,7 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         std::istringstream list(value);
         while (std::getline(list, item, ',')) {
           if (item.empty()) continue;
-          const Time at = std::stoll(item);
+          const Time at = parse_number<Time>(item);
           if (at < 0) usage("--fail-at takes ticks >= 0");
           options.fail_ats.push_back(at);
         }
@@ -509,10 +539,10 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         else usage("unknown adaptive mode: " + value);
       } else if (key == "events") {
         options.trace_gen_set = true;
-        options.events = std::stoi(value);
+        options.events = parse_number<int>(value);
       } else if (key == "event-seed") {
         options.trace_gen_set = true;
-        options.event_seed = std::stoull(value);
+        options.event_seed = parse_number<std::uint64_t>(value);
       } else if (key == "arrivals") {
         options.trace_gen_set = true;
         if (value == "uniform") options.arrivals = ArrivalModel::UniformGap;
@@ -522,21 +552,21 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
       } else if (key == "mean-gap") {
         options.trace_gen_set = true;
         options.mean_gap_set = true;
-        options.mean_gap = std::stod(value);
+        options.mean_gap = parse_number<double>(value);
         if (options.mean_gap <= 0) usage("--mean-gap takes ticks > 0");
       } else if (key == "cycle-ticks") {
-        options.cycle_ticks = std::stoll(value);
+        options.cycle_ticks = parse_number<Time>(value);
         if (options.cycle_ticks < 1) usage("--cycle-ticks takes ticks >= 1");
       } else if (key == "queue-cap") {
-        options.queue_cap = std::stoi(value);
+        options.queue_cap = parse_number<int>(value);
         if (options.queue_cap < 0) {
           usage("--queue-cap takes a bound >= 1, or 0 for unbounded");
         }
       } else if (key == "batch-max") {
-        options.batch_max = std::stoi(value);
+        options.batch_max = parse_number<int>(value);
         if (options.batch_max < 1) usage("--batch-max takes a count >= 1");
       } else if (key == "budget-us") {
-        options.budget_us = std::stoll(value);
+        options.budget_us = parse_number<std::int64_t>(value);
         if (options.budget_us < 0) {
           usage("--budget-us takes microseconds >= 0");
         }
@@ -545,10 +575,10 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         else if (value == "off") options.coalesce = false;
         else usage("unknown coalesce mode: " + value);
       } else if (key == "overload") {
-        options.overload = std::stoi(value);
+        options.overload = parse_number<int>(value);
         if (options.overload < 0) usage("--overload takes a backlog >= 0");
       } else if (key == "stats-every") {
-        options.stats_every = std::stoll(value);
+        options.stats_every = parse_number<std::int64_t>(value);
         if (options.stats_every < 0) {
           usage("--stats-every takes cycles >= 0");
         }
@@ -559,11 +589,11 @@ CliOptions parse_flags(const CommandSpec& cmd, int argc, char** argv,
         if (value.empty()) usage("--emit-trace takes a file path or '-'");
         options.emit_trace = value;
       } else if (key == "migration-penalty") {
-        options.migration_penalty = std::stoll(value);
+        options.migration_penalty = parse_number<Time>(value);
       } else if (key == "count") {
-        options.count = std::stoi(value);
+        options.count = parse_number<int>(value);
       } else if (key == "threads") {
-        options.threads = std::stoi(value);
+        options.threads = parse_number<int>(value);
         if (options.threads < 0) {
           usage("--threads takes a count >= 1, or 0 for the hardware "
                 "concurrency");
