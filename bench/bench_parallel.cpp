@@ -2,14 +2,14 @@
 /// \brief Threading scaling sweep behind ScenarioSpec::threads (DESIGN.md
 /// F19/F20), recorded into BENCH_parallel.json by tools/bench_record.sh.
 ///
-/// BM_SweepThreads farms ScenarioRunner's (instance x solver) cells onto
-/// the pool at thread counts 1/2/4/8 — the embarrassingly parallel layer,
+/// BM_SweepThreads runs ScenarioRunner's (instance x solver) cells through
+/// parallel_for at thread counts 1/2/4/8 — the embarrassingly parallel layer,
 /// expected to scale near-linearly up to the core count. The report is
 /// bit-identical for every thread count (enforced by
 /// tests/test_parallel_equivalence.cpp); the benchmark exports its result
 /// signature as a counter so a scaling run doubles as a cross-thread-count
 /// consistency check in the recorded JSON. The balancer's own destination
-/// scan is sequential: one block decision costs less than a pool fork/join
+/// scan is sequential: one block decision costs less than a fork/join
 /// (DESIGN.md F19).
 
 #include <benchmark/benchmark.h>
@@ -38,7 +38,7 @@ SuiteSpec sweep_suite() {
   return spec;
 }
 
-/// The sweep layer: instances x solvers cells on the pool.
+/// The sweep layer: instances x solvers cells across threads.
 void BM_SweepThreads(benchmark::State& state) {
   ScenarioSpec spec;
   spec.suite = sweep_suite();

@@ -1,16 +1,43 @@
 #include "lbmem/api/scenario.hpp"
 
+#include <mutex>
+
 #include "lbmem/obs/metrics.hpp"
 #include "lbmem/obs/trace.hpp"
 #include "lbmem/sim/robustness.hpp"
-#include "lbmem/util/thread_pool.hpp"
+#include "lbmem/util/check.hpp"
+#include "lbmem/util/parallel_for.hpp"
 
 namespace lbmem {
+
+namespace {
+
+/// The metrics one cell records for its solver: the cell counters
+/// (Deterministic) and the solver's wall-time histogram (Timing class —
+/// wall clock is never deterministic).
+struct CellMetricIds {
+  obs::MetricId cells, feasible, wall_us;
+};
+
+CellMetricIds cell_metric_ids(obs::Registry& reg, const std::string& solver) {
+  return {reg.counter("compare.cells", obs::MetricClass::Deterministic),
+          reg.counter("compare.cells_feasible",
+                      obs::MetricClass::Deterministic),
+          reg.histogram("compare.wall_us." + solver,
+                        obs::MetricClass::Timing)};
+}
+
+}  // namespace
 
 ScenarioRunner::ScenarioRunner(const SolverRegistry& registry)
     : registry_(&registry) {}
 
 ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
+  // Cells record their replications into a registry of their own (see
+  // below); a shared sim.metrics would be written by every cell at once.
+  LBMEM_REQUIRE(spec.sim.metrics == nullptr,
+                "ScenarioSpec::sim.metrics must be null; set "
+                "ScenarioSpec::metrics instead");
   // Resolve the subset up front: an unknown name is a caller error and
   // must fail before minutes of workload generation, not after.
   std::vector<std::shared_ptr<const Solver>> solvers;
@@ -40,27 +67,24 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
   // solves it, and fills exactly its own pre-sized slot — so the cell
   // order (instance-major) and everything derived from it are identical
   // for every thread count (DESIGN.md F19/F20). push_back would be both
-  // a data race and an ordering leak under the pool.
+  // a data race and an ordering leak across threads.
   const std::size_t width = solvers.size();
   report.cells.assign(suite.size() * width, ScenarioCell{});
 
-  // Metric ids are resolved once, on this thread, before the sweep: the
-  // pool workers then only shard-record, and the emitted name set is fixed
-  // up front (one wall-time histogram per racing solver — Timing class,
-  // wall clock is never deterministic; the cell counters are).
-  obs::MetricId cells_id, feasible_id;
-  std::vector<obs::MetricId> wall_ids(width);
+  // The emitted name set is registered up front, one wall-time histogram
+  // per racing solver, so it does not depend on which cells ran.
   if (spec.metrics != nullptr) {
-    cells_id = spec.metrics->counter("compare.cells",
-                                     obs::MetricClass::Deterministic);
-    feasible_id = spec.metrics->counter("compare.cells_feasible",
-                                        obs::MetricClass::Deterministic);
-    for (std::size_t s = 0; s < width; ++s) {
-      wall_ids[s] = spec.metrics->histogram(
-          "compare.wall_us." + solvers[s]->name(), obs::MetricClass::Timing);
+    for (const auto& solver : solvers) {
+      cell_metric_ids(*spec.metrics, solver->name());
     }
   }
 
+  // Each cell records compare.* and its replications' sim.* and
+  // robustness.* metrics into a registry on its own stack, then folds it
+  // into spec.metrics under one lock. The fold is commutative and the
+  // snapshot name-sorted, so the order in which cells end never shows
+  // (DESIGN.md F43).
+  std::mutex fold_mutex;
   const auto solve_cell = [&](std::size_t idx) {
     obs::ScopedSpan cell_span("compare.cell", "compare");
     const SuiteInstance& instance = suite[idx / width];
@@ -76,12 +100,13 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
     cell.gain = outcome.stats.gain_total;
     cell.wall_seconds = outcome.stats.wall_seconds;
     cell.detail = outcome.detail;
+    obs::Registry cell_metrics;
     if (spec.metrics != nullptr) {
-      spec.metrics->add(cells_id, 1);
-      if (cell.feasible) spec.metrics->add(feasible_id, 1);
-      spec.metrics->record(
-          wall_ids[idx % width],
-          static_cast<std::int64_t>(cell.wall_seconds * 1e6));
+      const CellMetricIds ids = cell_metric_ids(cell_metrics, cell.solver);
+      cell_metrics.add(ids.cells, 1);
+      if (cell.feasible) cell_metrics.add(ids.feasible, 1);
+      cell_metrics.record(ids.wall_us, static_cast<std::int64_t>(
+                                           cell.wall_seconds * 1e6));
     }
     if (spec.replications > 0 && outcome.feasible()) {
       // Robustness replications: the instance's noise stream is shared by
@@ -90,7 +115,7 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
       // the miss-rate column compares schedules, not luck.
       RobustnessOptions rob;
       rob.sim = spec.sim;
-      if (rob.sim.metrics == nullptr) rob.sim.metrics = spec.metrics;
+      if (spec.metrics != nullptr) rob.sim.metrics = &cell_metrics;
       rob.perturb = spec.suite.perturb;
       rob.perturb.seed = perturb_hash(spec.suite.perturb.seed,
                                       kPerturbScenario, instance.seed);
@@ -106,16 +131,12 @@ ScenarioReport ScenarioRunner::run(const ScenarioSpec& spec) const {
       cell.mean_span_inflation = r.mean_span_inflation;
       cell.sim_violations = r.total_violations;
     }
-  };
-  const int threads = ThreadPool::resolve(spec.threads);
-  if (threads > 1 && report.cells.size() > 1) {
-    ThreadPool pool(threads);
-    pool.parallel_for(report.cells.size(), solve_cell);
-  } else {
-    for (std::size_t idx = 0; idx < report.cells.size(); ++idx) {
-      solve_cell(idx);
+    if (spec.metrics != nullptr) {
+      const std::lock_guard<std::mutex> lock(fold_mutex);
+      spec.metrics->merge(cell_metrics);
     }
-  }
+  };
+  parallel_for(spec.threads, report.cells.size(), solve_cell);
 
   // Summary post-pass on this thread, in cell order. Quality means
   // aggregate over the solved instances; wall time over all of them (a

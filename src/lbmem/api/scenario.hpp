@@ -24,13 +24,14 @@ struct ScenarioSpec {
   /// Registry names to run, in this order; empty = every registered
   /// solver in registration order.
   std::vector<std::string> solvers;
-  /// Worker threads for the (instance x solver) sweep (DESIGN.md F20):
-  /// 1 (the default) runs the cells sequentially, 0 resolves to the
-  /// hardware concurrency. Every cell solves its own Problem and writes
-  /// its own pre-sized slot, so the report — cell order, summary, JSON —
-  /// is identical for every thread count (wall-clock fields aside, which
-  /// are never deterministic). Every registered solver runs on its cell's
-  /// thread, so the sweep does not oversubscribe.
+  /// Threads for the (instance x solver) sweep (DESIGN.md F20, F43):
+  /// 1 (the default) runs the cells in order on the calling thread, 0
+  /// resolves to the hardware concurrency. Every cell solves its own
+  /// Problem and writes its own pre-sized slot, so the report — cell
+  /// order, summary, JSON — is identical for every thread count
+  /// (wall-clock fields aside, which are never deterministic). Every
+  /// registered solver runs on its cell's thread, so the sweep does not
+  /// oversubscribe.
   int threads = 1;
   /// Robustness mode: run this many seeded perturbed replications of the
   /// discrete-event executor per *feasible* cell, under suite.perturb's
@@ -42,6 +43,9 @@ struct ScenarioSpec {
   /// across thread counts and replication order.
   int replications = 0;
   /// Executor window per replication (hyper-periods, local buffers).
+  /// sim.metrics must stay null: run() throws PreconditionError otherwise,
+  /// before generating the suite. The replications record into their
+  /// cell's registry instead (see `metrics`).
   SimOptions sim;
   /// Miss-rate-driven solver selection (DESIGN.md F30): adds a virtual
   /// "adaptive" summary row that, per instance (in suite order), mirrors
@@ -54,10 +58,12 @@ struct ScenarioSpec {
   bool adaptive = false;
   /// Observability sink (DESIGN.md F25): when set, the sweep counts its
   /// cells (Deterministic class) and records one per-solver wall-time
-  /// histogram sample per cell (`compare.wall_us.<solver>`, Timing class).
-  /// Inherited into sim.metrics for the robustness replications unless
-  /// that pointer was already set. The registry is shard-per-thread, so
-  /// the parallel sweep records contention-free; it must outlive run().
+  /// histogram sample per cell (`compare.wall_us.<solver>`, Timing class),
+  /// and the robustness replications record their `sim.*` and
+  /// `robustness.*` metrics. Each cell records into a registry of its own
+  /// and folds it into this one under a lock when it ends (DESIGN.md F43),
+  /// so the metrics are identical for every thread count. It must outlive
+  /// run().
   obs::Registry* metrics = nullptr;
 };
 
@@ -128,7 +134,8 @@ class ScenarioRunner {
   explicit ScenarioRunner(const SolverRegistry& registry =
                               SolverRegistry::builtin());
 
-  /// Run the sweep. Throws Error on an unknown solver name (before any
+  /// Run the sweep. Throws Error on an unknown solver name and
+  /// PreconditionError on a non-null spec.sim.metrics (both before any
   /// workload is generated); ScheduleError never escapes — per-instance
   /// infeasibility is data, not failure.
   ScenarioReport run(const ScenarioSpec& spec) const;

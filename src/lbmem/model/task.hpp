@@ -29,7 +29,7 @@ struct Task {
 ///
 /// Dependent tasks must have harmonic periods (one divides the other,
 /// paper Sections 3.1/4). The multi-rate consumption rule is implemented in
-/// TaskGraph::consumed_instances().
+/// TaskGraph::consumed_range().
 struct Dependence {
   TaskId producer = -1;
   TaskId consumer = -1;

@@ -325,17 +325,6 @@ std::span<const TaskId> TaskGraph::topological_order() const {
   return topo_order_;
 }
 
-std::vector<InstanceIdx> TaskGraph::consumed_instances(std::int32_t dep_index,
-                                                       InstanceIdx k) const {
-  const ConsumedRange range = consumed_range(dep_index, k);
-  std::vector<InstanceIdx> result;
-  result.reserve(static_cast<std::size_t>(range.count));
-  for (InstanceIdx i = 0; i < range.count; ++i) {
-    result.push_back(range.first + i);
-  }
-  return result;
-}
-
 double TaskGraph::utilization() const {
   double u = 0.0;
   for (const auto& t : tasks_) {

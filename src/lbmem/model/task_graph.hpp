@@ -192,17 +192,12 @@ class TaskGraph {
   static_assert(kMaxTotalInstances <= UINT32_MAX);
 
   /// Producer instances consumed by instance \p k of the consumer of
-  /// dependence \p dep_index (paper Section 3.1):
+  /// dependence \p dep_index (paper Section 3.1), as a contiguous range
+  /// {first, count} (both harmonic cases consume consecutive indices):
   ///  * T_c = n*T_p: instance k consumes producer instances k*n .. k*n+n-1
   ///    (the slow consumer gathers n data, Figure 1);
   ///  * T_p = n*T_c: instance k consumes producer instance floor(k/n)
   ///    (the fast consumer re-reads the latest datum).
-  std::vector<InstanceIdx> consumed_instances(std::int32_t dep_index,
-                                              InstanceIdx k) const;
-
-  /// The same producer instances as a contiguous range {first, count}
-  /// (both harmonic cases consume consecutive indices). Allocation-free and
-  /// inline; preferred on hot paths.
   ConsumedRange consumed_range(std::int32_t dep_index, InstanceIdx k) const {
     require_frozen("consumed_range");
     LBMEM_REQUIRE(dep_index >= 0 &&

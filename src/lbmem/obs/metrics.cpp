@@ -1,7 +1,6 @@
 #include "lbmem/obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 
@@ -107,51 +106,11 @@ std::vector<std::pair<std::int64_t, std::int64_t>> LatencyHistogram::buckets()
   return out;
 }
 
-// ---- Registry shards ------------------------------------------------------
-
-struct Registry::Shard {
-  std::vector<std::int64_t> scalars;        // counters: sum; gauges: max
-  std::vector<LatencyHistogram> histograms;
-};
-
-namespace {
-
-std::atomic<std::uint64_t> g_registry_serial{1};
-
-/// Per-thread shard cache: one entry per registry this thread has recorded
-/// into. Serial numbers (never reused) guard against a stale pointer when
-/// a registry at the same address was destroyed and another constructed.
-struct TlsEntry {
-  std::uint64_t serial;
-  void* shard;
-};
-thread_local std::vector<TlsEntry> t_shards;
-
-/// Entries for destroyed registries can never match again (serials are
-/// not reused), so bound the scan: once the cache is full, evict the
-/// entry with the smallest serial. Evicting a still-live registry is
-/// harmless — the thread re-registers on its next write and the new
-/// shard merges like any other at snapshot time.
-constexpr std::size_t kTlsCacheCap = 16;
-
-void evict_oldest(std::vector<TlsEntry>& cache) {
-  if (cache.size() <= kTlsCacheCap) return;
-  auto oldest = cache.begin();
-  for (auto it = cache.begin() + 1; it != cache.end(); ++it) {
-    if (it->serial < oldest->serial) oldest = it;
-  }
-  cache.erase(oldest);
-}
-
-}  // namespace
-
-Registry::Registry() : serial_(g_registry_serial.fetch_add(1)) {}
-Registry::~Registry() = default;
+// ---- Registry -------------------------------------------------------------
 
 MetricId Registry::register_metric(const std::string& name, MetricKind kind,
                                    MetricClass cls) {
   LBMEM_REQUIRE(!name.empty(), "metric names must be non-empty");
-  std::lock_guard<std::mutex> lock(mutex_);
   for (const Desc& d : descs_) {
     if (d.name == name) {
       LBMEM_REQUIRE(d.kind == kind && d.cls == cls,
@@ -160,9 +119,14 @@ MetricId Registry::register_metric(const std::string& name, MetricKind kind,
       return MetricId{d.slot, d.kind};
     }
   }
-  const std::uint32_t slot = (kind == MetricKind::Histogram)
-                                 ? histogram_slots_++
-                                 : scalar_slots_++;
+  std::uint32_t slot = 0;
+  if (kind == MetricKind::Histogram) {
+    slot = static_cast<std::uint32_t>(histograms_.size());
+    histograms_.emplace_back();
+  } else {
+    slot = static_cast<std::uint32_t>(scalars_.size());
+    scalars_.push_back(0);
+  }
   descs_.push_back(Desc{name, kind, cls, slot});
   return MetricId{slot, kind};
 }
@@ -177,59 +141,46 @@ MetricId Registry::histogram(const std::string& name, MetricClass cls) {
   return register_metric(name, MetricKind::Histogram, cls);
 }
 
-Registry::Shard& Registry::local_shard() {
-  for (const TlsEntry& entry : t_shards) {
-    if (entry.serial == serial_) return *static_cast<Shard*>(entry.shard);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  t_shards.push_back(TlsEntry{serial_, shard});
-  evict_oldest(t_shards);
-  return *shard;
-}
-
 void Registry::add(MetricId id, std::int64_t delta) {
-  LBMEM_REQUIRE(id.valid() && id.kind == MetricKind::Counter,
-                "add() takes a counter id");
-  Shard& shard = local_shard();
-  // Metrics registered after this shard's first touch extend it lazily;
-  // only the owning thread ever writes, so the growth is race-free.
-  if (id.slot >= shard.scalars.size()) shard.scalars.resize(id.slot + 1, 0);
-  shard.scalars[id.slot] += delta;
+  LBMEM_REQUIRE(id.kind == MetricKind::Counter && id.slot < scalars_.size(),
+                "add() takes a counter id of this registry");
+  scalars_[id.slot] += delta;
 }
 
 void Registry::raise(MetricId id, std::int64_t value) {
-  LBMEM_REQUIRE(id.valid() && id.kind == MetricKind::Gauge,
-                "raise() takes a gauge id");
-  Shard& shard = local_shard();
-  if (id.slot >= shard.scalars.size()) shard.scalars.resize(id.slot + 1, 0);
-  shard.scalars[id.slot] = std::max(shard.scalars[id.slot], value);
+  LBMEM_REQUIRE(id.kind == MetricKind::Gauge && id.slot < scalars_.size(),
+                "raise() takes a gauge id of this registry");
+  scalars_[id.slot] = std::max(scalars_[id.slot], value);
 }
 
 void Registry::record(MetricId id, std::int64_t value) {
-  LBMEM_REQUIRE(id.valid() && id.kind == MetricKind::Histogram,
-                "record() takes a histogram id");
-  Shard& shard = local_shard();
-  if (id.slot >= shard.histograms.size()) shard.histograms.resize(id.slot + 1);
-  shard.histograms[id.slot].record(value);
+  LBMEM_REQUIRE(
+      id.kind == MetricKind::Histogram && id.slot < histograms_.size(),
+      "record() takes a histogram id of this registry");
+  histograms_[id.slot].record(value);
 }
 
 void Registry::merge(MetricId id, const LatencyHistogram& values) {
-  LBMEM_REQUIRE(id.valid() && id.kind == MetricKind::Histogram,
-                "merge() takes a histogram id");
-  Shard& shard = local_shard();
-  if (id.slot >= shard.histograms.size()) shard.histograms.resize(id.slot + 1);
-  shard.histograms[id.slot].merge(values);
+  LBMEM_REQUIRE(
+      id.kind == MetricKind::Histogram && id.slot < histograms_.size(),
+      "merge() takes a histogram id of this registry");
+  histograms_[id.slot].merge(values);
 }
 
-std::size_t Registry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return descs_.size();
+void Registry::merge(const Registry& other) {
+  for (const Desc& d : other.descs_) {
+    const MetricId id = register_metric(d.name, d.kind, d.cls);
+    if (d.kind == MetricKind::Histogram) {
+      histograms_[id.slot].merge(other.histograms_[d.slot]);
+    } else if (d.kind == MetricKind::Gauge) {
+      scalars_[id.slot] = std::max(scalars_[id.slot], other.scalars_[d.slot]);
+    } else {
+      scalars_[id.slot] += other.scalars_[d.slot];
+    }
+  }
 }
 
 Snapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   Snapshot snap;
   snap.entries.reserve(descs_.size());
   for (const Desc& d : descs_) {
@@ -237,22 +188,15 @@ Snapshot Registry::snapshot() const {
     entry.name = d.name;
     entry.kind = d.kind;
     entry.cls = d.cls;
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (d.kind == MetricKind::Histogram) {
-        if (d.slot < shard->histograms.size()) {
-          entry.histogram.merge(shard->histograms[d.slot]);
-        }
-      } else if (d.slot < shard->scalars.size()) {
-        const std::int64_t v = shard->scalars[d.slot];
-        entry.value = (d.kind == MetricKind::Gauge)
-                          ? std::max(entry.value, v)
-                          : entry.value + v;
-      }
+    if (d.kind == MetricKind::Histogram) {
+      entry.histogram = histograms_[d.slot];
+    } else {
+      entry.value = scalars_[d.slot];
     }
     snap.entries.push_back(std::move(entry));
   }
-  // Name-sorted: the emitted order must not depend on which thread
-  // registered first (registration can happen from pool workers).
+  // Name-sorted: the emitted order must not depend on which layer, or
+  // which folded registry, registered a name first.
   std::sort(snap.entries.begin(), snap.entries.end(),
             [](const SnapshotEntry& a, const SnapshotEntry& b) {
               return a.name < b.name;

@@ -1,9 +1,7 @@
 #pragma once
 /// \file metrics.hpp
 /// \brief The metrics registry: named counters, high-watermark gauges and
-/// log-bucketed latency histograms, recorded through per-thread shards so
-/// the parallel scenario sweep stays contention-free and
-/// merge-deterministic.
+/// log-bucketed latency histograms, one slot per metric.
 ///
 /// Determinism contract (DESIGN.md F25): every metric carries a class.
 ///  * `Deterministic` metrics depend only on the inputs (workload, seeds,
@@ -14,18 +12,15 @@
 ///    discipline: stripping that one subtree leaves a byte-deterministic
 ///    artifact.
 ///
-/// Shards: each recording thread owns a private shard (counters add,
-/// gauges max, histograms bucket-count add); snapshot() merges them with
-/// associative + commutative operations, so the merged result is
-/// independent of the thread count and of which thread recorded what.
-/// Recording is wait-free after the first touch per thread (a thread_local
-/// lookup plus a plain store into thread-private memory). snapshot() and
-/// reset() must not race with recording — callers quiesce first (the pool
-/// paths join before reporting, which is the natural order anyway).
+/// A registry is single-threaded: it is not safe to record into one
+/// registry from two threads. Concurrent work records into a registry of
+/// its own and folds it into a shared one with merge(const Registry&),
+/// under the caller's lock (DESIGN.md F43). The fold adds counters, maxes
+/// gauges and adds histogram buckets, all commutative and associative, and
+/// snapshot() sorts by name, so no snapshot depends on the order of the
+/// folds.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,8 +45,8 @@ const char* to_string(MetricKind kind);
 ///  * negative inputs clamp to 0 (latencies and sizes are non-negative by
 ///    construction; a clamped record still counts).
 /// merge() adds bucket counts, so it is associative and commutative —
-/// cross-shard and cross-thread merges produce identical histograms in any
-/// order (tested by ObsMetrics.MergeIsAssociative).
+/// registries folded in any order produce identical histograms (tested by
+/// ObsMetrics.MergeIsAssociativeAndCommutative).
 class LatencyHistogram {
  public:
   /// Record one value.
@@ -101,7 +96,6 @@ class LatencyHistogram {
 struct MetricId {
   std::uint32_t slot = UINT32_MAX;
   MetricKind kind = MetricKind::Counter;
-  bool valid() const { return slot != UINT32_MAX; }
 };
 
 /// One merged metric in a Snapshot.
@@ -109,11 +103,11 @@ struct SnapshotEntry {
   std::string name;
   MetricKind kind = MetricKind::Counter;
   MetricClass cls = MetricClass::Deterministic;
-  std::int64_t value = 0;       ///< counters: sum; gauges: max over shards
+  std::int64_t value = 0;       ///< counters: sum; gauges: high watermark
   LatencyHistogram histogram;   ///< histograms only
 };
 
-/// A merged, name-sorted view of a registry at one quiesced point.
+/// A name-sorted view of a registry at one point.
 struct Snapshot {
   std::vector<SnapshotEntry> entries;
   /// Entry by name, or nullptr. Linear scan — snapshots are small.
@@ -126,8 +120,7 @@ struct Snapshot {
 /// LoadBalancer per event, say) can register their ids unconditionally.
 class Registry {
  public:
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -138,10 +131,10 @@ class Registry {
   MetricId histogram(const std::string& name,
                      MetricClass cls = MetricClass::Deterministic);
 
-  /// Add \p delta to a counter (thread-safe, shard-local).
+  /// Add \p delta to a counter.
   void add(MetricId id, std::int64_t delta = 1);
   /// Raise a high-watermark gauge to at least \p value (max semantics:
-  /// the only scalar merge that is order-free across shards).
+  /// the only scalar fold that is order-free across registries).
   void raise(MetricId id, std::int64_t value);
   /// Record \p value into a histogram.
   void record(MetricId id, std::int64_t value);
@@ -149,32 +142,32 @@ class Registry {
   /// result as recording each of its values.
   void merge(MetricId id, const LatencyHistogram& values);
 
-  /// Merge every shard into a name-sorted snapshot. Must not race with
-  /// recording (quiesce first).
+  /// Fold \p other into this registry: register each of its names (a name
+  /// already registered here with another kind or class throws), then add
+  /// its counters, max its gauges and add its histogram buckets. Folding
+  /// registries in any order gives the same snapshot.
+  void merge(const Registry& other);
+
+  /// Every metric, name-sorted.
   Snapshot snapshot() const;
 
   /// Number of registered metrics.
-  std::size_t size() const;
+  std::size_t size() const { return descs_.size(); }
 
  private:
-  struct Shard;
   struct Desc {
     std::string name;
     MetricKind kind;
     MetricClass cls;
-    std::uint32_t slot;  ///< scalar or histogram slot, by kind
+    std::uint32_t slot;  ///< index into scalars_ or histograms_, by kind
   };
 
   MetricId register_metric(const std::string& name, MetricKind kind,
                            MetricClass cls);
-  Shard& local_shard();
 
-  mutable std::mutex mutex_;
   std::vector<Desc> descs_;
-  std::uint32_t scalar_slots_ = 0;
-  std::uint32_t histogram_slots_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t serial_;  ///< distinguishes registries in the TLS cache
+  std::vector<std::int64_t> scalars_;  ///< counters: sum; gauges: max
+  std::vector<LatencyHistogram> histograms_;
 };
 
 }  // namespace lbmem::obs

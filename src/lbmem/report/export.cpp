@@ -59,7 +59,9 @@ std::string schedule_to_dot(const Schedule& sched) {
     const Dependence& dep = graph.dependences()[static_cast<std::size_t>(e)];
     const InstanceIdx nc = graph.instance_count(dep.consumer);
     for (InstanceIdx k = 0; k < nc; ++k) {
-      for (const InstanceIdx pk : graph.consumed_instances(e, k)) {
+      const ConsumedRange range = graph.consumed_range(e, k);
+      for (InstanceIdx pk = range.first; pk < range.first + range.count;
+           ++pk) {
         const bool remote = sched.proc(TaskInstance{dep.producer, pk}) !=
                             sched.proc(TaskInstance{dep.consumer, k});
         out << "  i" << dep.producer << "_" << pk << " -> i" << dep.consumer

@@ -134,9 +134,6 @@ Schedule build_initial_schedule(const TaskGraph& graph,
               earliest_on(graph, timelines[static_cast<std::size_t>(home)],
                           t, bounds[static_cast<std::size_t>(home)])) {
         chosen = Candidate{home, *s};
-      } else if (!options.cluster_fallback) {
-        throw ScheduleError("task " + graph.task(t).name +
-                            " does not fit on its period-cluster processor");
       }
     }
 

@@ -12,8 +12,9 @@
 ///  * PeriodCluster — tasks are grouped by period ("the dependent tasks
 ///    which are at the same or multiple periods are scheduled onto the same
 ///    processor", paper Section 4); period groups are assigned round-robin
-///    to processors in increasing period order. This policy reproduces the
-///    paper's Figure 3 input schedule exactly.
+///    to processors in increasing period order. A task that does not fit on
+///    its group's processor is placed as under MinStartTime. This policy
+///    reproduces the paper's Figure 3 input schedule exactly.
 ///  * MinStartTime — each task (whole, all instances) is placed on the
 ///    processor giving its earliest feasible first start.
 ///
@@ -39,9 +40,6 @@ enum class PlacementPolicy {
 /// Scheduler configuration.
 struct SchedulerOptions {
   PlacementPolicy policy = PlacementPolicy::PeriodCluster;
-  /// When a PeriodCluster task does not fit on its cluster's processor,
-  /// fall back to the earliest feasible processor instead of failing.
-  bool cluster_fallback = true;
 };
 
 /// Build a complete initial schedule. Throws ScheduleError when no feasible

@@ -19,7 +19,9 @@ std::vector<TransferJob> extract_jobs(const Schedule& sched) {
     const InstanceIdx nc = graph.instance_count(dep.consumer);
     for (InstanceIdx k = 0; k < nc; ++k) {
       const TaskInstance consumer{dep.consumer, k};
-      for (const InstanceIdx pk : graph.consumed_instances(e, k)) {
+      const ConsumedRange range = graph.consumed_range(e, k);
+      for (InstanceIdx pk = range.first; pk < range.first + range.count;
+           ++pk) {
         const TaskInstance producer{dep.producer, pk};
         if (sched.proc(producer) == sched.proc(consumer)) continue;
         TransferJob job;

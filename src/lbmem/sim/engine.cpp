@@ -316,7 +316,9 @@ SimMetrics simulate_perturbed(const Schedule& sched, const SimOptions& options,
         if (lost[cslot]) continue;  // never dispatched: no check, no buffer
         const ProcId cp = sched.proc(consumer);
         const Time consumer_start = sched.start(consumer) + offset;
-        for (const InstanceIdx pk : graph.consumed_instances(e, k)) {
+        const ConsumedRange range = graph.consumed_range(e, k);
+        for (InstanceIdx pk = range.first; pk < range.first + range.count;
+             ++pk) {
           const TaskInstance producer{dep.producer, pk};
           const std::size_t pslot = static_cast<std::size_t>(w) * dense +
                                     graph.dense_index(producer);

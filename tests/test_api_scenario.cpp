@@ -6,6 +6,7 @@
 
 #include "lbmem/api/scenario.hpp"
 #include "lbmem/api/solvers.hpp"
+#include "lbmem/obs/metrics.hpp"
 #include "lbmem/report/solve.hpp"
 
 namespace lbmem {
@@ -206,6 +207,21 @@ TEST(ApiScenario, UnknownSolverNameFailsBeforeGeneration) {
   ScenarioSpec spec = small_spec();
   spec.solvers = {"heuristic-lex", "does-not-exist"};
   EXPECT_THROW(ScenarioRunner().run(spec), Error);
+}
+
+TEST(ApiScenario, SimMetricsSinkFailsBeforeGeneration) {
+  // Replications record into their cell's registry; a shared
+  // sim.metrics sink is refused before the suite is generated. The
+  // suite's negative memory capacity makes generation itself throw a
+  // ModelError, so the PreconditionError proves the check came first.
+  ScenarioSpec spec = small_spec();
+  spec.solvers = {"heuristic-lex"};
+  spec.suite.memory_capacity = -5;
+  EXPECT_THROW(ScenarioRunner().run(spec), ModelError);
+  obs::Registry sink;
+  spec.sim.metrics = &sink;
+  EXPECT_THROW(ScenarioRunner().run(spec), PreconditionError);
+  EXPECT_EQ(sink.size(), 0u);
 }
 
 }  // namespace

@@ -96,8 +96,9 @@ TEST(CliUsage, BadFlagValueFails) {
 }
 
 TEST(CliUsage, PartialAndNonFiniteNumbersFail) {
-  // Every numeric flag parses its whole value, and a floating one must be
-  // finite: no prefix of the value stands in for it.
+  // Every numeric flag parses its whole value, a floating one must be
+  // finite, and an unsigned one takes no minus sign: no prefix of the
+  // value stands in for it, and no negative seed wraps around 2^64.
   const std::pair<const char*, const char*> bad[] = {
       {"balance --tasks=12abc", "bad value for --tasks: 12abc"},
       {"simulate --perturb --jitter=nan", "bad value for --jitter: nan"},
@@ -105,6 +106,10 @@ TEST(CliUsage, PartialAndNonFiniteNumbersFail) {
       {"simulate --perturb --fail-proc=1 --fail-at=3.5",
        "bad value for --fail-at: 3.5"},
       {"serve --mean-gap=inf", "bad value for --mean-gap: inf"},
+      {"balance --seed=-1", "bad value for --seed: -1"},
+      {"replay --event-seed=-5", "bad value for --event-seed: -5"},
+      {"simulate --perturb --perturb-seed=-2",
+       "bad value for --perturb-seed: -2"},
   };
   for (const auto& [args, message] : bad) {
     const RunResult r = run_cli(args);

@@ -61,28 +61,41 @@ TEST(ObsDeterminism, BalancerMetricsIdenticalAcrossRuns) {
 }
 
 TEST(ObsDeterminism, ScenarioMetricsIdenticalAcrossThreadCounts) {
-  std::string reference;
-  for (int threads : {1, 4}) {
-    obs::Registry reg;
-    ScenarioSpec spec;
-    spec.suite.params.tasks = 12;
-    spec.suite.params.intended_processors = 2;
-    spec.suite.processors = 2;
-    spec.suite.base_seed = 7;
-    spec.suite.count = 2;
-    spec.solvers = {"heuristic-lex", "memory-greedy"};
-    spec.threads = threads;
-    spec.metrics = &reg;
-    const ScenarioReport report = ScenarioRunner().run(spec);
-    ASSERT_GT(report.instances, 0);
-    const std::string json = deterministic_json(reg);
-    if (reference.empty()) {
-      reference = json;
-    } else {
-      EXPECT_EQ(json, reference) << "threads=" << threads;
+  // The static sweep, and a perturbed one whose cells also fold their
+  // replications' sim.* and robustness.* metrics into the shared registry.
+  for (const bool perturbed : {false, true}) {
+    std::string reference;
+    for (int threads : {1, 4}) {
+      obs::Registry reg;
+      ScenarioSpec spec;
+      spec.suite.params.tasks = 12;
+      spec.suite.params.intended_processors = 2;
+      spec.suite.processors = 2;
+      spec.suite.base_seed = 7;
+      spec.suite.count = 2;
+      spec.solvers = {"heuristic-lex", "memory-greedy"};
+      if (perturbed) {
+        spec.replications = 2;
+        spec.suite.perturb.wcet_jitter = 0.5;
+        spec.suite.perturb.comm_jitter = 0.5;
+      }
+      spec.threads = threads;
+      spec.metrics = &reg;
+      const ScenarioReport report = ScenarioRunner().run(spec);
+      ASSERT_GT(report.instances, 0);
+      const std::string json = deterministic_json(reg);
+      if (reference.empty()) {
+        reference = json;
+      } else {
+        EXPECT_EQ(json, reference)
+            << "perturbed=" << perturbed << " threads=" << threads;
+      }
     }
+    EXPECT_NE(reference.find("compare.cells"), std::string::npos);
+    EXPECT_EQ(reference.find("robustness.reports") != std::string::npos,
+              perturbed);
+    EXPECT_EQ(reference.find("sim.runs") != std::string::npos, perturbed);
   }
-  EXPECT_NE(reference.find("compare.cells"), std::string::npos);
 }
 
 TEST(ObsDeterminism, OnlineMetricsIdenticalAcrossRuns) {

@@ -1,17 +1,18 @@
 /// Tests for obs/metrics.hpp: the histogram's nearest-rank percentile
 /// contract (exact below 64, bounded overestimate above), merge
-/// associativity, and the registry's shard semantics (counter sum, gauge
-/// max, idempotent name-keyed registration, cross-thread merging).
+/// associativity, and the registry's semantics (counter sum, gauge max,
+/// idempotent name-keyed registration, order-free registry folds).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "lbmem/obs/metrics.hpp"
+#include "lbmem/report/stats.hpp"
 #include "lbmem/util/check.hpp"
 
 namespace lbmem::obs {
@@ -196,39 +197,65 @@ TEST(ObsMetrics, KindOrClassMismatchThrows) {
   EXPECT_THROW(reg.counter("x", MetricClass::Timing), PreconditionError);
 }
 
-TEST(ObsMetrics, CrossThreadShardsMergeDeterministically) {
-  Registry reg;
-  const MetricId total = reg.counter("total");
-  const MetricId high = reg.gauge("high");
-  const MetricId lat = reg.histogram("lat");
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        reg.add(total);
-        reg.raise(high, t * kPerThread + i);
-        reg.record(lat, i % 128);
+TEST(ObsMetrics, RegistryMergeIsOrderFree) {
+  // Three registries, each registering its names in a different order
+  // (one name per registry is unique to it), fold forward and backward
+  // into the snapshot of one registry that recorded every value.
+  struct Part {
+    std::vector<std::string> order;
+    std::int64_t total, high;
+    std::vector<std::int64_t> latencies;
+  };
+  const std::array<Part, 3> parts = {{
+      {{"total", "high", "lat", "only.a"}, 3, 40, {1, 70, 5000}},
+      {{"only.b", "lat", "total", "high"}, 5, 90, {2, 2}},
+      {{"high", "only.c", "total", "lat"}, 7, 10, {}},
+  }};
+  const auto fill = [](Registry& reg, const Part& part) {
+    for (const std::string& name : part.order) {
+      if (name == "total") {
+        reg.add(reg.counter(name), part.total);
+      } else if (name == "high") {
+        reg.raise(reg.gauge(name), part.high);
+      } else if (name == "lat") {
+        const MetricId lat = reg.histogram(name, MetricClass::Timing);
+        for (const std::int64_t v : part.latencies) reg.record(lat, v);
+      } else {
+        reg.add(reg.counter(name), 1);
       }
-    });
+    }
+  };
+  Registry all;
+  std::array<Registry, 3> registries;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    fill(all, parts[i]);
+    fill(registries[i], parts[i]);
   }
-  for (std::thread& w : workers) w.join();
-
-  const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.find("total")->value, kThreads * kPerThread);
-  EXPECT_EQ(snap.find("high")->value, kThreads * kPerThread - 1);
-  EXPECT_EQ(snap.find("lat")->histogram.count(), kThreads * kPerThread);
-
-  // The merged histogram equals a sequential recording of the same
-  // multiset — shard merging is order-free.
-  LatencyHistogram expected;
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kPerThread; ++i) expected.record(i % 128);
+  Registry forward;
+  for (const Registry& reg : registries) forward.merge(reg);
+  Registry backward;
+  backward.counter("total");  // a name registered before any fold
+  for (auto it = registries.rbegin(); it != registries.rend(); ++it) {
+    backward.merge(*it);
   }
-  EXPECT_TRUE(snap.find("lat")->histogram == expected);
+
+  const std::string expected = metrics_to_json(all.snapshot());
+  EXPECT_EQ(metrics_to_json(forward.snapshot()), expected);
+  EXPECT_EQ(metrics_to_json(backward.snapshot()), expected);
+  const Snapshot snap = forward.snapshot();
+  EXPECT_EQ(snap.entries.size(), 6u);
+  EXPECT_EQ(snap.find("total")->value, 15);
+  EXPECT_EQ(snap.find("high")->value, 90);
+  EXPECT_EQ(snap.find("lat")->histogram.count(), 5);
+  EXPECT_EQ(snap.find("only.b")->value, 1);
+
+  // A name folded in with another kind or class throws.
+  Registry kind;
+  kind.gauge("total");
+  EXPECT_THROW(kind.merge(registries[0]), PreconditionError);
+  Registry cls;
+  cls.histogram("lat", MetricClass::Deterministic);
+  EXPECT_THROW(cls.merge(registries[1]), PreconditionError);
 }
 
 }  // namespace

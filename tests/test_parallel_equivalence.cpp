@@ -115,8 +115,8 @@ TEST(ParallelEquivalence, ScenarioSweepMatchesSequential) {
 }
 
 TEST(ParallelEquivalence, ScenarioSweepOversubscribed) {
-  // More threads than cells (5 solvers x 1 instance): the pool's extra
-  // workers must neither deadlock nor disturb the slot writes.
+  // More threads than cells (5 solvers x 1 instance): the team shrinks to
+  // the cell count, and the slot writes are undisturbed.
   ScenarioSpec spec = sweep_spec(1);
   spec.suite.count = 1;
   const ScenarioRunner runner;

@@ -113,7 +113,9 @@ TEST_P(BlockProperty, DecompositionInvariants) {
       const Time comm = sched.comm().transfer_time(dep.data_size);
       for (InstanceIdx k = 0; k < graph.instance_count(dep.consumer); ++k) {
         const TaskInstance consumer{dep.consumer, k};
-        for (const InstanceIdx pk : graph.consumed_instances(e, k)) {
+        const ConsumedRange range = graph.consumed_range(e, k);
+        for (InstanceIdx pk = range.first; pk < range.first + range.count;
+             ++pk) {
           const TaskInstance producer{dep.producer, pk};
           if (sched.proc(producer) != sched.proc(consumer)) continue;
           const bool same_block = dec.block_containing(producer).id ==

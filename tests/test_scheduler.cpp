@@ -218,15 +218,9 @@ TEST(Scheduler, ClusterFallbackRescuesOverflow) {
   g.freeze();
   SchedulerOptions options;
   options.policy = PlacementPolicy::PeriodCluster;
-  options.cluster_fallback = true;
   const Schedule s =
       build_initial_schedule(g, Architecture(2), CommModel::flat(1), options);
   validate_or_throw(s);
-
-  options.cluster_fallback = false;
-  EXPECT_THROW(
-      build_initial_schedule(g, Architecture(2), CommModel::flat(1), options),
-      ScheduleError);
 }
 
 TEST(Scheduler, RandomGraphsScheduleAndValidate) {

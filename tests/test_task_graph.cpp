@@ -19,6 +19,13 @@
 namespace lbmem {
 namespace {
 
+/// The producer instances a consumed range covers, in order.
+std::vector<InstanceIdx> indices(ConsumedRange range) {
+  std::vector<InstanceIdx> out;
+  for (InstanceIdx i = 0; i < range.count; ++i) out.push_back(range.first + i);
+  return out;
+}
+
 TaskGraph two_task_graph(Time tp, Time tc) {
   TaskGraph g;
   const TaskId p = g.add_task("p", tp, 1, 1);
@@ -181,8 +188,8 @@ TEST(TaskGraph, SlowConsumerGathersN) {
   // T_c = 3*T_p: consumer instance k consumes producers 3k, 3k+1, 3k+2
   // (the Figure-1 semantics).
   const TaskGraph g = two_task_graph(2, 6);
-  const auto consumed0 = g.consumed_instances(0, 0);
-  EXPECT_EQ(consumed0, (std::vector<InstanceIdx>{0, 1, 2}));
+  EXPECT_EQ(indices(g.consumed_range(0, 0)),
+            (std::vector<InstanceIdx>{0, 1, 2}));
   // Hyper-period 6: consumer has exactly one instance.
   EXPECT_EQ(g.instance_count(g.find("c")), 1);
 }
@@ -191,14 +198,14 @@ TEST(TaskGraph, FastConsumerSamples) {
   // T_p = 4*T_c: consumer instances 0..3 all consume producer instance 0.
   const TaskGraph g = two_task_graph(8, 2);
   for (InstanceIdx k = 0; k < 4; ++k) {
-    EXPECT_EQ(g.consumed_instances(0, k),
+    EXPECT_EQ(indices(g.consumed_range(0, k)),
               (std::vector<InstanceIdx>{0})) << "k=" << k;
   }
 }
 
 TEST(TaskGraph, SamePeriodOneToOne) {
   const TaskGraph g = two_task_graph(6, 6);
-  EXPECT_EQ(g.consumed_instances(0, 0), (std::vector<InstanceIdx>{0}));
+  EXPECT_EQ(indices(g.consumed_range(0, 0)), (std::vector<InstanceIdx>{0}));
 }
 
 TEST(TaskGraph, MultiRateConsumptionCoversAllProducers) {
@@ -207,7 +214,7 @@ TEST(TaskGraph, MultiRateConsumptionCoversAllProducers) {
   const TaskGraph g = two_task_graph(3, 12);
   std::vector<int> consumed(4, 0);
   for (InstanceIdx k = 0; k < g.instance_count(g.find("c")); ++k) {
-    for (const InstanceIdx pk : g.consumed_instances(0, k)) {
+    for (const InstanceIdx pk : indices(g.consumed_range(0, k))) {
       ++consumed[static_cast<std::size_t>(pk)];
     }
   }

@@ -381,9 +381,10 @@ struct CliOptions {
   bool mean_gap_set = false;
 };
 
-/// The whole of \p text as a T: trailing characters, and a floating value
-/// that is not finite, throw std::invalid_argument; a value past T's range
-/// throws std::out_of_range. parse_flags reports both as a bad value.
+/// The whole of \p text as a T: trailing characters, a floating value that
+/// is not finite and a minus sign in an unsigned value throw
+/// std::invalid_argument; a value past T's range throws std::out_of_range.
+/// parse_flags reports both as a bad value.
 template <typename T>
 T parse_number(const std::string& text) {
   std::size_t used = 0;
@@ -392,6 +393,8 @@ T parse_number(const std::string& text) {
     value = std::stod(text, &used);
     if (!std::isfinite(value)) throw std::invalid_argument(text);
   } else if constexpr (std::is_unsigned_v<T>) {
+    // std::stoull would wrap a negative value around 2^64.
+    if (text.find('-') != std::string::npos) throw std::invalid_argument(text);
     value = static_cast<T>(std::stoull(text, &used));
   } else {
     const long long wide = std::stoll(text, &used);
