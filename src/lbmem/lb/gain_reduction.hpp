@@ -48,10 +48,11 @@ inline constexpr std::size_t kMaxGainSteps = 10000;
 ///   * gain < 0: "overlap with moved blocks";
 ///   * \p cannot_beat(gain) (a callable Time -> bool): a cut;
 ///   * a sibling at gain 0 stops constraining.
-/// Each landing is one conflict of the probe-and-lower loop (probe with
-/// conflicting_owner_if, lower the gain to the conflicting owner's end), so
-/// steps, gains and reject reasons equal that loop's (F41);
-/// tests/test_gain_reduction.cpp keeps it as the reference.
+/// Each landing is one conflict of the probe-and-lower loop this replaced
+/// (probe the entry for the first non-ignored piece it meets, lower the
+/// gain to that owner's end), so steps, gains and reject reasons equal that
+/// loop's (F41); tests/test_gain_reduction.cpp keeps it as the reference,
+/// over a sorted piece list of its own.
 template <typename Ignore, typename CannotBeat>
 GainReduction reduce_gain(std::span<const LayoutEntry> layout,
                           std::size_t member_count,

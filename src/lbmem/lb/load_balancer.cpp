@@ -562,13 +562,12 @@ DestinationScore Attempt::evaluate(const Block& block, ProcId dest,
         return score;
       }
     }
+    // A pinned block has no gain to lower: its first landing rejects it.
     for (std::size_t m = 0; m < member_count_; ++m) {
-      if (blocking_occ(dest)
-              .conflicting_owner_if(layout_[m].base_start, layout_[m].wcet,
-                                    [this](TaskInstance owner) {
-                                      return ignore_in_occupancy(owner);
-                                    })
-              .has_value()) {
+      if (!blocking_occ(dest).walk_blocking(
+              layout_[m].base_start, layout_[m].wcet,
+              [this](TaskInstance owner) { return ignore_in_occupancy(owner); },
+              [](Time) { return false; })) {
         score.reject_reason = "overlap with moved blocks";
         return score;
       }
@@ -675,12 +674,10 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
     }
   }
 
-  // Verdict-only validation: the retry gate needs no diagnostics, and the
-  // failing first attempt would otherwise pay for a full violation report
-  // it immediately discards.
+  // Without the all-instances mirror the whole schedule is validated.
   LBMEM_TRACE_SPAN("lb.validate");
   if (opts_.overlap_rule == OverlapRule::MovedOnly || footprint_dropped_) {
-    return is_valid(sched_);
+    return validate(sched_).ok();
   }
   // The input is valid and all_occ() mirrored it; every re-add passed fits()
   // against that mirror, so no overlap exists anywhere and precedence can
@@ -688,8 +685,8 @@ bool Attempt::run(std::vector<StepRecord>* trace, BalanceStats& stats) {
   // F35).
   const bool ok = is_valid_around(sched_, moved_, scratch_.marks);
 #if LBMEM_TIMELINE_VERIFY
-  LBMEM_REQUIRE(ok == is_valid(sched_),
-                "moved-set validation disagrees with is_valid");
+  LBMEM_REQUIRE(ok == validate(sched_).ok(),
+                "moved-set validation disagrees with validate()");
 #endif
   return ok;
 }

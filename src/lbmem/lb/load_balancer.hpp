@@ -190,7 +190,7 @@ class LoadBalancer {
   /// re-checks only what moved (DESIGN.md F35), so an input that already
   /// violates precedence or exclusivity elsewhere may be returned balanced
   /// instead of rejected. Debug and sanitizer builds cross-check every
-  /// verdict against the whole-schedule is_valid.
+  /// verdict against the whole-schedule validate().
   BalanceResult balance(const Schedule& input) const;
 
   /// Incremental warm-start balance, in place (DESIGN.md F12, F36):

@@ -95,13 +95,9 @@ void ProcTimeline::summarize(Bucket& bucket) noexcept {
   bucket.max_gap = gap;
 }
 
-std::optional<TaskInstance> ProcTimeline::conflicting_owner(Time start,
-                                                            Time len) const {
-  return conflicting_owner_if(start, len, NoIgnore{});
-}
-
 bool ProcTimeline::fits(Time start, Time len) const {
-  return !conflicting_owner(start, len).has_value();
+  LBMEM_REQUIRE(len > 0 && len <= h_, "interval length must be in (0, H]");
+  return first_free(start, len, start + 1) == start;
 }
 
 void ProcTimeline::insert_piece(Piece piece) {

@@ -5,13 +5,16 @@
 /// A strict-periodic schedule repeats with period H, so processor
 /// exclusivity is equivalent to: the occupation intervals of all instances
 /// placed on the processor are pairwise disjoint modulo H. ProcTimeline
-/// maintains that circular occupancy and answers three questions:
-///   * does an instance interval fit? (used by the validator and the load
-///     balancer's overlap checks)
+/// maintains that circular occupancy and answers three questions, each
+/// with the one forward walk over the pieces in start order (DESIGN.md
+/// F37, F41, F44):
+///   * does an instance interval fit? (used by the checked add and the
+///     load balancer's re-adds)
 ///   * what is the earliest start >= lb at which a whole strict-periodic
 ///     task (n instances spaced T apart) fits? (used by the scheduler)
 ///   * which pieces, skipping some owners, does an interval sliding later
-///     from x run into? (used by the balancer's gain reduction)
+///     from x run into? (used by the balancer's gain reduction and its
+///     overlap check of a pinned block)
 ///
 /// Feasibility of a first-instance start S is periodic in S with period T:
 /// shifting S by T reproduces the same occupied positions modulo H, so the
@@ -23,8 +26,8 @@
 /// coarse time buckets of power-of-two width, and each bucket holds the
 /// (sorted) pieces starting inside it. An add or remove then shifts only
 /// one bucket's few pieces instead of memmoving a processor-wide sorted
-/// array, and a conflict probe touches one bucket plus the global
-/// predecessor. Pieces are pairwise disjoint, so only the immediate
+/// array, and a walk starts with one bucket's binary search plus the
+/// global predecessor. Pieces are pairwise disjoint, so only the immediate
 /// predecessor of a query point can reach into it; a bitmap of non-empty
 /// buckets finds that predecessor (and skips empty regions of sparse
 /// timelines) with a couple of word scans. A removal names the start of the
@@ -83,7 +86,9 @@ class ProcTimeline {
   /// (PreconditionError).
   ProcTimeline(Time hyperperiod, std::span<const Interval> intervals);
 
-  /// Would interval [start, start+len) (repeated mod H) be free?
+  /// Would interval [start, start+len) (repeated mod H) be free? The gap
+  /// walk from start, stopped one tick on: free when it stays at start.
+  /// Requires 0 < len <= H (PreconditionError).
   bool fits(Time start, Time len) const;
 
   /// Occupy [start, start+len) for \p owner; throws PreconditionError if it
@@ -119,36 +124,19 @@ class ProcTimeline {
   /// bucket that kept its capacity (ScheduleJournal::rollback).
   void restore(TaskInstance owner, const Released& interval) noexcept;
 
-  /// The owner of some interval overlapping [start, start+len), if any.
-  std::optional<TaskInstance> conflicting_owner(Time start, Time len) const;
-
-  /// Like conflicting_owner, but skips pieces whose owner satisfies
-  /// \p ignore (a callable TaskInstance -> bool). Lets the balancer test a
-  /// tentative placement against a timeline that still contains the very
-  /// instances the move would relocate, without detaching them first.
-  template <typename Ignore>
-  std::optional<TaskInstance> conflicting_owner_if(Time start, Time len,
-                                                   Ignore&& ignore) const {
-    LBMEM_REQUIRE(len > 0 && len <= h_, "interval length must be in (0, H]");
-    if (const Piece* p = find_conflict_circular(mod_floor(start, h_), len,
-                                                ignore)) {
-      return p->owner;
-    }
-    return std::nullopt;
-  }
-
   /// The filtered gap walk behind the balancer's gain reduction (DESIGN.md
-  /// F41). From \p x, the walk steps past each piece that overlaps
-  /// [cur, cur+len) and whose owner \p ignore (a callable TaskInstance ->
-  /// bool) does not skip, in start order on the unrolled circle, and
-  /// reports every landing to \p on_landing (a callable Time -> bool that
-  /// returns false to stop the walk). A landing is the blocking owner's
-  /// end: the first position after cur that is congruent to it modulo H, so
-  /// a wrapped owner lands once, past H, and a full-circle owner one lap on.
-  /// Returns true once [cur, cur+len) is free of blocking pieces, false when
-  /// on_landing stopped the walk. Requires 0 < len <= H. Every piece is
-  /// visited: no bucket is crossed on its summary, because each landing
-  /// counts for the caller.
+  /// F41) and, stopped at its first landing, behind its overlap check of a
+  /// pinned block (F44). From \p x, the walk steps past each piece that
+  /// overlaps [cur, cur+len) and whose owner \p ignore (a callable
+  /// TaskInstance -> bool) does not skip, in start order on the unrolled
+  /// circle, and reports every landing to \p on_landing (a callable
+  /// Time -> bool that returns false to stop the walk). A landing is the
+  /// blocking owner's end: the first position after cur that is congruent
+  /// to it modulo H, so a wrapped owner lands once, past H, and a
+  /// full-circle owner one lap on. Returns true once [cur, cur+len) is
+  /// free of blocking pieces, false when on_landing stopped the walk.
+  /// Requires 0 < len <= H. Every piece is visited: no bucket is crossed
+  /// on its summary, because each landing counts for the caller.
   template <typename Ignore, typename OnLanding>
   bool walk_blocking(Time x, Time len, Ignore&& ignore,
                      OnLanding&& on_landing) const {
@@ -239,11 +227,6 @@ class ProcTimeline {
     Time last_end = 0;          // end of the last piece
     Time max_gap = 0;  // widest gap between consecutive pieces, 0 for one
   };
-  /// Never-ignore predicate: the default for unfiltered queries.
-  struct NoIgnore {
-    bool operator()(TaskInstance) const { return false; }
-  };
-
   /// Bucket-count ceiling: wide enough to keep per-bucket populations
   /// small for realistic timelines, small enough that the bitmap stays in
   /// four words and per-timeline overhead stays a few KB.
@@ -303,46 +286,6 @@ class ProcTimeline {
     const std::size_t bp = prev_nonempty(b - 1);
     if (bp == npos) return nullptr;
     return &buckets_[bp].pieces.back();
-  }
-
-  /// The piece preceding position \p a (largest start < a), or nullptr.
-  /// Pieces are disjoint, so it is the only piece that can reach past a.
-  const Piece* predecessor(Time a) const {
-    const std::size_t ba = bucket_of(a);
-    return piece_before(ba, lower_index(buckets_[ba].pieces, a));
-  }
-
-  /// First piece intersecting the non-wrapping range [a, b) whose owner is
-  /// not skipped by \p ignore — the single overlap scan every query shares.
-  /// Priority order matches the historic flat-array scan: the predecessor
-  /// reaching past a first, then pieces starting in [a, b) by start.
-  template <typename Ignore = NoIgnore>
-  const Piece* find_conflict(Time a, Time b, Ignore&& ignore = {}) const {
-    if (a >= b || piece_count_ == 0) return nullptr;
-    if (const Piece* prev = predecessor(a)) {
-      if (prev->start + prev->len > a && !ignore(prev->owner)) return prev;
-    }
-    const std::size_t last = bucket_of(b - 1);
-    for (std::size_t bi = next_nonempty(bucket_of(a));
-         bi != npos && bi <= last; bi = next_nonempty(bi + 1)) {
-      const std::vector<Piece>& v = buckets_[bi].pieces;
-      std::size_t i = bi == bucket_of(a) ? lower_index(v, a) : 0;
-      for (; i < v.size() && v[i].start < b; ++i) {
-        if (!ignore(v[i].owner)) return &v[i];
-      }
-    }
-    return nullptr;
-  }
-
-  /// Conflict lookup for [pos, pos+len) with pos in [0, H), splitting the
-  /// wrap-around at H — the circular-interval primitive behind
-  /// fits/conflicting_owner/conflicting_owner_if/earliest_fit.
-  template <typename Ignore = NoIgnore>
-  const Piece* find_conflict_circular(Time pos, Time len,
-                                      Ignore&& ignore = {}) const {
-    if (pos + len <= h_) return find_conflict(pos, pos + len, ignore);
-    if (const Piece* p = find_conflict(pos, h_, ignore)) return p;
-    return find_conflict(0, pos + len - h_, ignore);
   }
 
   /// Smallest y in [x, limit) such that [y, y+len) (mod H) is free, else

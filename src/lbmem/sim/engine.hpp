@@ -42,7 +42,9 @@ struct SimOptions {
   /// Observability sink (DESIGN.md F25): when set, each run folds its
   /// SimMetrics into this registry once on return — dispatch/violation/
   /// miss counters (Deterministic class). The registry must outlive the
-  /// call; it is shared-safe, so parallel replications may point here.
+  /// call. It is single-threaded (DESIGN.md F43), so concurrent runs need
+  /// one each: ScenarioRunner::run refuses a shared sim.metrics and folds
+  /// one registry per sweep cell instead.
   obs::Registry* metrics = nullptr;
 };
 

@@ -22,8 +22,7 @@ std::string instance_name(const TaskGraph& graph, TaskInstance inst) {
   return graph.task(inst.task).name + "[" + std::to_string(inst.k) + "]";
 }
 
-/// Shared scratch for the exclusivity sweep, reused by is_valid()'s
-/// early-exit path so a validation performs at most one allocation.
+/// One instance in the exclusivity sweep: its start mod H and length.
 struct ExclusivityEntry {
   Time pos;
   Time len;
@@ -137,60 +136,6 @@ ValidationReport validate(const Schedule& sched) {
   check_precedence(sched, report);
   check_memory(sched, report);
   return report;
-}
-
-bool is_valid(const Schedule& sched) {
-  const TaskGraph& graph = sched.graph();
-  if (!sched.complete()) return false;
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    if (sched.first_start(t) < 0) return false;
-  }
-  // V3 exclusivity: the same sorted neighbour sweep as check_exclusivity,
-  // stopping at the first overlap and building no diagnostics. The scratch
-  // vector is reused across processors, so the whole pass allocates once.
-  const Time h = graph.hyperperiod();
-  std::vector<ExclusivityEntry> entries;
-  for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
-    const auto instances = sched.instances_on(p);
-    entries.clear();
-    entries.reserve(instances.size());
-    for (const TaskInstance inst : instances) {
-      const Time s = sched.start(inst);
-      entries.push_back(ExclusivityEntry{((s % h) + h) % h,
-                                         graph.task(inst.task).wcet, inst});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const ExclusivityEntry& a, const ExclusivityEntry& b) {
-                return a.pos < b.pos;
-              });
-    const std::size_t n = entries.size();
-    for (std::size_t i = 0; n > 1 && i < n; ++i) {
-      const ExclusivityEntry& a = entries[i];
-      const ExclusivityEntry& b = entries[(i + 1) % n];
-      if (circular_overlap(a.pos, a.len, b.pos, b.len, h) &&
-          !(a.inst == b.inst)) {
-        return false;
-      }
-    }
-  }
-  // V4 precedence, V5 memory.
-  for (TaskId t = 0; t < static_cast<TaskId>(graph.task_count()); ++t) {
-    const InstanceIdx n = graph.instance_count(t);
-    for (InstanceIdx k = 0; k < n; ++k) {
-      const TaskInstance inst{t, k};
-      if (sched.start(inst) < sched.data_ready(inst, sched.proc(inst))) {
-        return false;
-      }
-    }
-  }
-  if (sched.architecture().has_memory_limit()) {
-    for (ProcId p = 0; p < sched.architecture().processor_count(); ++p) {
-      if (sched.memory_on(p) > sched.architecture().memory_capacity()) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 bool is_valid_around(const Schedule& sched,

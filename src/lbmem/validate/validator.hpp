@@ -54,21 +54,16 @@ struct ValidationReport {
 /// are collected in the report.
 ValidationReport validate(const Schedule& sched);
 
-/// validate(sched).ok() without the diagnostics: stops at the first
-/// violation and builds no report strings. The balancer's attempt gate sits
-/// on the hot path and only needs the verdict; tests assert agreement with
-/// validate() so the two can never drift silently.
-bool is_valid(const Schedule& sched);
-
-/// is_valid(sched) for a schedule that was valid until the instances in
-/// \p moved changed processor or start, given that the caller has proven
-/// their new footprints overlap nothing (DESIGN.md F35). Checks V1 and V5,
-/// and V4 at every moved instance and every consumer instance of one —
-/// each instance once, tracked in \p seen, the caller's scratch (cleared
-/// here, its contents overwritten). V3 is the caller's proof. Once \p seen
-/// has grown to the graph's instance count, the cost follows |moved| and
-/// its consumers plus O(M), not the size of the schedule (DESIGN.md F41).
-/// \p moved may hold duplicates.
+/// validate(sched).ok() for a schedule that was valid until the instances
+/// in \p moved changed processor or start, given that the caller has
+/// proven their new footprints overlap nothing (DESIGN.md F35). Checks V1
+/// and V5, and V4 at every moved instance and every consumer instance of
+/// one — each instance once, tracked in \p seen, the caller's scratch
+/// (cleared here, its contents overwritten). V3 is the caller's proof.
+/// Once \p seen has grown to the graph's instance count, the cost follows
+/// |moved| and its consumers plus O(M), not the size of the schedule
+/// (DESIGN.md F41). \p moved may hold duplicates. Debug builds of the
+/// balancer compare every verdict with validate() (F44).
 bool is_valid_around(const Schedule& sched,
                      std::span<const TaskInstance> moved, EpochSet& seen);
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lbmem/api/scenario.hpp"
 #include "lbmem/api/solvers.hpp"
 #include "lbmem/obs/metrics.hpp"
@@ -204,9 +206,23 @@ TEST(ApiScenario, AdaptiveRowIsThreadCountInvariant) {
 }
 
 TEST(ApiScenario, UnknownSolverNameFailsBeforeGeneration) {
+  // The suite's negative memory capacity makes generation itself throw a
+  // ModelError, so the unknown-name Error proves the check came first.
   ScenarioSpec spec = small_spec();
+  spec.solvers = {"heuristic-lex"};
+  spec.suite.memory_capacity = -5;
+  EXPECT_THROW(ScenarioRunner().run(spec), ModelError);
   spec.solvers = {"heuristic-lex", "does-not-exist"};
-  EXPECT_THROW(ScenarioRunner().run(spec), Error);
+  try {
+    ScenarioRunner().run(spec);
+    FAIL() << "an unknown solver name must throw";
+  } catch (const ModelError& e) {
+    FAIL() << "the suite was generated before the name check: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown solver 'does-not-exist'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ApiScenario, SimMetricsSinkFailsBeforeGeneration) {

@@ -2,9 +2,11 @@
 ///
 /// reduce_gain() lowers a category-1 block's gain with one filtered gap
 /// walk per layout entry (ProcTimeline::walk_blocking). The loop it replaced
-/// is kept here as the reference: it probed each entry with
-/// conflicting_owner_if and lowered the gain one conflicting owner at a
-/// time, to that owner's end as the schedule records it. The two must agree
+/// is kept here as the reference: it probed each entry for the first owner
+/// it ran into and lowered the gain one conflicting owner at a time, to
+/// that owner's end as the schedule records it. The reference finds each
+/// conflict in sorted piece lists of its own, not through ProcTimeline, so
+/// the walk is checked against an independent scan. The two must agree
 /// on the gain, the reject reason, the cut flag and the number of steps
 /// (the guard count), on random timelines after add/remove/restore churn
 /// with random layouts, ignore sets and incumbents, and on the edge cases
@@ -16,7 +18,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,32 +33,89 @@
 namespace lbmem {
 namespace {
 
-/// Timelines over one circle, plus every live owner's absolute end, which
-/// the replaced loop read from the schedule.
+/// Timelines over one circle, plus what the replaced loop found without
+/// them: every live owner's absolute end, which it read from the schedule,
+/// and each processor's pieces by start, where the reference looks up each
+/// conflict.
 struct World {
+  /// One stored piece: an interval that crosses H is two, [s, H) and [0, e).
+  struct Piece {
+    Time len;
+    TaskInstance owner;
+  };
+
   explicit World(Time hyperperiod, int procs)
       : h(hyperperiod),
-        occ(static_cast<std::size_t>(procs), ProcTimeline(hyperperiod)) {}
+        occ(static_cast<std::size_t>(procs), ProcTimeline(hyperperiod)),
+        pieces(static_cast<std::size_t>(procs)) {}
 
   void add(ProcId p, Time start, Time len, TaskInstance owner) {
     occ[static_cast<std::size_t>(p)].add(start, len, owner);
-    start_of[owner] = start;
-    end_of[owner] = start + len;
+    record(p, start, start + len, owner);
   }
 
   /// Release \p owner from processor \p p, at the start it was added at.
   ProcTimeline::Released remove(ProcId p, TaskInstance owner) {
     const ProcTimeline::Released released =
         occ[static_cast<std::size_t>(p)].remove(owner, start_of.at(owner));
+    std::map<Time, Piece>& on_p = pieces[static_cast<std::size_t>(p)];
+    on_p.erase(released.start);
+    if (released.start + released.len > h) on_p.erase(0);  // wrapped tail
     start_of.erase(owner);
     end_of.erase(owner);
     return released;
+  }
+
+  /// Undo remove(): \p owner's \p interval back, ending at \p end.
+  void restore(ProcId p, TaskInstance owner,
+               const ProcTimeline::Released& interval, Time end) {
+    occ[static_cast<std::size_t>(p)].restore(owner, interval);
+    record(p, end - interval.len, end, owner);
+  }
+
+  /// The first owner not skipped by \p ignore that [start, start+len) runs
+  /// into on processor \p p: the piece covering start mod H, else the first
+  /// later one in circular order that starts inside the interval.
+  template <typename Ignore>
+  std::optional<TaskInstance> conflict(ProcId p, Time start, Time len,
+                                       const Ignore& ignore) const {
+    const std::map<Time, Piece>& on_p = pieces[static_cast<std::size_t>(p)];
+    const Time pos = mod_floor(start, h);
+    auto it = on_p.upper_bound(pos);
+    if (it != on_p.begin()) {
+      const auto& [piece_start, piece] = *std::prev(it);
+      if (piece_start + piece.len > pos && !ignore(piece.owner)) {
+        return piece.owner;
+      }
+    }
+    // len <= H: the interval ends within the next lap.
+    for (Time lap = 0; lap <= h; lap += h, it = on_p.begin()) {
+      for (; it != on_p.end() && lap + it->first < pos + len; ++it) {
+        if (!ignore(it->second.owner)) return it->second.owner;
+      }
+    }
+    return std::nullopt;
   }
 
   Time h;
   std::vector<ProcTimeline> occ;
   std::map<TaskInstance, Time> start_of;
   std::map<TaskInstance, Time> end_of;
+  std::vector<std::map<Time, Piece>> pieces;  // per processor, by start
+
+ private:
+  void record(ProcId p, Time start, Time end, TaskInstance owner) {
+    start_of[owner] = start;
+    end_of[owner] = end;
+    std::map<Time, Piece>& on_p = pieces[static_cast<std::size_t>(p)];
+    const Time s = mod_floor(start, h);
+    if (s + (end - start) <= h) {
+      on_p.emplace(s, Piece{end - start, owner});
+    } else {
+      on_p.emplace(s, Piece{h - s, owner});
+      on_p.emplace(0, Piece{s + (end - start) - h, owner});
+    }
+  }
 };
 
 /// The reduction as Attempt::evaluate ran it before the walk: probe the
@@ -79,8 +140,7 @@ GainReduction probe_and_lower(std::span<const LayoutEntry> layout,
       const ProcId where = idx < member_count ? dest : le.proc;
       const Time tentative = le.base_start - gain;
       if (const auto conflict =
-              world.occ[static_cast<std::size_t>(where)].conflicting_owner_if(
-                  tentative, le.wcet, ignore)) {
+              world.conflict(where, tentative, le.wcet, ignore)) {
         if (++out.steps > kMaxGainSteps) {
           out.reject_reason = "no conflict-free gain";
           return out;
@@ -223,16 +283,13 @@ void populate(World& world, Rng& rng, TaskId& next_task) {
       for (std::int64_t u = 0; u < undo; ++u) {
         const Logged entry = log.back();
         log.pop_back();
-        ProcTimeline& t = world.occ[static_cast<std::size_t>(entry.proc)];
         std::vector<TaskInstance>& list =
             owners[static_cast<std::size_t>(entry.proc)];
         if (entry.added) {
           world.remove(entry.proc, entry.owner);
           list.erase(std::find(list.begin(), list.end(), entry.owner));
         } else {
-          t.restore(entry.owner, entry.interval);
-          world.start_of[entry.owner] = entry.end - entry.interval.len;
-          world.end_of[entry.owner] = entry.end;
+          world.restore(entry.proc, entry.owner, entry.interval, entry.end);
           list.push_back(entry.owner);
         }
       }

@@ -1,10 +1,12 @@
 /// Tests for obs/trace.hpp: span recording and ordering, the
-/// disabled-path no-op, drop-don't-grow buffers, trace-event JSON shape,
-/// and the golden span-name transcript of a single-threaded balancer run
-/// (the deterministic control-flow contract of the instrumentation).
+/// disabled-path no-op, drop-don't-grow buffers, recording from several
+/// threads at once, trace-event JSON shape, and the golden span-name
+/// transcript of a single-threaded balancer run (the deterministic
+/// control-flow contract of the instrumentation).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include "lbmem/gen/paper_example.hpp"
 #include "lbmem/lb/load_balancer.hpp"
 #include "lbmem/obs/trace.hpp"
+#include "lbmem/util/parallel_for.hpp"
 
 #ifndef LBMEM_GOLDEN_DIR
 #error "LBMEM_GOLDEN_DIR must point at tests/golden (set by CMake)"
@@ -92,6 +95,49 @@ TEST(ObsTrace, WriteJsonEmitsTraceEventShape) {
   EXPECT_NE(json.find("\"otherData\""), std::string::npos);
   EXPECT_NE(json.find("\"git_sha\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_spans\": 0"), std::string::npos);
+}
+
+TEST(ObsTrace, RecordsFromEverySweepThread) {
+  // The sweep's threads record into their own buffers of one tracer: every
+  // span is kept or counted as dropped, whether the buffers have room for
+  // all of them or each fills after eight.
+  constexpr std::size_t kSpans = 256;
+  const std::string name_field = "\"name\": \"sweep.cell\"";
+  for (const std::size_t capacity : {kSpans, std::size_t{8}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Tracer tracer(capacity);
+    {
+      TracerScope scope(&tracer);
+      parallel_for(4, kSpans,
+                   [](std::size_t) { LBMEM_TRACE_SPAN("sweep.cell"); });
+    }
+    EXPECT_EQ(tracer.span_count() + tracer.dropped(), kSpans);
+    if (capacity == kSpans) {
+      EXPECT_EQ(tracer.dropped(), 0u);
+    } else {
+      // At most four buffers of eight; the busiest thread fills its own.
+      EXPECT_GE(tracer.span_count(), 8u);
+      EXPECT_LE(tracer.span_count(), 32u);
+    }
+    const std::vector<std::string> names = tracer.span_names();
+    EXPECT_EQ(names.size(), tracer.span_count());
+    EXPECT_TRUE(std::all_of(names.begin(), names.end(),
+                            [](const std::string& n) {
+                              return n == "sweep.cell";
+                            }));
+    std::ostringstream out;
+    tracer.write_json(out);
+    const std::string json = out.str();
+    std::size_t emitted = 0;
+    for (std::size_t at = json.find(name_field); at != std::string::npos;
+         at = json.find(name_field, at + 1)) {
+      ++emitted;
+    }
+    EXPECT_EQ(emitted, tracer.span_count());
+    EXPECT_NE(json.find("\"dropped_spans\": " +
+                        std::to_string(tracer.dropped())),
+              std::string::npos);
+  }
 }
 
 // ---- golden span-name transcript ------------------------------------------

@@ -10,9 +10,9 @@
 /// checked against their structural invariant: every open destination of
 /// every block is either evaluated or skipped by the bound, never both.
 ///
-/// The same discipline covers the validators the balancer's retry gate
-/// uses: is_valid() and the moved-set is_valid_around() must agree with
-/// the full validate() referee (DESIGN.md F35).
+/// The same discipline covers the moved-set validation the balancer's
+/// retry gate uses: is_valid_around() must agree with the full validate()
+/// referee (DESIGN.md F35).
 
 #include <gtest/gtest.h>
 
@@ -154,25 +154,6 @@ TEST(PruneEquivalence, ScopedRebalance) {
   }
 }
 
-TEST(PruneEquivalence, FastValidatorAgreesWithReferee) {
-  // is_valid() gates the balancer's retry loop; it must never disagree
-  // with the full validate() referee — on valid and invalid schedules.
-  for (const auto& instance : suite(40, 4, 7000)) {
-    EXPECT_EQ(validate(instance.schedule).ok(), is_valid(instance.schedule));
-    const BalanceResult result = LoadBalancer().balance(instance.schedule);
-    EXPECT_EQ(validate(result.schedule).ok(), is_valid(result.schedule));
-    EXPECT_TRUE(is_valid(result.schedule));
-
-    // Force an exclusivity violation: two first instances at the same
-    // start on the same processor overlap for any positive WCET.
-    Schedule bad = instance.schedule;
-    bad.set_first_start(0, bad.first_start(1));
-    bad.assign(TaskInstance{0, 0}, bad.proc(TaskInstance{1, 0}));
-    EXPECT_FALSE(is_valid(bad));
-    EXPECT_EQ(validate(bad).ok(), is_valid(bad));
-  }
-}
-
 /// \p sched on the same processors with a finite memory capacity at
 /// \p factor_percent of its own peak, so the copy is valid and the cap binds.
 Schedule capped(const Schedule& sched, int factor_percent) {
@@ -208,7 +189,7 @@ TEST(MovedSetValidation, AgreesWithRefereeUnderRandomMutations) {
     for (const auto& instance : suite(40, 4, 8000)) {
       const Schedule input =
           cap ? capped(instance.schedule, 100) : instance.schedule;
-      ASSERT_TRUE(is_valid(input));
+      ASSERT_TRUE(validate(input).ok());
       ASSERT_TRUE(is_valid_around(input, {}, seen));
       const TaskGraph& graph = input.graph();
       const int procs = input.architecture().processor_count();
@@ -257,7 +238,7 @@ TEST(MovedSetValidation, ScopedRebalanceSweepStaysValid) {
     for (const auto& instance : suite(40, 4, 9000)) {
       const Schedule input =
           cap ? capped(instance.schedule, 110) : instance.schedule;
-      ASSERT_TRUE(is_valid(input));
+      ASSERT_TRUE(validate(input).ok());
       BalanceOptions options;
       options.enforce_memory_capacity = cap;
       const LoadBalancer balancer(options);

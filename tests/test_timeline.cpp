@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -13,6 +14,22 @@ namespace lbmem {
 namespace {
 
 TaskInstance inst(TaskId t, InstanceIdx k = 0) { return TaskInstance{t, k}; }
+
+const auto kNoIgnore = [](TaskInstance) { return false; };
+
+/// Where walk_blocking() from \p start first lands: the end of the first
+/// owner not skipped by \p ignore that [start, start+len) runs into, or
+/// nullopt when none blocks it.
+template <typename Ignore>
+std::optional<Time> first_landing(const ProcTimeline& tl, Time start, Time len,
+                                  Ignore ignore) {
+  std::optional<Time> landing;
+  tl.walk_blocking(start, len, ignore, [&](Time at) {
+    landing = at;
+    return false;
+  });
+  return landing;
+}
 
 TEST(ProcTimeline, EmptyFitsEverything) {
   const ProcTimeline tl(12);
@@ -30,8 +47,16 @@ TEST(ProcTimeline, AddAndConflict) {
   EXPECT_FALSE(tl.fits(2, 2));
   EXPECT_TRUE(tl.fits(5, 1));
   EXPECT_TRUE(tl.fits(1, 2));
-  EXPECT_EQ(tl.conflicting_owner(4, 1), inst(0));
-  EXPECT_EQ(tl.conflicting_owner(5, 1), std::nullopt);
+  EXPECT_TRUE(tl.fits(-7, 2));   // [5, 7) one lap early
+  EXPECT_FALSE(tl.fits(27, 1));  // [3, 4) two laps on
+  EXPECT_FALSE(tl.fits(0, 12));  // the whole circle
+  EXPECT_THROW(static_cast<void>(tl.fits(0, 13)), PreconditionError);
+  EXPECT_THROW(static_cast<void>(tl.fits(0, 0)), PreconditionError);
+  // The walk lands at the blocking owner's end, on the query's own lap.
+  EXPECT_EQ(first_landing(tl, 4, 1, kNoIgnore), 5);
+  EXPECT_EQ(first_landing(tl, 2, 2, kNoIgnore), 5);
+  EXPECT_EQ(first_landing(tl, 16, 1, kNoIgnore), 17);
+  EXPECT_EQ(first_landing(tl, 5, 1, kNoIgnore), std::nullopt);
 }
 
 TEST(ProcTimeline, WrappingIntervalSplits) {
@@ -301,19 +326,21 @@ TEST(ProcTimelineRemove, AnOwnerHoldsOneInterval) {
   EXPECT_TRUE(tl.same_pieces(three_owners()));
 }
 
-TEST(ProcTimelineChurn, ConflictingOwnerIfSkipsIgnoredOwners) {
+TEST(ProcTimelineChurn, FirstLandingSkipsIgnoredOwners) {
   ProcTimeline tl(12);
   tl.add(3, 2, inst(0));
   tl.add(6, 2, inst(1));
   const auto ignore0 = [](TaskInstance owner) { return owner.task == 0; };
-  // [3,5) only conflicts with the ignored owner -> no conflict reported.
-  EXPECT_EQ(tl.conflicting_owner_if(3, 2, ignore0), std::nullopt);
-  // [4,7) overlaps both; the non-ignored one must be found.
-  EXPECT_EQ(tl.conflicting_owner_if(4, 3, ignore0), inst(1));
+  // [3,5) only meets the ignored owner -> the walk never lands.
+  EXPECT_EQ(first_landing(tl, 3, 2, ignore0), std::nullopt);
+  // [4,7) overlaps both; the walk lands at the non-ignored one's end.
+  EXPECT_EQ(first_landing(tl, 4, 3, ignore0), 8);
   // Wrap-around: [11,13) -> [11,12) + [0,1), both free.
-  EXPECT_EQ(tl.conflicting_owner_if(11, 2, ignore0), std::nullopt);
+  EXPECT_EQ(first_landing(tl, 11, 2, ignore0), std::nullopt);
   tl.add(11, 2, inst(2));
-  EXPECT_EQ(tl.conflicting_owner_if(11, 2, ignore0), inst(2));
+  // A wrapped owner lands once, past H, at its end.
+  EXPECT_EQ(first_landing(tl, 11, 2, ignore0), 13);
+  EXPECT_EQ(first_landing(tl, 0, 1, ignore0), 1);
 }
 
 TEST(ProcTimeline, EarliestFitMatchesBruteForce) {

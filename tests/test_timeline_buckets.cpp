@@ -52,14 +52,24 @@ class NaiveTimeline {
     return !overlaps(pos, h_) && !overlaps(0, pos + len - h_);
   }
 
-  std::optional<TaskInstance> conflicting_owner(Time start, Time len) const {
-    if (const std::optional<Entry> e = conflicting_entry(start, len)) {
-      return e->owner;
-    }
-    return std::nullopt;
+  /// Where ProcTimeline::walk_blocking() from \p start first lands: the
+  /// first position after start that is congruent to the end of the
+  /// conflicting entry's owner modulo H (a zero step is a full lap), or
+  /// nullopt when [start, start+len) is free.
+  std::optional<Time> first_landing(Time start, Time len) const {
+    const std::optional<Entry> e = conflicting_entry(start, len);
+    if (!e) return std::nullopt;
+    // add() pushes a wrapped owner's tail after its head: the owner's last
+    // entry ends its interval.
+    const auto last = std::find_if(
+        entries_.rbegin(), entries_.rend(),
+        [&](const Entry& x) { return x.owner == e->owner; });
+    const Time step = mod_floor(last->pos + last->len - start, h_);
+    return start + (step == 0 ? h_ : step);
   }
 
-  /// The piece conflicting_owner() reports.
+  /// The entry an interval [start, start+len) runs into first: the one
+  /// reaching into it from before, else the first by start.
   std::optional<Entry> conflicting_entry(Time start, Time len) const {
     const Time pos = mod_floor(start, h_);
     // Match ProcTimeline's priority: the predecessor piece reaching into
@@ -211,10 +221,24 @@ void churn(Time h, std::uint64_t seed, int steps) {
       naive.remove(live[idx]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else if (action < 9) {
-      const Time len = rng.uniform(1, std::min<Time>(h, 9));
-      const Time start = rng.uniform(0, h - 1);
-      ASSERT_EQ(timeline.conflicting_owner(start, len),
-                naive.conflicting_owner(start, len));
+      // Which interval blocks: the walk's first landing is the end of the
+      // naive scan's conflicting owner. Queries start anywhere from one lap
+      // early to one lap late, some over the whole circle; fits() answers
+      // through the same walk.
+      const Time len =
+          rng.chance(0.1) ? h : rng.uniform(1, std::min<Time>(h, 9));
+      const Time start = rng.uniform(-h, 2 * h);
+      std::optional<Time> landing;
+      timeline.walk_blocking(
+          start, len, [](TaskInstance) { return false; },
+          [&](Time at) {
+            landing = at;
+            return false;
+          });
+      ASSERT_EQ(landing, naive.first_landing(start, len))
+          << "start=" << start << " len=" << len;
+      ASSERT_EQ(timeline.fits(start, len), naive.fits(start, len))
+          << "start=" << start << " len=" << len;
     } else if (h >= 4 && h <= 4096) {
       // Whole strict-periodic task probe (n instances spaced T apart): lb
       // on either side of the circle, wcet from a few ticks up to the whole
